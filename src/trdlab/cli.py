@@ -36,7 +36,6 @@ def _add_common(sub, config_required: bool):
         help="named built-in scenario (alternative to --config)",
     )
     sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    sub.add_argument("--threads", type=int, default=1, help="parallel independent runs")
     sub.add_argument(
         "--deterministic",
         action=argparse.BooleanOptionalAction,
@@ -58,14 +57,14 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
-    summary = run_scenario(config, args.out, threads=args.threads)
+    summary = run_scenario(config, args.out)
     print(f"run '{summary['label']}': ok={summary['ok']} -> {args.out}/summary.json")
     return EXIT_OK if summary["ok"] else EXIT_INVARIANT
 
 
 def _cmd_study_n(args) -> int:
     config = _resolve_config(args)
-    table = study_n(config, args.out, threads=args.threads)
+    table = study_n(config, args.out)
     diffs = [c["sup_diff"] for c in table["consecutive_sup_diffs"]]
     print(
         f"study-n '{table['label']}': sup diffs {['%.3e' % d for d in diffs]}, "

@@ -72,6 +72,18 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _finite_number(value, path: str, positive: bool = False) -> float:
+    """A finite number, >= 0 (> 0 if positive); JSON NaN and Infinity
+    parse as floats and are rejected here."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        raise ConfigError(path, f"expected a finite {'positive' if positive else 'nonnegative'} number, got {value!r}")
+    return x
+
+
 def _parse_n(value, path: str) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "+inf", "infinity"):
@@ -152,6 +164,10 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     stepper_raw = _require(data, "stepper", "$")
     if not isinstance(stepper_raw, dict):
         raise ConfigError("$.stepper", "expected an object")
+    _finite_number(_require(stepper_raw, "dt", "$.stepper"), "$.stepper.dt", positive=True)
+    record_every = stepper_raw.get("record_every", 1)
+    if isinstance(record_every, bool) or not isinstance(record_every, int) or record_every < 1:
+        raise ConfigError("$.stepper.record_every", f"expected a positive integer, got {record_every!r}")
     try:
         stepper = StepperConfig(**stepper_raw)
     except (TypeError, ValueError) as exc:
@@ -162,9 +178,7 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
         raise ConfigError("$.n_values", "expected a nonempty list")
     n_values = tuple(_parse_n(v, f"$.n_values[{i}]") for i, v in enumerate(raw_n))
 
-    t_final = float(_require(data, "t_final", "$"))
-    if t_final < 0:
-        raise ConfigError("$.t_final", "t_final must be nonnegative")
+    t_final = _finite_number(_require(data, "t_final", "$"), "$.t_final")
 
     p_values = tuple(float(p) for p in data.get("p_values", (4.0,)))
     if any(p < 1 for p in p_values):

@@ -2,7 +2,11 @@
 with homogeneous Neumann boundary (mirror ghost cells).
 
 The discrete Laplacian is symmetric with zero row sums, so constants are
-harmonic and integrate(laplacian(u)) vanishes to roundoff.
+harmonic and integrate(laplacian(u)) vanishes to roundoff.  The
+orthonormal DCT-II diagonalises it exactly: along an axis of N cells of
+width h, mode k samples cos(k pi x / L) at the cell centres and has
+eigenvalue -(2/h sin(pi k / 2N))^2 (G. Strang, "The Discrete Cosine
+Transform", SIAM Review 41, 1999).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dct
 
 __all__ = ["Grid", "Field"]
 
@@ -76,6 +81,51 @@ class Grid:
         eye = [sp.identity(n) for n in self.cells]
         return (sp.kron(mats[0], eye[1]) + sp.kron(eye[0], mats[1])).tocsr()
 
+    @cached_property
+    def laplacian_eigenvalues(self) -> tuple[np.ndarray, ...]:
+        """Per-axis eigenvalues -(2/h sin(pi k / 2N))^2, k = 0..N-1; mode 0
+        (the constants) has eigenvalue exactly 0."""
+        return tuple(
+            -((2.0 / h) * np.sin(np.pi * np.arange(n) / (2 * n))) ** 2
+            for n, h in zip(self.cells, self.h)
+        )
+
+    @cached_property
+    def dct_basis(self) -> tuple[np.ndarray, ...]:
+        """Per-axis orthonormal DCT-II matrices; row k is the eigenvector
+        of `laplacian_eigenvalues[axis][k]`."""
+        return tuple(dct(np.eye(n), norm="ortho", axis=0) for n in self.cells)
+
+    def mode_eigenvalues(self) -> np.ndarray:
+        """Laplacian eigenvalue of every tensor-product mode, shaped like
+        the grid."""
+        lam = self.laplacian_eigenvalues
+        return lam[0] if self.dimension == 1 else lam[0][:, None] + lam[1][None, :]
+
+    def to_modes(self, values: np.ndarray) -> np.ndarray:
+        """DCT-II coefficients of `values` over its trailing grid axes;
+        leading axes are batch axes."""
+        out = values @ self.dct_basis[-1].T
+        return self.dct_basis[0] @ out if self.dimension == 2 else out
+
+    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
+        """Inverse of `to_modes` (the basis is orthonormal)."""
+        out = coeffs @ self.dct_basis[-1]
+        return self.dct_basis[0].T @ out if self.dimension == 2 else out
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Neumann Laplacian of `values` over its trailing grid axes, as
+        zero-flux face differences; leading axes are batch axes."""
+        out = np.zeros_like(values)
+        for k, h in enumerate(self.h):
+            trailing = (slice(None),) * (self.dimension - 1 - k)
+            lo, hi = (..., slice(None, -1)) + trailing, (..., slice(1, None)) + trailing
+            flux = values[hi] - values[lo]
+            flux *= 1.0 / h**2
+            out[lo] += flux
+            out[hi] -= flux
+        return out
+
     def field(self, values) -> "Field":
         return Field(self, np.asarray(values, dtype=float))
 
@@ -98,21 +148,7 @@ class Field:
 
 def neumann_laplacian(field: Field) -> Field:
     """Second-order central differences with mirrored ghost cells."""
-    g = field.grid
-    out = np.zeros_like(field.values)
-    u = field.values
-    for axis in range(g.dimension):
-        h2 = g.h[axis] ** 2
-        padded = np.concatenate(
-            [np.take(u, [0], axis=axis), u, np.take(u, [-1], axis=axis)], axis=axis
-        )
-        sl = [slice(None)] * g.dimension
-        sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
-        sl_lo[axis] = slice(0, -2)
-        sl_mid[axis] = slice(1, -1)
-        sl_hi[axis] = slice(2, None)
-        out += (padded[tuple(sl_lo)] - 2 * padded[tuple(sl_mid)] + padded[tuple(sl_hi)]) / h2
-    return Field(g, out)
+    return Field(field.grid, field.grid.laplacian(field.values))
 
 
 def integrate(field: Field) -> float:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from .config import ExperimentConfig, build_initial
 from .diagnostics import DiagnosticsRecord, entropy_balance_check
 from .fields import FieldSet
 from .kinetics import RegularizedRates
-from .stepper import StepperConfig, diffusion_substep, run
+from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
 
 __all__ = [
     "run_single",
@@ -92,21 +91,14 @@ def _per_run_summary(config: ExperimentConfig, result) -> dict:
     }
 
 
-def run_scenario(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def run_scenario(config: ExperimentConfig, out_dir) -> dict:
     """Execute the scenario once per n value; writes diagnostics_<n>.csv
     per run and a summary.json.  Raises InvariantBreach (from the
     stepper) if any hard invariant fails."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(n):
-        return n, run_single(config, n)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, config.n_values))
-    else:
-        results = [one(n) for n in config.n_values]
+    results = [(n, run_single(config, n)) for n in config.n_values]
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -129,7 +121,7 @@ def run_scenario(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     return summary
 
 
-def study_n(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def study_n(config: ExperimentConfig, out_dir) -> dict:
     """Convergence-in-n study: identical scenarios per n, sup-over-
     space-time differences between consecutive n runs and against the
     limit system, plus the final-time gap to the limit run."""
@@ -146,11 +138,7 @@ def study_n(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         result = run_single(config, n, snapshots=snaps)
         return n, result, snaps
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one, n_values))
-    else:
-        runs = [one(n) for n in n_values]
+    runs = [one(n) for n in n_values]
 
     snaps_by_n = {n: snaps for n, _, snaps in runs}
 
@@ -210,9 +198,10 @@ def _final_fields(config: ExperimentConfig, pure_diffusion: bool) -> np.ndarray:
     initial = build_initial(config)
     n_steps = max(1, round(config.t_final / config.stepper.dt))
     dt = config.t_final / n_steps
+    modal = ModalDiffusion(initial.system, initial.grid, dt)
     state = initial
     for _ in range(n_steps):
-        state = diffusion_substep(state, dt)
+        state = diffusion_substep(state, dt, modal=modal)
     return state.values
 
 

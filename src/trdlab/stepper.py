@@ -6,6 +6,12 @@ exact linear invariants sigma_j = a_j + a_m of the reaction vector field
 to reduce each cell to one monotone scalar equation.  Both substeps are
 positivity preserving and entropy nonincreasing, so the splitting is as
 well.
+
+The grid's DCT-II basis diagonalises the Neumann Laplacian, so the
+implicit diffusion solve is exact in mode space: mode k with eigenvalue
+lambda_k is multiplied by (1 + (1-theta) c lambda_k) / (1 - theta c lambda_k),
+c = dt d_i.  The multipliers are built once per run (`ModalDiffusion`);
+each substep is checked a posteriori against the finite-volume stencil.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .diagnostics import DiagnosticsRecord, DiagnosticsTracker, dissipation, entropy
 from .errors import InvariantBreach
@@ -27,6 +31,7 @@ __all__ = [
     "SimulationState",
     "RunResult",
     "reaction_cell_solve",
+    "ModalDiffusion",
     "diffusion_substep",
     "step",
     "run",
@@ -206,67 +211,93 @@ def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, solv
     return FieldSet(system, fields.grid, new)
 
 
-_diffusion_cache: dict = {}
+class ModalDiffusion:
+    """The theta-scheme diffusion substep of length dt for the diffusing
+    species of one system on one grid, as per-mode multipliers.  It also
+    counts the roundoff negatives its positivity clamp zeroed."""
+
+    def __init__(self, system, grid, dt: float, theta: float = 1.0, positivity_tol: float = 1e-12):
+        self.dt, self.theta, self.positivity_tol = dt, theta, positivity_tol
+        rows = np.flatnonzero(system.d)
+        # a slice when the diffusing species are contiguous (every shipped
+        # preset): a view instead of a gather
+        contiguous = len(rows) and rows[-1] - rows[0] + 1 == len(rows)
+        self.rows = slice(rows[0], rows[-1] + 1) if contiguous else rows
+        self.coeff = dt * np.asarray(system.d)[rows].reshape((-1,) + (1,) * grid.dimension)
+        c_lam = self.coeff * grid.mode_eigenvalues()
+        self.multipliers = (1.0 + (1.0 - theta) * c_lam) / (1.0 - theta * c_lam)
+        # 2-norm bound on A = I - theta c L and B = I + (1-theta) c L
+        self.operator_norm = 1.0 + float(np.abs(c_lam).max(initial=0.0))
+        if np.any(self.multipliers[(...,) + (0,) * grid.dimension] != 1.0):
+            raise InvariantBreach("linear-solver", "mode-0 multiplier is not exactly 1: mass would drift")
+        self.clamp_count = 0
 
 
-def _diffusion_operator(grid, coeff_dt: float, theta: float = 1.0):
-    key = (grid, coeff_dt, theta)
-    entry = _diffusion_cache.get(key)
-    if entry is None:
-        n = int(np.prod(grid.shape))
-        lap = grid.laplacian_matrix
-        A = (sp.identity(n, format="csc") - theta * coeff_dt * lap).tocsc()
-        B = None
-        if theta < 1.0:
-            B = (sp.identity(n, format="csr") + (1.0 - theta) * coeff_dt * lap).tocsr()
-        entry = (spla.splu(A), A, B)
-        _diffusion_cache[key] = entry
-    return entry
-
-
-def diffusion_substep(fields: FieldSet, dt: float, tol: float = 1e-10, theta: float = 1.0) -> FieldSet:
+def diffusion_substep(
+    fields: FieldSet, dt: float, tol: float = 1e-10, theta: float = 1.0, modal: ModalDiffusion | None = None
+) -> FieldSet:
     """Implicit theta-scheme diffusion (theta = 1 backward Euler, the
     entropy-safe default; theta = 1/2 Crank-Nicolson for second-order
     accuracy studies) for the diffusing species only; species with
     d_i = 0 are never touched so their pointwise invariants stay exact.
     The backward-Euler Neumann matrix is an M-matrix, hence positivity
-    preserving, and both variants have unit column sums, hence conserve
-    mass."""
-    system = fields.system
+    preserving (the transform's roundoff negatives go through the
+    positivity clamp), and the mode-0 multiplier is exactly 1, hence mass
+    is conserved.  `modal` carries the multipliers of (dt, theta); it is
+    built here when not given."""
+    if modal is None:
+        modal = ModalDiffusion(fields.system, fields.grid, dt, theta)
+    elif (modal.dt, modal.theta) != (dt, theta):
+        raise ValueError("modal multipliers were built for another dt or theta")
     grid = fields.grid
     new = fields.values.copy()
-    for i in range(system.m):
-        d = system.d[i]
-        if d == 0.0:
-            continue
-        op, A, B = _diffusion_operator(grid, dt * d, theta)
-        rhs = fields.values[i].ravel()
-        if B is not None:
-            rhs = B @ rhs
-        sol = op.solve(rhs)
-        resid = np.abs(A @ sol - rhs).max()
-        if resid > tol * (1.0 + np.abs(rhs).max()):
-            raise InvariantBreach(
-                "linear-solver", f"diffusion residual {resid:.3e} above tolerance"
-            )
-        new[i] = sol.reshape(grid.shape)
-    return FieldSet(system, grid, new)
+    u = fields.values[modal.rows]
+    if u.size == 0:
+        return FieldSet(fields.system, grid, new)
+    sol = grid.from_modes(modal.multipliers * grid.to_modes(u))
+    # the linear residual A sol - B u of the theta-scheme on the stencil,
+    # as a normwise backward error: the transform's roundoff reaches the
+    # residual amplified by up to the operator norm
+    resid = grid.laplacian(sol if theta == 1.0 else theta * sol + (1.0 - theta) * u)
+    resid *= modal.coeff
+    resid -= sol
+    resid += u
+    resid = np.abs(resid, out=resid).max()
+    if resid > tol * modal.operator_norm * (1.0 + np.abs(u).max()):
+        raise InvariantBreach("linear-solver", f"diffusion residual {resid:.3e} above tolerance")
+    new[modal.rows] = sol
+    out = FieldSet(fields.system, grid, new)
+    modal.clamp_count += _clamp_positivity(out, modal.positivity_tol)[0]
+    return out
 
 
-def step(state: SimulationState, config: StepperConfig, rates: RegularizedRates) -> SimulationState:
+def _step_diffusion(fields: FieldSet, config: StepperConfig) -> ModalDiffusion:
+    """The diffusion substep of `step`: a full backward-Euler step (Lie)
+    or a Crank-Nicolson half step (Strang)."""
+    if config.splitting == "lie":
+        return ModalDiffusion(fields.system, fields.grid, config.dt, 1.0, config.positivity_tol)
+    return ModalDiffusion(fields.system, fields.grid, 0.5 * config.dt, 0.5, config.positivity_tol)
+
+
+def step(
+    state: SimulationState, config: StepperConfig, rates: RegularizedRates, modal: ModalDiffusion | None = None
+) -> SimulationState:
     """One splitting step of length config.dt (Lie: diffusion then
-    reaction; Strang: half diffusion, reaction, half diffusion)."""
+    reaction; Strang: half diffusion, reaction, half diffusion).  `run`
+    passes its `ModalDiffusion` so the multipliers are built once."""
     dt = config.dt
     f = state.fields
+    if modal is None:
+        modal = _step_diffusion(f, config)
     if config.splitting == "lie":
-        f = diffusion_substep(f, dt, config.linear_solver_tol)
+        f = diffusion_substep(f, dt, config.linear_solver_tol, modal=modal)
         f = _reaction_substep(f, rates, dt, config.reaction_solver)
     else:
         # second-order substeps (Crank-Nicolson / trapezoidal) so the
         # Strang composition is genuinely O(dt^2)
-        f = diffusion_substep(f, 0.5 * dt, config.linear_solver_tol, theta=0.5)
+        f = diffusion_substep(f, 0.5 * dt, config.linear_solver_tol, theta=0.5, modal=modal)
         f = _reaction_substep(f, rates, dt, config.reaction_solver, theta=0.5)
-        f = diffusion_substep(f, 0.5 * dt, config.linear_solver_tol, theta=0.5)
+        f = diffusion_substep(f, 0.5 * dt, config.linear_solver_tol, theta=0.5, modal=modal)
     return SimulationState(state.time + dt, f, state.step_count + 1)
 
 
@@ -309,6 +340,7 @@ def run(
     n_steps = max(1, round(t_final / config.dt))
     dt = t_final / n_steps
     cfg = StepperConfig(**{**config.__dict__, "dt": dt})
+    modal = _step_diffusion(initial, cfg)
     h2 = sum(h * h for h in initial.grid.h)
     e_prev = tracker.e0
     e_tol = cfg.entropy_tolerance_factor * (dt * dt + h2) * abs(tracker.e0) + 1e-12
@@ -324,7 +356,7 @@ def run(
 
     rec = emit(state)
     for k in range(n_steps):
-        state = step(state, cfg, rates)
+        state = step(state, cfg, rates, modal)
         c, w = _clamp_positivity(state.fields, cfg.positivity_tol)
         clamp_count += c
         clamp_worst = min(clamp_worst, w)
@@ -341,6 +373,7 @@ def run(
         e_prev = e_now
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             rec = emit(state)
+    clamp_count += modal.clamp_count
     return RunResult(state, records, clamp_count, clamp_worst, tracker)
 
 

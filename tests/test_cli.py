@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: exit codes, artifacts, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from trdlab.cli import (
     build_parser,
     main,
 )
+from trdlab.config import parse_config
 
 FAST_CONFIG = {
     "label": "cli-fast",
@@ -83,6 +86,26 @@ class TestRunCommand:
         cfg = write_config(tmp_path, bad)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("t_final", float("nan")),
+            ("t_final", float("inf")),
+            ("stepper.dt", float("nan")),
+            ("stepper.record_every", 0),
+        ],
+    )
+    def test_non_finite_or_zero_fields_exit_1_naming_the_field(self, tmp_path, capsys, path, value):
+        bad = json.loads(json.dumps(FAST_CONFIG))
+        *parents, key = path.split(".")
+        target = bad
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        cfg = write_config(tmp_path, bad)  # json writes NaN / Infinity literals
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"$.{path}" in capsys.readouterr().err
+
     def test_zero_horizon_run_succeeds(self, tmp_path):
         short = dict(FAST_CONFIG)
         short["t_final"] = 0.0
@@ -148,3 +171,11 @@ class TestAnalysisCommands:
 
         monkeypatch.setattr(cli_mod.bootstrap, "replay_chain", boom)
         assert cli_mod.main(["verify-chains", "--out", str(tmp_path)]) == 3
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    config = parse_config(json.loads(blocks[0]))
+    assert config.label == "demo"

@@ -75,6 +75,39 @@ class TestLaplacian:
         np.testing.assert_allclose(g.laplacian_matrix @ u, lam * u, atol=1e-10)
 
 
+class TestDctDiagonalisation:
+    GRIDS = [Grid((1.0,), (16,)), Grid((1.0, 1.0), (8, 8)), Grid((1.0, 2.0), (6, 9))]
+
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+    def test_modes_are_eigenvectors_of_the_matrix(self, g):
+        # every DCT-II mode is an eigenvector of the sparse Neumann matrix
+        # with the tabulated eigenvalue
+        n = int(np.prod(g.shape))
+        modes = g.from_modes(np.eye(n).reshape((n,) + g.shape)).reshape(n, n)
+        lam = g.mode_eigenvalues().ravel()
+        applied = (g.laplacian_matrix @ modes.T).T
+        np.testing.assert_allclose(applied, lam[:, None] * modes, atol=1e-9 * np.abs(lam).max())
+
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+    def test_transform_is_orthonormal(self, g):
+        u = np.random.default_rng(4).standard_normal((3,) + g.shape)
+        coeffs = g.to_modes(u)
+        np.testing.assert_allclose(g.from_modes(coeffs), u, atol=1e-13)
+        np.testing.assert_allclose(np.sum(coeffs**2), np.sum(u**2), rtol=1e-13)
+
+    def test_mode_zero_eigenvalue_is_exactly_zero(self):
+        for g in self.GRIDS:
+            assert g.mode_eigenvalues()[(0,) * g.dimension] == 0.0
+
+    def test_batched_stencil_matches_matrix_row_by_row(self):
+        g = Grid((1.0, 2.0), (6, 9))
+        u = np.random.default_rng(1).standard_normal((2, 3) + g.shape)
+        batched = g.laplacian(u)
+        for idx in np.ndindex(2, 3):
+            via_matrix = (g.laplacian_matrix @ u[idx].ravel()).reshape(g.shape)
+            np.testing.assert_allclose(batched[idx], via_matrix, atol=1e-12)
+
+
 class TestQuadratures:
     def test_integrate_constant(self):
         g = Grid((2.0, 3.0), (10, 12))

@@ -121,6 +121,42 @@ class TestSmoothing:
         traj = _solve_sourced_heat(grid, 1.0, np.ones(grid.shape), dt=0.01, n_steps=50)
         np.testing.assert_allclose(traj[-1], 0.5, atol=1e-10)
 
+    @pytest.mark.parametrize("lengths, cells", [((1.0,), (40,)), ((1.0, 2.0), (12, 10))])
+    def test_sourced_heat_matches_lu_march(self, lengths, cells):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid(lengths, cells)
+        source = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
+        d, dt, n_steps = 0.7, 0.004, 60
+        traj = _solve_sourced_heat(grid, d, source, dt, n_steps)
+        lap = grid.laplacian_matrix
+        lu = splu((sp.identity(lap.shape[0], format="csc") - dt * d * lap).tocsc())
+        psi = np.zeros(lap.shape[0])
+        expected = [psi]
+        for _ in range(n_steps):
+            psi = lu.solve(psi + dt * source.ravel())
+            expected.append(psi)
+        expected = np.stack(expected).reshape(traj.shape)
+        np.testing.assert_allclose(traj, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
+
+    def test_sourced_heat_residual_gate_is_live(self):
+        from trdlab.errors import InvariantBreach
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid((1.0,), (32,))
+        lam = grid.laplacian_eigenvalues[0].copy()
+        lam[2] *= 1.01
+        grid.__dict__["laplacian_eigenvalues"] = (lam,)
+        source = np.cos(2 * math.pi * grid.axis_centers(0))
+        with pytest.raises(InvariantBreach) as info:
+            _solve_sourced_heat(grid, 1.0, source, dt=0.01, n_steps=5)
+        assert info.value.kind == "linear-solver"
+
     def test_probe_ratios_stable_below_threshold(self):
         report = smoothing_probe(SPEC, p=2.0, s=4.0, dimension=1, trials=4, cells=32)
         assert report["passed"], report

@@ -13,6 +13,7 @@ from trdlab.grid import Grid, integrate
 from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 from trdlab.stepper import (
+    ModalDiffusion,
     SimulationState,
     StepperConfig,
     diffusion_substep,
@@ -143,6 +144,114 @@ class TestDiffusionSubstep:
         factor = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
         expected = 1.0 + 0.25 * factor * np.cos(math.pi * x)
         np.testing.assert_allclose(out.values[0], expected, atol=1e-10)
+
+
+# distinct diffusivities, so one substep covers several values of dt * d;
+# the diffusing species are contiguous in one system and not in the other
+SYS_D = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.5, 2.0, 0.0))
+SYS_GAP = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.5, 0.0, 2.0))
+ORACLE_GRIDS = [Grid((1.0,), (32,)), Grid((1.0, 1.0), (12, 12)), Grid((1.0, 2.0), (12, 10))]
+
+
+def dense_theta_step(grid, u, c, theta):
+    """(I - theta c L) sol = (I + (1 - theta) c L) u by a dense solve."""
+    lap = grid.laplacian_matrix.toarray()
+    eye = np.eye(lap.shape[0])
+    rhs = (eye + (1.0 - theta) * c * lap) @ u.ravel()
+    return np.linalg.solve(eye - theta * c * lap, rhs).reshape(grid.shape)
+
+
+class TestDiffusionOracle:
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("system", [SYS_D, SYS_GAP], ids=["contiguous", "gap"])
+    def test_matches_dense_solve(self, grid, theta, dt, system):
+        # rough data well away from zero: at large dt * d / h^2 Crank-Nicolson
+        # flips the sign of the rough modes, and a negative output would
+        # (rightly) raise a positivity breach
+        vals = np.random.default_rng(7).uniform(1.0, 3.0, size=(3,) + grid.shape)
+        out = diffusion_substep(FieldSet(system, grid, vals.copy()), dt, theta=theta)
+        tol = 1e-12 * (1.0 + np.abs(vals).max())
+        for i, d in enumerate(system.d):
+            if d == 0.0:
+                np.testing.assert_array_equal(out.values[i], vals[i])
+            else:
+                expected = dense_theta_step(grid, vals[i], dt * d, theta)
+                np.testing.assert_allclose(out.values[i], expected, rtol=0.0, atol=tol)
+
+    def test_no_diffusing_species_is_the_identity(self):
+        frozen = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 0.0, 0.0))
+        vals = np.random.default_rng(2).uniform(size=(3, 8))
+        out = diffusion_substep(FieldSet(frozen, Grid((1.0,), (8,)), vals.copy()), 0.1)
+        np.testing.assert_array_equal(out.values, vals)
+
+    def test_2d_point_mass_stays_nonnegative(self):
+        grid = Grid((1.0, 1.0), (32, 32))
+        vals = np.ones((3,) + grid.shape)
+        vals[0] = 0.0
+        vals[0, 16, 16] = 100.0
+        fs = FieldSet(SYS3, grid, vals)
+        out = diffusion_substep(fs, 1e-4)
+        assert out.values.min() >= 0.0
+        assert integrate(out.species(1)) == pytest.approx(integrate(fs.species(1)), rel=1e-12)
+
+    def test_roundoff_negatives_are_clamped_and_counted(self):
+        grid = Grid((1.0,), (64,))
+        vals = np.ones((3, 64))
+        vals[0] = 0.0
+        vals[0, 32] = 100.0
+        modal = ModalDiffusion(SYS3, grid, 1e-4)
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), 1e-4, modal=modal)
+        assert out.values.min() >= 0.0
+        assert modal.clamp_count == np.count_nonzero(out.values[0] == 0.0) > 0
+
+    def test_large_negative_input_still_breaches(self):
+        grid = Grid((1.0,), (16,))
+        vals = np.ones((3, 16))
+        vals[0] = 0.0
+        vals[0, 3] = -1e-6
+        with pytest.raises(InvariantBreach) as info:
+            diffusion_substep(FieldSet(SYS3, grid, vals), 1e-4)
+        assert info.value.kind == "positivity"
+
+    @pytest.mark.parametrize("lengths, cells", [((1.0,), (32,)), ((1.0, 2.0), (12, 10))])
+    def test_corrupted_eigenvalue_trips_the_residual_gate(self, lengths, cells):
+        grid = Grid(lengths, cells)  # its own instance: the cached table is overwritten
+        lam = [v.copy() for v in grid.laplacian_eigenvalues]
+        lam[0][3] *= 1.01
+        grid.__dict__["laplacian_eigenvalues"] = tuple(lam)
+        x = grid.axis_centers(0).reshape((-1,) + (1,) * (grid.dimension - 1))
+        u = np.broadcast_to(1.0 + 0.5 * np.cos(3 * math.pi * x), grid.shape)
+        fs = FieldSet(SYS3, grid, np.stack([u, u, u]))
+        with pytest.raises(InvariantBreach) as info:
+            diffusion_substep(fs, 0.01, theta=0.5)
+        assert info.value.kind == "linear-solver"
+
+    def test_corrupted_mode_zero_trips_the_mass_guard(self):
+        grid = Grid((1.0,), (16,))
+        lam = grid.laplacian_eigenvalues[0].copy()
+        lam[0] = -1e-9
+        grid.__dict__["laplacian_eigenvalues"] = (lam,)
+        with pytest.raises(InvariantBreach) as info:
+            ModalDiffusion(SYS3, grid, 0.01)
+        assert info.value.kind == "linear-solver"
+
+    def test_fine_crank_nicolson_grid_passes_the_gate(self):
+        # 2048 cells at c / h^2 ~ 4e4: the transform's roundoff, amplified
+        # by the stencil, must stay inside the backward-error gate
+        grid = Grid((1.0,), (2048,))
+        x = grid.axis_centers(0)
+        vals = np.stack([1.0 + 0.3 * np.cos(math.pi * x), 0.5 + 0.2 * np.cos(2 * math.pi * x), x])
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), 0.01, theta=0.5)
+        factor = (1.0 - 0.005 * math.pi**2) / (1.0 + 0.005 * math.pi**2)
+        np.testing.assert_allclose(out.values[0], 1.0 + 0.3 * factor * np.cos(math.pi * x), atol=1e-5)
+
+    def test_multipliers_must_match_the_substep(self):
+        grid = Grid((1.0,), (8,))
+        modal = ModalDiffusion(SYS3, grid, 0.1, 0.5)
+        with pytest.raises(ValueError):
+            diffusion_substep(FieldSet.constant(SYS3, grid, (1.0, 1.0, 1.0)), 0.1, modal=modal)
 
 
 class TestStepAndRun:
