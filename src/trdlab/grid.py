@@ -16,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dct
+# the same pocketfft transforms as scipy.fft's, without its backend
+# dispatch, which costs as much as a whole 128-cell transform
+from scipy.fftpack import dct, idct
 
 __all__ = ["Grid", "Field"]
 
@@ -90,12 +92,6 @@ class Grid:
             for n, h in zip(self.cells, self.h)
         )
 
-    @cached_property
-    def dct_basis(self) -> tuple[np.ndarray, ...]:
-        """Per-axis orthonormal DCT-II matrices; row k is the eigenvector
-        of `laplacian_eigenvalues[axis][k]`."""
-        return tuple(dct(np.eye(n), norm="ortho", axis=0) for n in self.cells)
-
     def mode_eigenvalues(self) -> np.ndarray:
         """Laplacian eigenvalue of every tensor-product mode, shaped like
         the grid."""
@@ -103,15 +99,17 @@ class Grid:
         return lam[0] if self.dimension == 1 else lam[0][:, None] + lam[1][None, :]
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """DCT-II coefficients of `values` over its trailing grid axes;
-        leading axes are batch axes."""
-        out = values @ self.dct_basis[-1].T
-        return self.dct_basis[0] @ out if self.dimension == 2 else out
+        """Orthonormal DCT-II coefficients of `values` over its trailing
+        grid axes; leading axes are batch axes."""
+        for axis in range(-self.dimension, 0):
+            values = dct(values, norm="ortho", axis=axis)
+        return values
 
     def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of `to_modes` (the basis is orthonormal)."""
-        out = coeffs @ self.dct_basis[-1]
-        return self.dct_basis[0].T @ out if self.dimension == 2 else out
+        """Inverse of `to_modes` (the transform is orthonormal)."""
+        for axis in range(-self.dimension, 0):
+            coeffs = idct(coeffs, norm="ortho", axis=axis)
+        return coeffs
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Neumann Laplacian of `values` over its trailing grid axes, as

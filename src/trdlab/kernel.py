@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvariantBreach
 from .grid import Grid
+from .stepper import StepperConfig, transform_roundoff
 
 __all__ = [
     "KernelSpec",
@@ -209,7 +210,7 @@ def _solve_sourced_heat(grid: Grid, d: float, source: np.ndarray, dt: float, n_s
     """Backward-Euler march of d/dt psi - d Lap psi = source from zero
     data, exact per DCT-II mode; returns the trajectory including the
     initial state, each step's residual checked against the finite-volume
-    stencil as a normwise backward error (see `stepper.diffusion_substep`)."""
+    stencil like `stepper.diffusion_substep`'s."""
     c_lam = dt * d * grid.mode_eigenvalues()
     multiplier = 1.0 / (1.0 - c_lam)
     forcing = dt * grid.to_modes(source)
@@ -219,8 +220,7 @@ def _solve_sourced_heat(grid: Grid, d: float, source: np.ndarray, dt: float, n_s
     traj = grid.from_modes(np.stack(modes))
     rhs = traj[:-1] + dt * source
     resid = np.abs(traj[1:] - rhs - dt * d * grid.laplacian(traj[1:])).max()
-    # the stepper's default linear_solver_tol
-    if resid > 1e-10 * (1.0 - c_lam.min()) * (1.0 + np.abs(rhs).max()):
+    if resid > (StepperConfig.linear_solver_tol + transform_roundoff(c_lam)) * (1.0 + np.abs(rhs).max()):
         raise InvariantBreach("linear-solver", f"sourced heat residual {resid:.3e} above tolerance")
     return traj
 

@@ -7,7 +7,7 @@ to reduce each cell to one monotone scalar equation.  Both substeps are
 positivity preserving and entropy nonincreasing, so the splitting is as
 well.
 
-The grid's DCT-II basis diagonalises the Neumann Laplacian, so the
+The grid's orthonormal DCT-II diagonalises the Neumann Laplacian, so the
 implicit diffusion solve is exact in mode space: mode k with eigenvalue
 lambda_k is multiplied by (1 + (1-theta) c lambda_k) / (1 - theta c lambda_k),
 c = dt d_i.  The multipliers are built once per run (`ModalDiffusion`);
@@ -211,30 +211,41 @@ def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, solv
     return FieldSet(system, fields.grid, new)
 
 
+def transform_roundoff(c_lam: np.ndarray) -> float:
+    """Stencil residual, per unit of 1 + max|u|, that the DCT's roundoff
+    may leave after a diffusion step with mode eigenvalues c_lam = c lambda:
+    the roundoff is amplified by up to the operator norm 1 + max|c lambda|.
+    Measured below 0.75 eps times that norm from 128x128 to 32768 cells;
+    the residual gates allow 16 times as much on top of their tolerance."""
+    return 16.0 * np.finfo(float).eps * (1.0 + float(np.abs(c_lam).max(initial=0.0)))
+
+
 class ModalDiffusion:
     """The theta-scheme diffusion substep of length dt for the diffusing
     species of one system on one grid, as per-mode multipliers.  It also
-    counts the roundoff negatives its positivity clamp zeroed."""
+    counts the roundoff negatives its positivity clamp zeroed and keeps
+    the most negative of them."""
 
-    def __init__(self, system, grid, dt: float, theta: float = 1.0, positivity_tol: float = 1e-12):
+    def __init__(
+        self, system, grid, dt: float, theta: float = 1.0, positivity_tol: float = StepperConfig.positivity_tol
+    ):
         self.dt, self.theta, self.positivity_tol = dt, theta, positivity_tol
-        rows = np.flatnonzero(system.d)
-        # a slice when the diffusing species are contiguous (every shipped
-        # preset): a view instead of a gather
-        contiguous = len(rows) and rows[-1] - rows[0] + 1 == len(rows)
-        self.rows = slice(rows[0], rows[-1] + 1) if contiguous else rows
-        self.coeff = dt * np.asarray(system.d)[rows].reshape((-1,) + (1,) * grid.dimension)
+        self.rows = np.flatnonzero(system.d)
+        self.coeff = dt * np.asarray(system.d)[self.rows].reshape((-1,) + (1,) * grid.dimension)
         c_lam = self.coeff * grid.mode_eigenvalues()
         self.multipliers = (1.0 + (1.0 - theta) * c_lam) / (1.0 - theta * c_lam)
-        # 2-norm bound on A = I - theta c L and B = I + (1-theta) c L
-        self.operator_norm = 1.0 + float(np.abs(c_lam).max(initial=0.0))
+        self.roundoff = transform_roundoff(c_lam)
         if np.any(self.multipliers[(...,) + (0,) * grid.dimension] != 1.0):
             raise InvariantBreach("linear-solver", "mode-0 multiplier is not exactly 1: mass would drift")
-        self.clamp_count = 0
+        self.clamp_count, self.clamp_worst = 0, math.inf
 
 
 def diffusion_substep(
-    fields: FieldSet, dt: float, tol: float = 1e-10, theta: float = 1.0, modal: ModalDiffusion | None = None
+    fields: FieldSet,
+    dt: float,
+    tol: float = StepperConfig.linear_solver_tol,
+    theta: float = 1.0,
+    modal: ModalDiffusion | None = None,
 ) -> FieldSet:
     """Implicit theta-scheme diffusion (theta = 1 backward Euler, the
     entropy-safe default; theta = 1/2 Crank-Nicolson for second-order
@@ -243,31 +254,32 @@ def diffusion_substep(
     The backward-Euler Neumann matrix is an M-matrix, hence positivity
     preserving (the transform's roundoff negatives go through the
     positivity clamp), and the mode-0 multiplier is exactly 1, hence mass
-    is conserved.  `modal` carries the multipliers of (dt, theta); it is
-    built here when not given."""
+    is conserved.  `modal` carries the multipliers, and with them dt,
+    theta and the positivity tolerance; it is built from (dt, theta) only
+    when not given."""
     if modal is None:
         modal = ModalDiffusion(fields.system, fields.grid, dt, theta)
-    elif (modal.dt, modal.theta) != (dt, theta):
-        raise ValueError("modal multipliers were built for another dt or theta")
     grid = fields.grid
     new = fields.values.copy()
     u = fields.values[modal.rows]
     if u.size == 0:
         return FieldSet(fields.system, grid, new)
     sol = grid.from_modes(modal.multipliers * grid.to_modes(u))
-    # the linear residual A sol - B u of the theta-scheme on the stencil,
-    # as a normwise backward error: the transform's roundoff reaches the
-    # residual amplified by up to the operator norm
+    # the linear residual A sol - B u of the theta-scheme on the stencil
+    theta = modal.theta
     resid = grid.laplacian(sol if theta == 1.0 else theta * sol + (1.0 - theta) * u)
     resid *= modal.coeff
     resid -= sol
     resid += u
     resid = np.abs(resid, out=resid).max()
-    if resid > tol * modal.operator_norm * (1.0 + np.abs(u).max()):
+    if resid > (tol + modal.roundoff) * (1.0 + np.abs(u).max()):
         raise InvariantBreach("linear-solver", f"diffusion residual {resid:.3e} above tolerance")
     new[modal.rows] = sol
     out = FieldSet(fields.system, grid, new)
-    modal.clamp_count += _clamp_positivity(out, modal.positivity_tol)[0]
+    count, worst = _clamp_positivity(out, modal.positivity_tol)
+    if count:
+        modal.clamp_count += count
+        modal.clamp_worst = min(modal.clamp_worst, worst)
     return out
 
 
@@ -374,6 +386,7 @@ def run(
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             rec = emit(state)
     clamp_count += modal.clamp_count
+    clamp_worst = min(clamp_worst, modal.clamp_worst)
     return RunResult(state, records, clamp_count, clamp_worst, tracker)
 
 

@@ -143,18 +143,21 @@ class TestSmoothing:
         expected = np.stack(expected).reshape(traj.shape)
         np.testing.assert_allclose(traj, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
 
-    def test_sourced_heat_residual_gate_is_live(self):
+    @pytest.mark.parametrize(
+        "lengths, cells, k, rel, dt", [((1.0,), (32,), 2, 1e-2, 0.01), ((1.0, 1.0), (128, 128), 1, 1e-5, 0.005)]
+    )
+    def test_sourced_heat_residual_gate_is_live(self, lengths, cells, k, rel, dt):
         from trdlab.errors import InvariantBreach
         from trdlab.grid import Grid
         from trdlab.kernel import _solve_sourced_heat
 
-        grid = Grid((1.0,), (32,))
-        lam = grid.laplacian_eigenvalues[0].copy()
-        lam[2] *= 1.01
-        grid.__dict__["laplacian_eigenvalues"] = (lam,)
-        source = np.cos(2 * math.pi * grid.axis_centers(0))
+        grid = Grid(lengths, cells)
+        lam = [v.copy() for v in grid.laplacian_eigenvalues]
+        lam[0][k] *= 1.0 + rel
+        grid.__dict__["laplacian_eigenvalues"] = tuple(lam)
+        source = np.cos(k * math.pi * grid.centers()[0])
         with pytest.raises(InvariantBreach) as info:
-            _solve_sourced_heat(grid, 1.0, source, dt=0.01, n_steps=5)
+            _solve_sourced_heat(grid, 1.0, source, dt=dt, n_steps=5)
         assert info.value.kind == "linear-solver"
 
     def test_probe_ratios_stable_below_threshold(self):

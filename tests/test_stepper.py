@@ -205,6 +205,16 @@ class TestDiffusionOracle:
         out = diffusion_substep(FieldSet(SYS3, grid, vals), 1e-4, modal=modal)
         assert out.values.min() >= 0.0
         assert modal.clamp_count == np.count_nonzero(out.values[0] == 0.0) > 0
+        assert -modal.positivity_tol <= modal.clamp_worst < 0.0
+
+    def test_run_reports_the_substep_clamps(self):
+        grid = Grid((1.0,), (64,))
+        vals = np.ones((3, 64))
+        vals[0] = 0.0
+        vals[0, 32] = 100.0
+        result = run(FieldSet(SYS3, grid, vals), StepperConfig(dt=1e-4), LIMIT3, t_final=1e-4)
+        assert result.clamp_count > 0
+        assert -1e-12 <= result.clamp_worst < 0.0
 
     def test_large_negative_input_still_breaches(self):
         grid = Grid((1.0,), (16,))
@@ -215,17 +225,22 @@ class TestDiffusionOracle:
             diffusion_substep(FieldSet(SYS3, grid, vals), 1e-4)
         assert info.value.kind == "positivity"
 
-    @pytest.mark.parametrize("lengths, cells", [((1.0,), (32,)), ((1.0, 2.0), (12, 10))])
-    def test_corrupted_eigenvalue_trips_the_residual_gate(self, lengths, cells):
+    # the last case is the grid-2d benchmark's Strang half step (dt = 0.01,
+    # d = 1), where the operator norm 1 + max|c lambda| is about 656
+    @pytest.mark.parametrize(
+        "lengths, cells, rel, dt",
+        [((1.0,), (32,), 1e-2, 0.01), ((1.0, 2.0), (12, 10), 1e-2, 0.01), ((1.0, 1.0), (128, 128), 1e-6, 0.005)],
+    )
+    def test_corrupted_eigenvalue_trips_the_residual_gate(self, lengths, cells, rel, dt):
         grid = Grid(lengths, cells)  # its own instance: the cached table is overwritten
         lam = [v.copy() for v in grid.laplacian_eigenvalues]
-        lam[0][3] *= 1.01
+        lam[0][3] *= 1.0 + rel
         grid.__dict__["laplacian_eigenvalues"] = tuple(lam)
         x = grid.axis_centers(0).reshape((-1,) + (1,) * (grid.dimension - 1))
         u = np.broadcast_to(1.0 + 0.5 * np.cos(3 * math.pi * x), grid.shape)
         fs = FieldSet(SYS3, grid, np.stack([u, u, u]))
         with pytest.raises(InvariantBreach) as info:
-            diffusion_substep(fs, 0.01, theta=0.5)
+            diffusion_substep(fs, dt, theta=0.5)
         assert info.value.kind == "linear-solver"
 
     def test_corrupted_mode_zero_trips_the_mass_guard(self):
@@ -237,21 +252,16 @@ class TestDiffusionOracle:
             ModalDiffusion(SYS3, grid, 0.01)
         assert info.value.kind == "linear-solver"
 
-    def test_fine_crank_nicolson_grid_passes_the_gate(self):
-        # 2048 cells at c / h^2 ~ 4e4: the transform's roundoff, amplified
-        # by the stencil, must stay inside the backward-error gate
-        grid = Grid((1.0,), (2048,))
+    @pytest.mark.parametrize("cells", [2048, 8192])
+    def test_fine_crank_nicolson_grid_passes_the_gate(self, cells):
+        # c max|lambda| ~ 8e4 and 1.3e6: the transform's roundoff, amplified
+        # by the stencil, must stay inside the gate's roundoff allowance
+        grid = Grid((1.0,), (cells,))
         x = grid.axis_centers(0)
         vals = np.stack([1.0 + 0.3 * np.cos(math.pi * x), 0.5 + 0.2 * np.cos(2 * math.pi * x), x])
         out = diffusion_substep(FieldSet(SYS3, grid, vals), 0.01, theta=0.5)
         factor = (1.0 - 0.005 * math.pi**2) / (1.0 + 0.005 * math.pi**2)
         np.testing.assert_allclose(out.values[0], 1.0 + 0.3 * factor * np.cos(math.pi * x), atol=1e-5)
-
-    def test_multipliers_must_match_the_substep(self):
-        grid = Grid((1.0,), (8,))
-        modal = ModalDiffusion(SYS3, grid, 0.1, 0.5)
-        with pytest.raises(ValueError):
-            diffusion_substep(FieldSet.constant(SYS3, grid, (1.0, 1.0, 1.0)), 0.1, modal=modal)
 
 
 class TestStepAndRun:
