@@ -28,7 +28,7 @@ EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
 
 
-def _add_common(sub, config_required: bool):
+def _add_common(sub):
     sub.add_argument("--config", type=Path, help="JSON experiment configuration")
     sub.add_argument(
         "--preset",
@@ -36,13 +36,6 @@ def _add_common(sub, config_required: bool):
         help="named built-in scenario (alternative to --config)",
     )
     sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    sub.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fixed seeds and sequential reductions (default on)",
-    )
-    sub.set_defaults(config_required=config_required)
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -188,15 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("run", help="execute a scenario across its n list")
-    _add_common(sub, config_required=True)
+    _add_common(sub)
     sub.set_defaults(func=_cmd_run)
 
     sub = subs.add_parser("study-n", help="convergence study in the regularization level n")
-    _add_common(sub, config_required=True)
+    _add_common(sub)
     sub.set_defaults(func=_cmd_study_n)
 
     sub = subs.add_parser("study-mesh", help="mesh/timestep self-convergence study")
-    _add_common(sub, config_required=True)
+    _add_common(sub)
     sub.add_argument("--levels", type=int, default=3)
     sub.set_defaults(func=_cmd_study_mesh)
 

@@ -12,7 +12,7 @@ Schema (all keys at the top level):
         {"kind": "cosine", "base": 1.0, "amplitude": 0.2, "modes": [1]},
         {"kind": "expression", "formula": "1.0 + 0.3*cos(pi*x)"}
       ],
-      "stepper": {"dt": 0.02, "splitting": "lie", ...},
+      "stepper": {"dt": 0.02, "splitting": "lie", "record_every": 25},
       "n_values": [1, 10, 100, "inf"],
       "t_final": 50.0,
       "p_values": [4.0],
@@ -90,7 +90,7 @@ def _parse_n(value, path: str) -> float:
             return math.inf
         raise ConfigError(path, f"unrecognized n value {value!r}")
     n = float(value)
-    if n <= 0:
+    if not (n > 0):
         raise ConfigError(path, "n must be positive")
     return n
 
@@ -164,6 +164,10 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     stepper_raw = _require(data, "stepper", "$")
     if not isinstance(stepper_raw, dict):
         raise ConfigError("$.stepper", "expected an object")
+    stepper_known = {f.name for f in dc_fields(StepperConfig)}
+    for key in stepper_raw:
+        if key not in stepper_known:
+            raise ConfigError(f"$.stepper.{key}", "unknown field")
     _finite_number(_require(stepper_raw, "dt", "$.stepper"), "$.stepper.dt", positive=True)
     record_every = stepper_raw.get("record_every", 1)
     if isinstance(record_every, bool) or not isinstance(record_every, int) or record_every < 1:
@@ -181,7 +185,7 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     t_final = _finite_number(_require(data, "t_final", "$"), "$.t_final")
 
     p_values = tuple(float(p) for p in data.get("p_values", (4.0,)))
-    if any(p < 1 for p in p_values):
+    if any(not (p >= 1) for p in p_values):
         raise ConfigError("$.p_values", "Lebesgue exponents must be >= 1")
 
     return ExperimentConfig(

@@ -16,6 +16,8 @@ from .model import TriangularSystem
 
 __all__ = [
     "RegularizedRates",
+    "reactant_product",
+    "phi",
     "phi_n",
     "raw_rate",
     "entropy_kernel",
@@ -23,32 +25,32 @@ __all__ = [
 ]
 
 
-def _reactant_product(system: TriangularSystem, state: np.ndarray) -> np.ndarray:
-    """prod_{j<m} a_j^{alpha_j} with the 0^0 = 1 convention (spectator
-    species with alpha_j = 0 contribute a unit factor)."""
-    a = np.asarray(state, dtype=float)
-    alpha = system.reactant_alpha
-    shape = (system.m - 1,) + (1,) * (a.ndim - 1)
-    return np.prod(np.power(a[: system.m - 1], alpha.reshape(shape)), axis=0)
+def reactant_product(alpha: np.ndarray, reactants: np.ndarray) -> np.ndarray:
+    """prod_j r_j^{alpha_j} over the leading (reactant) axis, with the
+    0^0 = 1 convention (spectator species with alpha_j = 0 contribute a
+    unit factor)."""
+    return np.prod(np.power(reactants, alpha.reshape((-1,) + (1,) * (reactants.ndim - 1))), axis=0)
+
+
+def phi(Q: float, n: float, total):
+    """The regularizer 1 + total^{Q+2}/n at the species sum `total`;
+    1 for n = +inf."""
+    if math.isinf(n):
+        return 1.0
+    return 1.0 + total ** (Q + 2.0) / n
 
 
 def phi_n(system: TriangularSystem, n: float, state: np.ndarray) -> np.ndarray | float:
     """phi^n = 1 + (1/n) (sum_i a_i)^{Q+2}; identically 1 for n = +inf."""
-    a = np.asarray(state, dtype=float)
-    if math.isinf(n):
-        return np.ones(a.shape[1:]) if a.ndim > 1 else 1.0
     if n <= 0:
         raise ValueError("regularization index n must be positive")
-    total = a.sum(axis=0)
-    val = 1.0 + total ** (system.Q + 2.0) / n
-    return val
+    return phi(system.Q, n, np.asarray(state, dtype=float).sum(axis=0))
 
 
 def raw_rate(system: TriangularSystem, state: np.ndarray) -> np.ndarray:
     """f_i = a_m - prod_{j<m} a_j^{alpha_j} for i < m, f_m = -f_1."""
     a = np.asarray(state, dtype=float)
-    prod = _reactant_product(system, a)
-    f1 = a[-1] - prod
+    f1 = a[-1] - reactant_product(system.reactant_alpha, a[:-1])
     out = np.broadcast_to(f1, (system.m,) + np.shape(f1)).copy()
     out[-1] = -f1
     return out
@@ -71,13 +73,14 @@ class RegularizedRates:
     def g(self, state) -> np.ndarray | float:
         """Scalar regularized production g^n = (a_m - prod a_j^alpha_j)/phi^n."""
         a = np.asarray(state, dtype=float)
-        return (a[-1] - _reactant_product(self.system, a)) / self.phi(a)
+        return (a[-1] - self.reactant_product(a)) / self.phi(a)
 
     def rate(self, state) -> np.ndarray:
         return raw_rate(self.system, state) / self.phi(state)
 
     def reactant_product(self, state) -> np.ndarray | float:
-        return _reactant_product(self.system, state)
+        a = np.asarray(state, dtype=float)
+        return reactant_product(self.system.reactant_alpha, a[:-1])
 
 
 def entropy_kernel(a) -> np.ndarray | float:

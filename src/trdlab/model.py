@@ -121,16 +121,6 @@ def sc_check(
     return True, f"admissible lambda1 indices {good}"
 
 
-def _raw_rate_vector(system: TriangularSystem, a: np.ndarray) -> np.ndarray:
-    # local copy of the rate law to keep this module self-contained;
-    # kinetics.raw_rate is the vectorized production version
-    prod = float(np.prod(np.power(a[:-1], system.reactant_alpha)))
-    f1 = a[-1] - prod
-    out = np.full(system.m, f1)
-    out[-1] = -f1
-    return out
-
-
 def triangular_domination_check(
     system: TriangularSystem, sample_states
 ) -> tuple[bool, np.ndarray | None]:
@@ -139,6 +129,8 @@ def triangular_domination_check(
     P is the bidiagonal matrix with ones on the diagonal and first
     subdiagonal.  Returns (False, violating_sample) on failure.
     """
+    from .kinetics import raw_rate
+
     m = system.m
     bound_dir = np.full(m, 2.0)
     bound_dir[0] = 1.0
@@ -147,7 +139,7 @@ def triangular_domination_check(
         a = np.asarray(sample, dtype=float)
         if a.shape != (m,) or np.any(a < 0):
             raise ValueError("samples must be nonnegative m-vectors")
-        f = _raw_rate_vector(system, a)
+        f = raw_rate(system, a)
         pf = f.copy()
         pf[1:] += f[:-1]
         rhs = (1.0 + a.sum()) * bound_dir
@@ -164,6 +156,8 @@ def quasi_positivity_check(
     """Rates must be nonnegative for the vanished species, both for the
     raw law and for the regularized law at every n (the regularization
     divides by phi^n >= 1, which cannot change the sign)."""
+    from .kinetics import RegularizedRates, raw_rate
+
     for sample in boundary_samples:
         a = np.asarray(sample, dtype=float)
         zero_idx = np.flatnonzero(a == 0.0)
@@ -173,13 +167,10 @@ def quasi_positivity_check(
                 "negative entries"
             )
         i = zero_idx[0]
-        f = _raw_rate_vector(system, a)
-        if f[i] < 0.0:
+        if raw_rate(system, a)[i] < 0.0:
             return False
         # phi^n >= 1 > 0: sign of the regularized rate matches the raw one,
         # still evaluate to guard the implementation
-        from .kinetics import RegularizedRates
-
         for n in n_values:
             if RegularizedRates(system, n).rate(a)[i] < 0.0:
                 return False

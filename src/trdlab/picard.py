@@ -180,7 +180,7 @@ def constants_for(inputs: PointwiseInputs, c_tilde: float | None = None, samples
     for the theory's non-constructive uniform bound; the Lipschitz
     supremum of the reactant polynomial is taken by dense sampling."""
     if c_tilde is None:
-        c_tilde = float(max(inputs.driver_am.max(), _driver_sup(inputs)))
+        c_tilde = float(max(inputs.driver_am.max(), inputs.delta3.max()))
     T = inputs.horizon
     c4 = inputs.a_j0 + T * c_tilde
     r = np.linspace(c4 / samples, c4, samples)
@@ -189,25 +189,9 @@ def constants_for(inputs: PointwiseInputs, c_tilde: float | None = None, samples
     for off, a in zip(inputs.offsets, inputs.offset_alphas):
         logder = logder + a / (off + r)
     sup_zeta_prime = float(np.abs(base * logder).max())
-    prod = 1.0
-    # driver powers enter through delta3; bound them by c_tilde^{sum alpha}
-    growth = _delta3_alpha_sum(inputs)
-    if growth > 0:
-        prod = c_tilde**growth
-    c5 = (1.0 + T) * c4 * prod * sup_zeta_prime
+    # the driver powers enter through delta3, which c_tilde bounds
+    c5 = (1.0 + T) * c4 * c_tilde * sup_zeta_prime
     return PicardBoundConstants(C4=c4, C5=max(c5, 1e-300), T=T)
-
-
-def _driver_sup(inputs: PointwiseInputs) -> float:
-    # delta3 is a product of driver powers; its sup^(1/sum alpha) bounds
-    # the individual drivers only heuristically, so fall back to delta3
-    # itself when no exponent metadata is available
-    return float(inputs.delta3.max())
-
-
-def _delta3_alpha_sum(inputs: PointwiseInputs) -> float:
-    # exponent mass carried by the diffusing reactants; delta3 <= C^mass
-    return getattr(inputs, "_delta3_alpha_mass", 1.0)
 
 
 def convergence_envelope_check(

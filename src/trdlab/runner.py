@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from .config import ExperimentConfig, build_initial
 from .diagnostics import DiagnosticsRecord, entropy_balance_check
 from .fields import FieldSet
 from .kinetics import RegularizedRates
-from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
+from .stepper import ModalDiffusion, diffusion_substep, run
 
 __all__ = [
     "run_single",
@@ -201,7 +202,7 @@ def _final_fields(config: ExperimentConfig, pure_diffusion: bool) -> np.ndarray:
     modal = ModalDiffusion(initial.system, initial.grid, dt)
     state = initial
     for _ in range(n_steps):
-        state = diffusion_substep(state, dt, modal=modal)
+        state = diffusion_substep(state, modal)
     return state.values
 
 
@@ -213,17 +214,7 @@ def mesh_order_study(config: ExperimentConfig, levels: int = 3, pure_diffusion: 
     finals = []
     for level in range(levels):
         cells = tuple(c * 2**level for c in config.grid.cells)
-        cfg = ExperimentConfig(
-            system=config.system,
-            grid=type(config.grid)(lengths=config.grid.lengths, cells=cells),
-            initial=config.initial,
-            stepper=config.stepper,
-            n_values=config.n_values,
-            t_final=config.t_final,
-            p_values=config.p_values,
-            seed=config.seed,
-            label=config.label,
-        )
+        cfg = replace(config, grid=type(config.grid)(lengths=config.grid.lengths, cells=cells))
         finals.append(_final_fields(cfg, pure_diffusion))
     errors = [
         float(np.abs(_restrict(fine) - coarse).max())
@@ -242,24 +233,10 @@ def dt_order_study(config: ExperimentConfig, splitting: str | None = None, level
         raise ValueError("need at least 3 timestep levels")
     finals = []
     for level in range(levels):
-        stepper = StepperConfig(
-            **{
-                **config.stepper.__dict__,
-                "dt": config.stepper.dt / 2**level,
-                **({"splitting": splitting} if splitting else {}),
-            }
-        )
-        cfg = ExperimentConfig(
-            system=config.system,
-            grid=config.grid,
-            initial=config.initial,
-            stepper=stepper,
-            n_values=config.n_values,
-            t_final=config.t_final,
-            p_values=config.p_values,
-            seed=config.seed,
-            label=config.label,
-        )
+        stepper = replace(config.stepper, dt=config.stepper.dt / 2**level)
+        if splitting:
+            stepper = replace(stepper, splitting=splitting)
+        cfg = replace(config, stepper=stepper)
         finals.append(run_single(cfg, cfg.n_values[-1]).final_state.fields.values)
     errors = [
         float(np.abs(a - b).max()) for a, b in zip(finals[:-1], finals[1:])

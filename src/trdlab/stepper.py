@@ -17,14 +17,15 @@ each substep is checked a posteriori against the finite-volume stencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, DiagnosticsTracker, dissipation, entropy
 from .errors import InvariantBreach
 from .fields import FieldSet
-from .kinetics import RegularizedRates
+from .kinetics import RegularizedRates, phi, reactant_product
 
 __all__ = [
     "StepperConfig",
@@ -40,28 +41,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """The settable step size, splitting and record cadence; the gate
+    tolerances are fixed class constants."""
+
     dt: float
     splitting: str = "lie"  # "lie" or "strang"
-    reaction_solver: str = "cell-newton"  # or "frozen-exponential"
-    dt_safety: float = 1.0
-    entropy_tolerance_factor: float = 10.0
-    positivity_tol: float = 1e-12
-    mass_tol_rel: float = 1e-8
-    degenerate_pair_tol: float = 1e-10
-    a2_sum_tol: float = 1e-12
     record_every: int = 10
-    max_halvings: int = 8
-    linear_solver_tol: float = 1e-10
+
+    entropy_tolerance_factor: ClassVar[float] = 10.0
+    positivity_tol: ClassVar[float] = 1e-12
+    mass_tol_rel: ClassVar[float] = 1e-8
+    degenerate_pair_tol: ClassVar[float] = 1e-10
+    a2_sum_tol: ClassVar[float] = 1e-12
+    linear_solver_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not (0 < self.dt_safety <= 1):
-            raise ValueError("dt_safety must lie in (0, 1]")
         if self.splitting not in ("lie", "strang"):
             raise ValueError("splitting must be 'lie' or 'strang'")
-        if self.reaction_solver not in ("cell-newton", "frozen-exponential"):
-            raise ValueError("unknown reaction solver")
 
 
 @dataclass
@@ -87,27 +85,19 @@ class RunResult:
         return float(np.abs(fs.values[-1] - prod).max())
 
 
-def _reaction_state_sum(sigma_sum: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    # sum_i a_i along the reaction orbit: sum sigma - (m-2) x
-    return sigma_sum - (m - 2) * x
-
-
 def _rate_at(x, sigma, alpha, m, Q, n):
-    diff = np.maximum(sigma - x, 0.0)
-    prod = np.prod(diff ** alpha.reshape((-1,) + (1,) * x.ndim), axis=0)
-    if math.isinf(n):
-        phi = 1.0
-    else:
-        S = _reaction_state_sum(sigma.sum(axis=0), x, m)
-        phi = 1.0 + S ** (Q + 2.0) / n
-    return (prod - x) / phi, prod, phi
+    """The regularized rate along the reaction orbit a_j = sigma_j - x,
+    a_m = x, whose species sum is sum sigma - (m-2) x."""
+    prod = reactant_product(alpha, np.maximum(sigma - x, 0.0))
+    phi_x = phi(Q, n, sigma.sum(axis=0) - (m - 2) * x)
+    return (prod - x) / phi_x, prod, phi_x
 
 
 def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0):
     """Theta-scheme residual: x - x0 - dt ((1-theta) g(x0) + theta g(x));
     theta = 1 is backward Euler, theta = 1/2 the trapezoidal rule."""
-    g, prod, phi = _rate_at(x, sigma, alpha, m, Q, n)
-    return x - x0 - dt * ((1.0 - theta) * g0 + theta * g), prod, phi
+    g, prod, phi_x = _rate_at(x, sigma, alpha, m, Q, n)
+    return x - x0 - dt * ((1.0 - theta) * g0 + theta * g), prod, phi_x
 
 
 def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=200, tol=1e-14):
@@ -126,7 +116,7 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
     r_lo, _, _ = _residual(lo, *args)
     clamped_lo = r_lo > 0.0
     for _ in range(max_iter):
-        r, prod, phi = _residual(x, *args)
+        r, prod, phi_x = _residual(x, *args)
         done = np.abs(r) <= tol * (1.0 + np.abs(x0) + dt)
         if done.all():
             break
@@ -142,9 +132,9 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
         if math.isinf(n):
             dg = dprod - 1.0
         else:
-            S = _reaction_state_sum(sigma.sum(axis=0), x, m)
+            S = sigma.sum(axis=0) - (m - 2) * x
             dphi = -(m - 2) * (Q + 2.0) * S ** (Q + 1.0) / n
-            dg = ((dprod - 1.0) * phi - (prod - x) * dphi) / phi**2
+            dg = ((dprod - 1.0) * phi_x - (prod - x) * dphi) / phi_x**2
         rprime = 1.0 - dt * theta * dg
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - r / rprime
@@ -156,22 +146,7 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
     return x, clamped_hi | clamped_lo
 
 
-def _solve_reaction_frozen(x0, sigma, alpha, m, Q, n, dt):
-    """Exponential update with coefficients frozen at the start state:
-    dx/dt = (P0 - x)/phi0 integrates exactly to
-    x = P0 + (x0 - P0) exp(-dt/phi0); clamped into [0, min sigma]."""
-    diff = np.maximum(sigma - x0, 0.0)
-    prod0 = np.prod(diff ** alpha.reshape((-1,) + (1,) * x0.ndim), axis=0)
-    if math.isinf(n):
-        phi0 = 1.0
-    else:
-        S = _reaction_state_sum(sigma.sum(axis=0), x0, m)
-        phi0 = 1.0 + S ** (Q + 2.0) / n
-    x = prod0 + (x0 - prod0) * np.exp(-dt / phi0)
-    return np.clip(x, 0.0, sigma.min(axis=0)), np.zeros_like(x0, dtype=bool)
-
-
-def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float, solver="cell-newton"):
+def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float):
     """Integrate the reaction-only system over dt in one cell.
 
     Exactly conserves sigma_j = a_j + a_m and keeps the output in the
@@ -184,27 +159,20 @@ def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float, solver="
         raise ValueError("cell state must be a nonnegative m-vector")
     sigma = a[:-1] + a[-1]
     alpha = system.reactant_alpha
-    args = (np.atleast_1d(a[-1]), sigma.reshape(m - 1, 1), alpha, m, system.Q, rates.n, dt)
-    if solver == "cell-newton":
-        x, _ = _solve_reaction_newton(*args)
-    else:
-        x, _ = _solve_reaction_frozen(*args)
+    x, _ = _solve_reaction_newton(np.atleast_1d(a[-1]), sigma.reshape(m - 1, 1), alpha, m, system.Q, rates.n, dt)
     out = np.empty(m)
     out[:-1] = sigma - x[0]
     out[-1] = x[0]
     return out
 
 
-def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, solver: str, theta: float = 1.0):
+def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, theta: float = 1.0):
     system = fields.system
     m = system.m
     vals = fields.values
     sigma = vals[:-1] + vals[-1]
     alpha = system.reactant_alpha
-    if solver == "cell-newton":
-        x, _ = _solve_reaction_newton(vals[-1], sigma, alpha, m, system.Q, rates.n, dt, theta=theta)
-    else:
-        x, _ = _solve_reaction_frozen(vals[-1], sigma, alpha, m, system.Q, rates.n, dt)
+    x, _ = _solve_reaction_newton(vals[-1], sigma, alpha, m, system.Q, rates.n, dt, theta=theta)
     new = np.empty_like(vals)
     new[:-1] = sigma - x
     new[-1] = x
@@ -226,10 +194,8 @@ class ModalDiffusion:
     counts the roundoff negatives its positivity clamp zeroed and keeps
     the most negative of them."""
 
-    def __init__(
-        self, system, grid, dt: float, theta: float = 1.0, positivity_tol: float = StepperConfig.positivity_tol
-    ):
-        self.dt, self.theta, self.positivity_tol = dt, theta, positivity_tol
+    def __init__(self, system, grid, dt: float, theta: float = 1.0):
+        self.theta = theta
         self.rows = np.flatnonzero(system.d)
         self.coeff = dt * np.asarray(system.d)[self.rows].reshape((-1,) + (1,) * grid.dimension)
         c_lam = self.coeff * grid.mode_eigenvalues()
@@ -240,13 +206,7 @@ class ModalDiffusion:
         self.clamp_count, self.clamp_worst = 0, math.inf
 
 
-def diffusion_substep(
-    fields: FieldSet,
-    dt: float,
-    tol: float = StepperConfig.linear_solver_tol,
-    theta: float = 1.0,
-    modal: ModalDiffusion | None = None,
-) -> FieldSet:
+def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     """Implicit theta-scheme diffusion (theta = 1 backward Euler, the
     entropy-safe default; theta = 1/2 Crank-Nicolson for second-order
     accuracy studies) for the diffusing species only; species with
@@ -254,11 +214,8 @@ def diffusion_substep(
     The backward-Euler Neumann matrix is an M-matrix, hence positivity
     preserving (the transform's roundoff negatives go through the
     positivity clamp), and the mode-0 multiplier is exactly 1, hence mass
-    is conserved.  `modal` carries the multipliers, and with them dt,
-    theta and the positivity tolerance; it is built from (dt, theta) only
-    when not given."""
-    if modal is None:
-        modal = ModalDiffusion(fields.system, fields.grid, dt, theta)
+    is conserved.  `modal` carries the multipliers, and with them dt and
+    theta."""
     grid = fields.grid
     new = fields.values.copy()
     u = fields.values[modal.rows]
@@ -272,11 +229,11 @@ def diffusion_substep(
     resid -= sol
     resid += u
     resid = np.abs(resid, out=resid).max()
-    if resid > (tol + modal.roundoff) * (1.0 + np.abs(u).max()):
+    if resid > (StepperConfig.linear_solver_tol + modal.roundoff) * (1.0 + np.abs(u).max()):
         raise InvariantBreach("linear-solver", f"diffusion residual {resid:.3e} above tolerance")
     new[modal.rows] = sol
     out = FieldSet(fields.system, grid, new)
-    count, worst = _clamp_positivity(out, modal.positivity_tol)
+    count, worst = _clamp_positivity(out)
     if count:
         modal.clamp_count += count
         modal.clamp_worst = min(modal.clamp_worst, worst)
@@ -287,8 +244,8 @@ def _step_diffusion(fields: FieldSet, config: StepperConfig) -> ModalDiffusion:
     """The diffusion substep of `step`: a full backward-Euler step (Lie)
     or a Crank-Nicolson half step (Strang)."""
     if config.splitting == "lie":
-        return ModalDiffusion(fields.system, fields.grid, config.dt, 1.0, config.positivity_tol)
-    return ModalDiffusion(fields.system, fields.grid, 0.5 * config.dt, 0.5, config.positivity_tol)
+        return ModalDiffusion(fields.system, fields.grid, config.dt)
+    return ModalDiffusion(fields.system, fields.grid, 0.5 * config.dt, 0.5)
 
 
 def step(
@@ -302,18 +259,19 @@ def step(
     if modal is None:
         modal = _step_diffusion(f, config)
     if config.splitting == "lie":
-        f = diffusion_substep(f, dt, config.linear_solver_tol, modal=modal)
-        f = _reaction_substep(f, rates, dt, config.reaction_solver)
+        f = diffusion_substep(f, modal)
+        f = _reaction_substep(f, rates, dt)
     else:
         # second-order substeps (Crank-Nicolson / trapezoidal) so the
         # Strang composition is genuinely O(dt^2)
-        f = diffusion_substep(f, 0.5 * dt, config.linear_solver_tol, theta=0.5, modal=modal)
-        f = _reaction_substep(f, rates, dt, config.reaction_solver, theta=0.5)
-        f = diffusion_substep(f, 0.5 * dt, config.linear_solver_tol, theta=0.5, modal=modal)
+        f = diffusion_substep(f, modal)
+        f = _reaction_substep(f, rates, dt, theta=0.5)
+        f = diffusion_substep(f, modal)
     return SimulationState(state.time + dt, f, state.step_count + 1)
 
 
-def _clamp_positivity(fields: FieldSet, tol: float):
+def _clamp_positivity(fields: FieldSet):
+    tol = StepperConfig.positivity_tol
     worst = fields.min_value()
     if worst < -tol:
         raise InvariantBreach(
@@ -345,13 +303,13 @@ def run(
     tracker = DiagnosticsTracker(rates, initial, p_values=p_values)
     state = SimulationState(0.0, initial.copy())
     records: list[DiagnosticsRecord] = []
-    clamp_count, clamp_worst = _clamp_positivity(state.fields, config.positivity_tol)
+    clamp_count, clamp_worst = _clamp_positivity(state.fields)
     if t_final == 0.0:
         return RunResult(state, records, clamp_count, clamp_worst, tracker)
 
     n_steps = max(1, round(t_final / config.dt))
     dt = t_final / n_steps
-    cfg = StepperConfig(**{**config.__dict__, "dt": dt})
+    cfg = replace(config, dt=dt)
     modal = _step_diffusion(initial, cfg)
     h2 = sum(h * h for h in initial.grid.h)
     e_prev = tracker.e0
@@ -369,7 +327,7 @@ def run(
     rec = emit(state)
     for k in range(n_steps):
         state = step(state, cfg, rates, modal)
-        c, w = _clamp_positivity(state.fields, cfg.positivity_tol)
+        c, w = _clamp_positivity(state.fields)
         clamp_count += c
         clamp_worst = min(clamp_worst, w)
         d_tot, _, _ = dissipation(state.fields, rates)

@@ -13,6 +13,7 @@ from trdlab.cli import (
     main,
 )
 from trdlab.config import parse_config
+from trdlab.presets import preset_names
 
 FAST_CONFIG = {
     "label": "cli-fast",
@@ -41,11 +42,9 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_accepts_preset_and_flags(self):
-        args = build_parser().parse_args(
-            ["run", "--preset", "df15-a3", "--out", "x", "--no-deterministic"]
-        )
+        args = build_parser().parse_args(["run", "--preset", "df15-a3", "--out", "x"])
         assert args.preset == "df15-a3"
-        assert args.deterministic is False
+        assert args.out == Path("x")
 
     def test_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
@@ -93,6 +92,10 @@ class TestRunCommand:
             ("t_final", float("inf")),
             ("stepper.dt", float("nan")),
             ("stepper.record_every", 0),
+            ("n_values", [float("nan")]),
+            ("p_values", [float("nan")]),
+            ("stepper.dt_safety", 0.5),
+            ("stepper.positivity_tol", 1e-12),
         ],
     )
     def test_non_finite_or_zero_fields_exit_1_naming_the_field(self, tmp_path, capsys, path, value):
@@ -179,3 +182,15 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     config = parse_config(json.loads(blocks[0]))
     assert config.label == "demo"
+
+
+def test_readme_cli_usage_flags_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = re.search(r"## Command line\n\n```\n(.*?)```", readme, flags=re.S).group(1)
+    flags = re.findall(r"(--[\w-]+)(?: ([A-Z]+))?", usage)
+    assert flags
+    samples = {"FILE": "config.json", "NAME": preset_names()[0], "DIR": "out"}
+    for command in ("run", "study-n", "study-mesh"):
+        for flag, metavar in flags:
+            argv = [command, flag] + ([samples[metavar]] if metavar else [])
+            build_parser().parse_args(argv)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from trdlab.diagnostics import entropy
@@ -16,6 +18,10 @@ from trdlab.stepper import (
     ModalDiffusion,
     SimulationState,
     StepperConfig,
+    _rate_at,
+    _reaction_substep,
+    _residual,
+    _solve_reaction_newton,
     diffusion_substep,
     reaction_cell_solve,
     run,
@@ -66,13 +72,6 @@ class TestReactionCellSolve:
             state = reaction_cell_solve(state, LIMIT3, dt=0.1)
         assert state[2] == pytest.approx(1.0, abs=1e-8)
 
-    def test_frozen_exponential_agrees_to_first_order(self):
-        cell = np.array([1.2, 0.7, 0.4])
-        dt = 1e-3
-        a = reaction_cell_solve(cell, LIMIT3, dt, solver="cell-newton")
-        b = reaction_cell_solve(cell, LIMIT3, dt, solver="frozen-exponential")
-        np.testing.assert_allclose(a, b, atol=5e-6)
-
     def test_regularized_rates_slow_the_dynamics(self):
         cell = np.array([2.0, 2.0, 0.0])
         fast = reaction_cell_solve(cell, LIMIT3, dt=0.1)
@@ -84,11 +83,66 @@ class TestReactionCellSolve:
             reaction_cell_solve(np.array([-0.1, 1.0, 1.0]), LIMIT3, 0.1)
 
 
+CELLS = 4
+
+
+@st.composite
+def reaction_problems(draw):
+    """A reaction substep on CELLS cells: spectator (zero) or non-integer
+    exponents, concentrations in [0, 5] (vacuum included), so a random
+    sigma_j = a_j + a_m per reactant and cell, and a random dt, theta and
+    regularization level."""
+    m = draw(st.integers(2, 4))
+    exponent = st.one_of(st.just(0.0), st.floats(0.1, 3.0).filter(lambda a: a != int(a)))
+    alpha = tuple(draw(exponent) for _ in range(m - 1)) + (1.0,)
+    vals = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=m * CELLS, max_size=m * CELLS))).reshape(m, CELLS)
+    dt = draw(st.floats(1e-4, 10.0))
+    theta = draw(st.sampled_from([1.0, 0.5]))
+    n = draw(st.sampled_from([1.0, 100.0, math.inf]))
+    return TriangularSystem(m=m, alpha=alpha, d=(0.0,) * m), vals, dt, theta, n
+
+
+class TestReactionSolveProperties:
+    @given(reaction_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_conserves_sigma_and_lands_on_a_root_in_the_box(self, problem):
+        system, vals, dt, theta, n = problem
+        m, alpha, Q = system.m, system.reactant_alpha, system.Q
+        sigma, x0 = vals[:-1] + vals[-1], vals[-1]
+        x, clamped = _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=theta)
+        hi = sigma.min(axis=0)
+        assert np.all((0.0 <= x) & (x <= hi))
+
+        # the substep keeps sigma and moves only x: its reactant rows are
+        # sigma - x and its product row is x, bit for bit, so a pair sum
+        # a_j + a_m is sigma_j up to the rounding of that one subtraction
+        out = _reaction_substep(FieldSet(system, Grid((1.0,), (CELLS,)), vals), RegularizedRates(system, n), dt, theta)
+        np.testing.assert_array_equal(out.values[-1], x)
+        np.testing.assert_array_equal(out.values[:-1], sigma - x)
+        assert np.all(np.abs(out.values[:-1] + out.values[-1] - sigma) <= np.spacing(sigma))
+
+        # where the bracket did not clamp, x is a root of the theta-scheme
+        # residual: within the solver's tolerance, or, where the slope times
+        # one ulp of x exceeds that tolerance, the closest float to a sign change
+        g0 = _rate_at(x0, sigma, alpha, m, Q, n)[0] if theta < 1.0 else 0.0
+        args = (x0, sigma, alpha, m, Q, n, dt, theta, g0)
+        r = _residual(x, *args)[0]
+        below = _residual(np.nextafter(x, -np.inf), *args)[0]
+        above = _residual(np.nextafter(x, np.inf), *args)[0]
+        converged = np.abs(r) <= 1e-14 * (1.0 + np.abs(x0) + dt)
+        sign_change = (np.minimum(below, above) <= 0.0) & (np.maximum(below, above) >= 0.0)
+        assert np.all(clamped | converged | sign_change)
+
+        # the merged rate law: the orbit form is -g of kinetics at (sigma - x, x)
+        g = RegularizedRates(system, n).g(np.concatenate([sigma - x, x[None]]))
+        np.testing.assert_allclose(_rate_at(x, sigma, alpha, m, Q, n)[0], -g, rtol=1e-12, atol=1e-12)
+
+
 class TestDiffusionSubstep:
     def test_constant_fields_unchanged(self):
         grid = Grid((1.0,), (32,))
         fs = FieldSet.constant(SYS3, grid, (1.0, 2.0, 3.0))
-        out = diffusion_substep(fs, dt=0.1)
+        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.1))
         # exact up to the sparse solver's roundoff
         np.testing.assert_allclose(out.values, fs.values, rtol=0.0, atol=1e-13)
 
@@ -99,7 +153,7 @@ class TestDiffusionSubstep:
         u = 1.0 + 0.25 * np.cos(math.pi * x)
         fs = FieldSet(SYS3, grid, np.stack([u, np.ones(64), np.ones(64)]))
         dt = 0.01
-        out = diffusion_substep(fs, dt)
+        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, dt))
         lam = (2.0 - 2.0 * math.cos(math.pi * h)) / h**2  # discrete eigenvalue
         expected = 1.0 + 0.25 / (1.0 + dt * lam) * np.cos(math.pi * x)
         np.testing.assert_allclose(out.values[0], expected, atol=1e-10)
@@ -109,7 +163,7 @@ class TestDiffusionSubstep:
         rng = np.random.default_rng(2)
         vals = rng.uniform(0.5, 2.0, size=(3,) + grid.shape)
         fs = FieldSet(SYS3, grid, vals)
-        out = diffusion_substep(fs, dt=0.05)
+        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.05))
         for i in (1, 2):
             before = integrate(fs.species(i))
             after = integrate(out.species(i))
@@ -120,7 +174,7 @@ class TestDiffusionSubstep:
         rng = np.random.default_rng(9)
         vals = rng.uniform(0.0, 1.0, size=(3, 16))
         fs = FieldSet(SYS3, grid, vals.copy())
-        out = diffusion_substep(fs, dt=0.3)
+        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.3))
         np.testing.assert_array_equal(out.values[2], vals[2])  # d_3 = 0
 
     def test_positivity_preserved(self):
@@ -129,7 +183,7 @@ class TestDiffusionSubstep:
         vals[0, 32] = 100.0  # near-point mass
         vals[1] = 1.0
         vals[2] = 1.0
-        out = diffusion_substep(FieldSet(SYS3, grid, vals), dt=1e-4)
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 1e-4))
         assert out.values.min() >= 0.0
 
     def test_crank_nicolson_is_second_order_on_one_mode(self):
@@ -140,7 +194,7 @@ class TestDiffusionSubstep:
         fs = FieldSet(SYS3, grid, np.stack([u, np.ones(64), np.ones(64)]))
         lam = (2.0 - 2.0 * math.cos(math.pi * h)) / h**2
         dt = 0.01
-        out = diffusion_substep(fs, dt, theta=0.5)
+        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, dt, 0.5))
         factor = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
         expected = 1.0 + 0.25 * factor * np.cos(math.pi * x)
         np.testing.assert_allclose(out.values[0], expected, atol=1e-10)
@@ -171,7 +225,7 @@ class TestDiffusionOracle:
         # flips the sign of the rough modes, and a negative output would
         # (rightly) raise a positivity breach
         vals = np.random.default_rng(7).uniform(1.0, 3.0, size=(3,) + grid.shape)
-        out = diffusion_substep(FieldSet(system, grid, vals.copy()), dt, theta=theta)
+        out = diffusion_substep(FieldSet(system, grid, vals.copy()), ModalDiffusion(system, grid, dt, theta))
         tol = 1e-12 * (1.0 + np.abs(vals).max())
         for i, d in enumerate(system.d):
             if d == 0.0:
@@ -183,7 +237,8 @@ class TestDiffusionOracle:
     def test_no_diffusing_species_is_the_identity(self):
         frozen = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 0.0, 0.0))
         vals = np.random.default_rng(2).uniform(size=(3, 8))
-        out = diffusion_substep(FieldSet(frozen, Grid((1.0,), (8,)), vals.copy()), 0.1)
+        grid = Grid((1.0,), (8,))
+        out = diffusion_substep(FieldSet(frozen, grid, vals.copy()), ModalDiffusion(frozen, grid, 0.1))
         np.testing.assert_array_equal(out.values, vals)
 
     def test_2d_point_mass_stays_nonnegative(self):
@@ -192,7 +247,7 @@ class TestDiffusionOracle:
         vals[0] = 0.0
         vals[0, 16, 16] = 100.0
         fs = FieldSet(SYS3, grid, vals)
-        out = diffusion_substep(fs, 1e-4)
+        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 1e-4))
         assert out.values.min() >= 0.0
         assert integrate(out.species(1)) == pytest.approx(integrate(fs.species(1)), rel=1e-12)
 
@@ -202,10 +257,10 @@ class TestDiffusionOracle:
         vals[0] = 0.0
         vals[0, 32] = 100.0
         modal = ModalDiffusion(SYS3, grid, 1e-4)
-        out = diffusion_substep(FieldSet(SYS3, grid, vals), 1e-4, modal=modal)
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), modal)
         assert out.values.min() >= 0.0
         assert modal.clamp_count == np.count_nonzero(out.values[0] == 0.0) > 0
-        assert -modal.positivity_tol <= modal.clamp_worst < 0.0
+        assert -StepperConfig.positivity_tol <= modal.clamp_worst < 0.0
 
     def test_run_reports_the_substep_clamps(self):
         grid = Grid((1.0,), (64,))
@@ -222,7 +277,7 @@ class TestDiffusionOracle:
         vals[0] = 0.0
         vals[0, 3] = -1e-6
         with pytest.raises(InvariantBreach) as info:
-            diffusion_substep(FieldSet(SYS3, grid, vals), 1e-4)
+            diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 1e-4))
         assert info.value.kind == "positivity"
 
     # the last case is the grid-2d benchmark's Strang half step (dt = 0.01,
@@ -240,7 +295,7 @@ class TestDiffusionOracle:
         u = np.broadcast_to(1.0 + 0.5 * np.cos(3 * math.pi * x), grid.shape)
         fs = FieldSet(SYS3, grid, np.stack([u, u, u]))
         with pytest.raises(InvariantBreach) as info:
-            diffusion_substep(fs, dt, theta=0.5)
+            diffusion_substep(fs, ModalDiffusion(SYS3, grid, dt, 0.5))
         assert info.value.kind == "linear-solver"
 
     def test_corrupted_mode_zero_trips_the_mass_guard(self):
@@ -259,7 +314,7 @@ class TestDiffusionOracle:
         grid = Grid((1.0,), (cells,))
         x = grid.axis_centers(0)
         vals = np.stack([1.0 + 0.3 * np.cos(math.pi * x), 0.5 + 0.2 * np.cos(2 * math.pi * x), x])
-        out = diffusion_substep(FieldSet(SYS3, grid, vals), 0.01, theta=0.5)
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 0.01, 0.5))
         factor = (1.0 - 0.005 * math.pi**2) / (1.0 + 0.005 * math.pi**2)
         np.testing.assert_allclose(out.values[0], 1.0 + 0.3 * factor * np.cos(math.pi * x), atol=1e-5)
 
@@ -374,8 +429,6 @@ class TestStepAndRun:
             StepperConfig(dt=-0.1)
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, splitting="trotter-kato")
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, reaction_solver="exact")
 
     def test_positivity_breach_aborts(self):
         grid = Grid((1.0,), (8,))
