@@ -89,10 +89,17 @@ def _parse_n(value, path: str) -> float:
         if value.lower() in ("inf", "+inf", "infinity"):
             return math.inf
         raise ConfigError(path, f"unrecognized n value {value!r}")
-    n = float(value)
+    n = _convert(float, value, path)
     if not (n > 0):
         raise ConfigError(path, "n must be positive")
     return n
+
+
+def _convert(kind, value, path: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from exc
 
 
 def _parse_system(data, path: str) -> TriangularSystem:
@@ -184,7 +191,7 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
 
     t_final = _finite_number(_require(data, "t_final", "$"), "$.t_final")
 
-    p_values = tuple(float(p) for p in data.get("p_values", (4.0,)))
+    p_values = tuple(_convert(float, p, "$.p_values") for p in data.get("p_values", (4.0,)))
     if any(not (p >= 1) for p in p_values):
         raise ConfigError("$.p_values", "Lebesgue exponents must be >= 1")
 
@@ -196,7 +203,7 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
         n_values=n_values,
         t_final=t_final,
         p_values=p_values,
-        seed=int(data.get("seed", 0)),
+        seed=_convert(int, data.get("seed", 0), "$.seed"),
         label=str(data.get("label", label)),
     )
 

@@ -9,12 +9,12 @@ stability is a testable statement, so those checks never hard-fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import FieldSet
-from .grid import gradient_energy
+from .grid import gradient_energy, per_level
 from .kinetics import RegularizedRates, entropy_kernel
 from .model import DegeneracyClassification, classify
 
@@ -32,16 +32,18 @@ __all__ = [
 _LOG_FLOOR = 1e-30  # keeps reported dissipation finite at vacuum states
 
 
-def entropy(fields: FieldSet) -> float:
-    """E = integral of sum_i alpha_i (a_i (ln a_i - 1) + 1) >= 0."""
+def entropy(fields: FieldSet):
+    """E = integral of sum_i alpha_i (a_i (ln a_i - 1) + 1) >= 0; a float
+    for one state, one value per n-level for a batch."""
     alpha = np.asarray(fields.system.alpha)
     kern = entropy_kernel(fields.values)
     weighted = np.tensordot(alpha, kern, axes=(0, 0))
-    return float(weighted.sum() * fields.grid.cell_measure)
+    return per_level(fields.grid.cell_sum(weighted) * fields.grid.cell_measure)
 
 
-def dissipation(fields: FieldSet, rates: RegularizedRates) -> tuple[float, float, float]:
-    """Returns (total, gradient_part, reaction_part).
+def dissipation(fields: FieldSet, rates: RegularizedRates):
+    """Returns (total, gradient_part, reaction_part): floats for one
+    state, one value per n-level for a batch.
 
     Gradient part: sum_i alpha_i d_i * 4 |grad sqrt(a_i)|^2 (the
     vacuum-safe form of |grad a_i|^2 / a_i).  Reaction part:
@@ -59,7 +61,7 @@ def dissipation(fields: FieldSet, rates: RegularizedRates) -> tuple[float, float
     y = fields.values[-1]
     phi = np.asarray(rates.phi(fields.values))
     term = (y - x) * np.log(np.maximum(y, _LOG_FLOOR) / np.maximum(x, _LOG_FLOOR)) / phi
-    reaction_part = float(term.sum() * fields.grid.cell_measure)
+    reaction_part = per_level(fields.grid.cell_sum(term) * fields.grid.cell_measure)
     return grad_part + reaction_part, grad_part, reaction_part
 
 
@@ -170,7 +172,8 @@ class DiagnosticsRecord:
 
 class DiagnosticsTracker:
     """Accumulates space-time norms and invariant references over a run
-    and produces one DiagnosticsRecord per observation."""
+    and produces one DiagnosticsRecord per observation; with rates.n of
+    shape (B, 1, ...), for B n-levels that share the initial data."""
 
     def __init__(self, rates: RegularizedRates, initial: FieldSet, p_values=(4.0,)):
         self.rates = rates
@@ -197,27 +200,34 @@ class DiagnosticsTracker:
             if m in self.classification.lambda1
             else []
         )
-        self._st_accum = {p: np.zeros(m) for p in self.p_values}
-        self._l1prod_accum = np.zeros(m - 1)
-        self._last_time = 0.0
+        levels = np.shape(rates.n)[:1]
+        self._st_accum = {p: np.zeros((m,) + levels) for p in self.p_values}
+        self._l1prod_accum = np.zeros((m - 1,) + levels)
 
     def accumulate(self, fields: FieldSet, dt: float):
         """Advance the space-time integrals by one step of length dt
         (right-endpoint rule on the post-step state)."""
-        meas = fields.grid.cell_measure
-        flat = fields.values.reshape(self.system.m, -1)
+        grid = fields.grid
+        meas = grid.cell_measure
         for p in self.p_values:
-            self._st_accum[p] += (np.abs(flat) ** p * meas).sum(axis=1) * dt
+            self._st_accum[p] += grid.cell_sum(np.abs(fields.values) ** p * meas) * dt
         am = fields.values[-1]
         for i in range(self.system.m - 1):
             ai = fields.values[i]
-            self._l1prod_accum[i] += (ai * ai + ai * am).sum() * meas * dt
+            self._l1prod_accum[i] += grid.cell_sum(ai * ai + ai * am) * meas * dt
 
-    def observe(self, time: float, fields: FieldSet, diss_integral: float) -> DiagnosticsRecord:
+    def observe(
+        self, time: float, fields: FieldSet, diss_integral: float, level: int | None = None
+    ) -> DiagnosticsRecord:
+        """The record of one state: of `fields` itself, or of n-level
+        `level` when the tracker follows a batch."""
         m = self.system.m
+        rates, at = self.rates, (slice(None),)
+        if level is not None:
+            rates, at = replace(rates, n=rates.n[level]), (slice(None), level)
         meas = fields.grid.cell_measure
         norms = lp_norms(fields, (1.0, 2.0) + self.p_values + (math.inf,))
-        d_tot, d_grad, d_reac = dissipation(fields, self.rates)
+        d_tot, d_grad, d_reac = dissipation(fields, rates)
         pair_mass = np.array(
             [(fields.values[i] + fields.values[m - 1]).sum() * meas for i in range(m - 1)]
         )
@@ -252,12 +262,12 @@ class DiagnosticsTracker:
             l2=norms[2.0],
             lp={p: norms[p] for p in self.p_values},
             sup=norms[math.inf],
-            st_lp={p: self._st_accum[p] ** (1.0 / p) for p in self.p_values},
+            st_lp={p: self._st_accum[p][at] ** (1.0 / p) for p in self.p_values},
             pair_mass=pair_mass,
             pair_mass_drift_rel=float(drift.max()) if m > 1 else 0.0,
             degenerate_pair_dev=deg_dev,
             a2_sum_dev=a2_dev,
-            l1_product=self._l1prod_accum.copy(),
+            l1_product=self._l1prod_accum[at].copy(),
             mass_total=mass_total,
             m2=self.m2,
             m2_flag=mass_total > self.m2 * (1.0 + 1e-9),

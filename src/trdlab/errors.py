@@ -17,5 +17,8 @@ class InvariantBreach(RuntimeError):
 
     def __init__(self, kind: str, message: str, details: dict | None = None):
         super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.details = details or {}
+        self.kind, self.message, self.details = kind, message, details or {}
+
+    def at_n(self, n: float) -> "InvariantBreach":
+        """The same breach, naming the regularization level n it happened at."""
+        return InvariantBreach(self.kind, f"at n={n:g}: {self.message}", {**self.details, "n": n})

@@ -15,7 +15,8 @@ __all__ = ["FieldSet"]
 @dataclass
 class FieldSet:
     """Concentrations stacked along the leading species axis:
-    values.shape == (m,) + grid.shape."""
+    values.shape == (m,) + grid.shape, or (m, B) + grid.shape for B
+    n-levels advanced together."""
 
     system: TriangularSystem
     grid: Grid
@@ -24,8 +25,13 @@ class FieldSet:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.system.m,) + self.grid.shape
-        if self.values.shape != expected:
-            raise ValueError(f"expected values of shape {expected}, got {self.values.shape}")
+        shape = self.values.shape
+        if shape[:1] + shape[-self.grid.dimension :] != expected or len(shape) - len(expected) not in (0, 1):
+            raise ValueError(f"expected values of shape {expected}, or with a level axis second, got {shape}")
+
+    def level(self, b: int) -> "FieldSet":
+        """Level b of a batch, as a contiguous copy."""
+        return FieldSet(self.system, self.grid, np.ascontiguousarray(self.values[:, b]))
 
     @classmethod
     def constant(cls, system: TriangularSystem, grid: Grid, state) -> "FieldSet":

@@ -124,6 +124,10 @@ class Grid:
             out[hi] -= flux
         return out
 
+    def cell_sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum over the trailing grid axes, per index of the leading ones."""
+        return values.reshape(values.shape[: values.ndim - self.dimension] + (-1,)).sum(axis=-1)
+
     def field(self, values) -> "Field":
         return Field(self, np.asarray(values, dtype=float))
 
@@ -138,7 +142,8 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
+        # leading axes, if any, are n-levels
+        if self.values.shape[-self.grid.dimension :] != self.grid.shape:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
@@ -154,28 +159,35 @@ def integrate(field: Field) -> float:
     return float(field.values.sum() * field.grid.cell_measure)
 
 
-def _face_gradient_energy(values: np.ndarray, grid: Grid) -> float:
+def _face_gradient_energy(values: np.ndarray, grid: Grid):
     """Sum of squared face-centered differences, with the boundary half
     cells carrying the nearest interior face gradient (keeps linear
-    profiles exact despite the missing boundary faces)."""
+    profiles exact despite the missing boundary faces); one sum per
+    leading index."""
     total = 0.0
-    for axis in range(grid.dimension):
-        h = grid.h[axis]
+    for axis in range(values.ndim - grid.dimension, values.ndim):
+        h = grid.h[axis - values.ndim]
         diff = np.diff(values, axis=axis) / h
         sq = diff**2
-        w = sq.sum()
-        first = np.take(sq, [0], axis=axis).sum()
-        last = np.take(sq, [-1], axis=axis).sum()
+        w = grid.cell_sum(sq)
+        first = grid.cell_sum(np.take(sq, [0], axis=axis))
+        last = grid.cell_sum(np.take(sq, [-1], axis=axis))
         total += (w + 0.5 * first + 0.5 * last) * grid.cell_measure
-    return float(total)
+    return total
 
 
-def gradient_energy(field: Field, weighted: bool = False) -> float:
+def gradient_energy(field: Field, weighted: bool = False):
     """Discrete integral of |grad u|^2; with weighted=True computes
-    4 |grad sqrt(u)|^2, the vacuum-safe form of |grad u|^2 / u."""
-    if not weighted:
-        return _face_gradient_energy(field.values, field.grid)
+    4 |grad sqrt(u)|^2, the vacuum-safe form of |grad u|^2 / u.  A float
+    for one field, one value per level for a batch."""
     u = field.values
+    if not weighted:
+        return per_level(_face_gradient_energy(u, field.grid))
     if np.any(u < 0):
         raise ValueError("weighted gradient energy needs a nonnegative field")
-    return 4.0 * _face_gradient_energy(np.sqrt(u), field.grid)
+    return per_level(4.0 * _face_gradient_energy(np.sqrt(u), field.grid))
+
+
+def per_level(value):
+    """A float for a single level's reduction, else the per-level array."""
+    return float(value) if np.ndim(value) == 0 else value

@@ -2,7 +2,8 @@
 
 All evaluators accept either a single state vector of shape (m,) or a
 batch of cell states of shape (m, ...); the species axis is always the
-first one.
+first one.  For B n-levels advanced together, n is an array of shape
+(B, 1, ...) and the states have shape (m, B, *grid).
 """
 
 from __future__ import annotations
@@ -32,17 +33,15 @@ def reactant_product(alpha: np.ndarray, reactants: np.ndarray) -> np.ndarray:
     return np.prod(np.power(reactants, alpha.reshape((-1,) + (1,) * (reactants.ndim - 1))), axis=0)
 
 
-def phi(Q: float, n: float, total):
+def phi(Q: float, n, total):
     """The regularizer 1 + total^{Q+2}/n at the species sum `total`;
-    1 for n = +inf."""
-    if math.isinf(n):
-        return 1.0
+    exactly 1 for n = +inf, where total^{Q+2}/n is 0."""
     return 1.0 + total ** (Q + 2.0) / n
 
 
 def phi_n(system: TriangularSystem, n: float, state: np.ndarray) -> np.ndarray | float:
     """phi^n = 1 + (1/n) (sum_i a_i)^{Q+2}; identically 1 for n = +inf."""
-    if n <= 0:
+    if not np.all(np.asarray(n) > 0):
         raise ValueError("regularization index n must be positive")
     return phi(system.Q, n, np.asarray(state, dtype=float).sum(axis=0))
 
@@ -61,10 +60,10 @@ class RegularizedRates:
     """Rates of the approximate system: raw rates divided by phi^n."""
 
     system: TriangularSystem
-    n: float  # positive real; +inf selects the limit system phi == 1
+    n: float | np.ndarray  # positive; +inf selects the limit system phi == 1
 
     def __post_init__(self):
-        if not (self.n > 0):
+        if not np.all(np.asarray(self.n) > 0):
             raise ValueError("n must be positive (or +inf)")
 
     def phi(self, state) -> np.ndarray | float:

@@ -15,11 +15,11 @@ import numpy as np
 
 from .config import ExperimentConfig, build_initial
 from .diagnostics import DiagnosticsRecord, entropy_balance_check
-from .fields import FieldSet
 from .kinetics import RegularizedRates
 from .stepper import ModalDiffusion, diffusion_substep, run
 
 __all__ = [
+    "run_levels",
     "run_single",
     "run_scenario",
     "study_n",
@@ -31,26 +31,16 @@ __all__ = [
 SUMMARY_SCHEMA_VERSION = 1
 
 
-def _n_label(n: float) -> str:
-    return "inf" if math.isinf(n) else f"{n:g}"
+def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
+    """One stepper run that advances the scenario at every n in n_values
+    as one batched state; one RunResult per n, in order."""
+    levels = [RegularizedRates(config.system, n) for n in n_values]
+    return run(build_initial(config), config.stepper, levels, config.t_final, observers, config.p_values)
 
 
-def run_single(config: ExperimentConfig, n: float, snapshots: list | None = None):
-    """One stepper run at regularization level n; optionally collects
-    (time, values) snapshots at the record cadence."""
-    initial = build_initial(config)
-    rates = RegularizedRates(config.system, n)
-    observers = ()
-    if snapshots is not None:
-        observers = (lambda state, rec: snapshots.append((state.time, state.fields.values.copy())),)
-    return run(
-        initial,
-        config.stepper,
-        rates,
-        config.t_final,
-        observers=observers,
-        p_values=config.p_values,
-    )
+def run_single(config: ExperimentConfig, n: float):
+    """The scenario at regularization level n alone: a batch of one."""
+    return run_levels(config, [n])[0]
 
 
 def _write_csv(path: Path, records: list[DiagnosticsRecord], m: int, p_values):
@@ -99,7 +89,7 @@ def run_scenario(config: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results = [(n, run_single(config, n)) for n in config.n_values]
+    results = zip(config.n_values, run_levels(config, config.n_values))
 
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -111,7 +101,7 @@ def run_scenario(config: ExperimentConfig, out_dir) -> dict:
     }
     all_ok = True
     for n, result in results:
-        label = _n_label(n)
+        label = f"{n:g}"  # "inf" for the limit system
         _write_csv(out / f"diagnostics_{label}.csv", result.records, config.system.m, config.p_values)
         per = _per_run_summary(config, result)
         summary["runs"][label] = per
@@ -134,49 +124,36 @@ def study_n(config: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(n):
-        snaps: list = []
-        result = run_single(config, n, snapshots=snaps)
-        return n, result, snaps
+    # running maxima over the records of sup |a(n_i) - a(n_{i+1})| (row 0)
+    # and of sup |a(n_i) - a(inf)| (row 1), from the batched state
+    gaps = np.zeros((2, len(n_values) - 1))
 
-    runs = [one(n) for n in n_values]
+    def track_gaps(state):
+        v = state.fields.values  # (m, B, *grid)
+        axes = (0,) + tuple(range(2, v.ndim))
+        np.maximum(gaps, [np.abs(v[:, :-1] - w).max(axis=axes) for w in (v[:, 1:], v[:, -1:])], out=gaps)
 
-    snaps_by_n = {n: snaps for n, _, snaps in runs}
-
-    def spacetime_gap(na, nb):
-        sa, sb = snaps_by_n[na], snaps_by_n[nb]
-        assert len(sa) == len(sb)
-        return max(float(np.abs(va - vb).max()) for (_, va), (_, vb) in zip(sa, sb))
-
-    limit = n_values[-1]
+    results = run_levels(config, n_values, observers=(track_gaps,))
     consecutive = [
-        {
-            "n_low": _n_label(na),
-            "n_high": _n_label(nb),
-            "sup_diff": spacetime_gap(na, nb),
-        }
-        for na, nb in zip(n_values[:-1], n_values[1:])
+        {"n_low": f"{na:g}", "n_high": f"{nb:g}", "sup_diff": float(gap)}
+        for na, nb, gap in zip(n_values[:-1], n_values[1:], gaps[0])
     ]
-    gaps_to_limit = {
-        _n_label(n): spacetime_gap(n, limit) for n in n_values[:-1]
-    }
+    gaps_to_limit = {f"{n:g}": float(gap) for n, gap in zip(n_values[:-1], gaps[1])}
     diffs = [c["sup_diff"] for c in consecutive]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(diffs[:-1], diffs[1:]))
-    final_gap = float(
-        np.abs(snaps_by_n[n_values[-2]][-1][1] - snaps_by_n[limit][-1][1]).max()
-    )
+    final_gap = float(np.abs(results[-2].final_state.fields.values - results[-1].final_state.fields.values).max())
     table = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "label": config.label,
-        "n_values": [_n_label(n) for n in n_values],
+        "n_values": [f"{n:g}" for n in n_values],
         "consecutive_sup_diffs": consecutive,
         "gaps_to_limit": gaps_to_limit,
         "final_gap": final_gap,
         "monotone_decreasing": monotone,
         "ok": monotone,
     }
-    for n, result, _ in runs:
-        _write_csv(out / f"diagnostics_{_n_label(n)}.csv", result.records, config.system.m, config.p_values)
+    for n, result in zip(n_values, results):
+        _write_csv(out / f"diagnostics_{n:g}.csv", result.records, config.system.m, config.p_values)
     with open(out / "summary.json", "w") as fh:
         json.dump(table, fh, indent=2)
     return table

@@ -12,6 +12,11 @@ implicit diffusion solve is exact in mode space: mode k with eigenvalue
 lambda_k is multiplied by (1 + (1-theta) c lambda_k) / (1 - theta c lambda_k),
 c = dt d_i.  The multipliers are built once per run (`ModalDiffusion`);
 each substep is checked a posteriori against the finite-volume stencil.
+
+`run` advances every regularization level n of a scenario as one state
+of shape (m, B, *grid).  The substeps act cell by cell or along the grid
+axes, so each level computes exactly what a run of its own would; every
+gate holds per level, and a breach names its n.
 """
 
 from __future__ import annotations
@@ -115,30 +120,32 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
     clamped_hi = r_hi < 0.0
     r_lo, _, _ = _residual(lo, *args)
     clamped_lo = r_lo > 0.0
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(max_iter):
         r, prod, phi_x = _residual(x, *args)
-        done = np.abs(r) <= tol * (1.0 + np.abs(x0) + dt)
+        done |= np.abs(r) <= tol * (1.0 + np.abs(x0) + dt)
         if done.all():
             break
         pos = r > 0.0
         hi = np.where(pos, x, hi)
         lo = np.where(pos, lo, x)
+        mid = 0.5 * (lo + hi)
+        # where the slope times one ulp of x exceeds the tolerance, the bracket
+        # closes on adjacent floats first: mid then rounds to lo or hi, and x is one
+        done |= (mid == lo) | (mid == hi)
         # analytic derivative of the residual; vanished factors get a huge
         # finite slope so the Newton guard falls back to bisection there
         diff = np.maximum(sigma - x, 0.0)
         inv = np.where(diff > 0.0, 1.0 / np.where(diff > 0.0, diff, 1.0), 1e300)
         dsum = (alpha.reshape((-1,) + (1,) * x.ndim) * inv).sum(axis=0)
         dprod = -prod * dsum
-        if math.isinf(n):
-            dg = dprod - 1.0
-        else:
-            S = sigma.sum(axis=0) - (m - 2) * x
-            dphi = -(m - 2) * (Q + 2.0) * S ** (Q + 1.0) / n
-            dg = ((dprod - 1.0) * phi_x - (prod - x) * dphi) / phi_x**2
+        # dphi is exactly 0 (and phi exactly 1) where n = inf
+        S = sigma.sum(axis=0) - (m - 2) * x
+        dphi = -(m - 2) * (Q + 2.0) * S ** (Q + 1.0) / n
+        dg = ((dprod - 1.0) * phi_x - (prod - x) * dphi) / phi_x**2
         rprime = 1.0 - dt * theta * dg
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - r / rprime
-        mid = 0.5 * (lo + hi)
         use_newton = np.isfinite(newton) & (newton > lo) & (newton < hi) & (rprime > 0)
         x = np.where(done, x, np.where(use_newton, newton, mid))
     x = np.where(clamped_hi, sigma.min(axis=0), x)
@@ -158,12 +165,8 @@ def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float):
     if a.shape != (m,) or np.any(a < 0):
         raise ValueError("cell state must be a nonnegative m-vector")
     sigma = a[:-1] + a[-1]
-    alpha = system.reactant_alpha
-    x, _ = _solve_reaction_newton(np.atleast_1d(a[-1]), sigma.reshape(m - 1, 1), alpha, m, system.Q, rates.n, dt)
-    out = np.empty(m)
-    out[:-1] = sigma - x[0]
-    out[-1] = x[0]
-    return out
+    x = _solve_reaction_newton(a[-1:], sigma[:, None], system.reactant_alpha, m, system.Q, rates.n, dt)[0][0]
+    return np.append(sigma - x, x)
 
 
 def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, theta: float = 1.0):
@@ -191,8 +194,8 @@ def transform_roundoff(c_lam: np.ndarray) -> float:
 class ModalDiffusion:
     """The theta-scheme diffusion substep of length dt for the diffusing
     species of one system on one grid, as per-mode multipliers.  It also
-    counts the roundoff negatives its positivity clamp zeroed and keeps
-    the most negative of them."""
+    counts, per n-level, the roundoff negatives its positivity clamp
+    zeroed and keeps the most negative of them."""
 
     def __init__(self, system, grid, dt: float, theta: float = 1.0):
         self.theta = theta
@@ -206,6 +209,22 @@ class ModalDiffusion:
         self.clamp_count, self.clamp_worst = 0, math.inf
 
 
+def _level_axes(values: np.ndarray, grid) -> tuple[int, ...]:
+    """The species and grid axes: a reduction over them is per level."""
+    return (0,) + tuple(range(values.ndim - grid.dimension, values.ndim))
+
+
+def _first_level(bad: np.ndarray, value: np.ndarray) -> tuple[int, float] | None:
+    """The first n-level where `bad` holds, with its entry of `value`."""
+    idx = np.flatnonzero(bad)
+    return (int(idx[0]), float(np.ravel(value)[idx[0]])) if idx.size else None
+
+
+def _running_min(current, new):
+    """Elementwise min(current, new) with Python's tie rule."""
+    return np.where(new < current, new, current)
+
+
 def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     """Implicit theta-scheme diffusion (theta = 1 backward Euler, the
     entropy-safe default; theta = 1/2 Crank-Nicolson for second-order
@@ -215,28 +234,32 @@ def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     preserving (the transform's roundoff negatives go through the
     positivity clamp), and the mode-0 multiplier is exactly 1, hence mass
     is conserved.  `modal` carries the multipliers, and with them dt and
-    theta."""
+    theta.  The residual gate and the clamp act per n-level."""
     grid = fields.grid
     new = fields.values.copy()
     u = fields.values[modal.rows]
     if u.size == 0:
         return FieldSet(fields.system, grid, new)
-    sol = grid.from_modes(modal.multipliers * grid.to_modes(u))
+    shape = (len(modal.rows),) + (1,) * (u.ndim - 1 - grid.dimension)  # (rows, 1 per level axis)
+    sol = grid.from_modes(modal.multipliers.reshape(shape + grid.shape) * grid.to_modes(u))
     # the linear residual A sol - B u of the theta-scheme on the stencil
     theta = modal.theta
     resid = grid.laplacian(sol if theta == 1.0 else theta * sol + (1.0 - theta) * u)
-    resid *= modal.coeff
+    resid *= modal.coeff.reshape(shape + modal.coeff.shape[1:])
     resid -= sol
     resid += u
-    resid = np.abs(resid, out=resid).max()
-    if resid > (StepperConfig.linear_solver_tol + modal.roundoff) * (1.0 + np.abs(u).max()):
-        raise InvariantBreach("linear-solver", f"diffusion residual {resid:.3e} above tolerance")
+    axes = _level_axes(u, grid)
+    resid = np.abs(resid, out=resid).max(axis=axes)
+    limit = (StepperConfig.linear_solver_tol + modal.roundoff) * (1.0 + np.abs(u).max(axis=axes))
+    bad = _first_level(resid > limit, resid)
+    if bad:
+        raise InvariantBreach("linear-solver", f"diffusion residual {bad[1]:.3e} above tolerance", {"level": bad[0]})
     new[modal.rows] = sol
     out = FieldSet(fields.system, grid, new)
-    count, worst = _clamp_positivity(out)
-    if count:
-        modal.clamp_count += count
-        modal.clamp_worst = min(modal.clamp_worst, worst)
+    total, counts, worst = _clamp_positivity(out)
+    if total:
+        modal.clamp_count = modal.clamp_count + counts
+        modal.clamp_worst = _running_min(modal.clamp_worst, np.where(counts > 0, worst, math.inf))
     return out
 
 
@@ -271,96 +294,118 @@ def step(
 
 
 def _clamp_positivity(fields: FieldSet):
+    """Zero each n-level's roundoff negatives.  Returns the total count,
+    then per level the count and the minimum before the clamp; a level
+    whose minimum lies below -positivity_tol breaches."""
     tol = StepperConfig.positivity_tol
-    worst = fields.min_value()
-    if worst < -tol:
-        raise InvariantBreach(
-            "positivity",
-            f"minimum concentration {worst:.3e} below -{tol:g}",
-            {"min": worst},
-        )
-    count = 0
-    if worst < 0.0:
+    axes = _level_axes(fields.values, fields.grid)
+    worst = fields.values.min(axis=axes)
+    bad = _first_level(worst < -tol, worst)
+    if bad:
+        message = f"minimum concentration {bad[1]:.3e} below -{tol:g}"
+        raise InvariantBreach("positivity", message, {"min": bad[1], "level": bad[0]})
+    counts = np.zeros(worst.shape, dtype=int)
+    if worst.min() < 0.0:
         mask = fields.values < 0.0
-        count = int(mask.sum())
+        counts = mask.sum(axis=axes)
         fields.values[mask] = 0.0
-    return count, worst
+    return int(counts.sum()), counts, worst
 
 
 def run(
     initial: FieldSet,
     config: StepperConfig,
-    rates: RegularizedRates,
+    rates: RegularizedRates | list[RegularizedRates],
     t_final: float,
     observers=(),
     p_values=(4.0,),
-) -> RunResult:
-    """Advance to t_final, recording diagnostics every `record_every`
-    steps (plus the initial and final states), aborting with a
-    structured InvariantBreach when a hard tolerance is violated."""
+) -> RunResult | list[RunResult]:
+    """Advance `initial` to t_final at every level in `rates` (one
+    RegularizedRates, or a list over one system) as one state of shape
+    (m, B, *grid), recording each level's diagnostics every `record_every`
+    steps and at both ends; a hard tolerance violated at any level raises
+    InvariantBreach naming its n.  Observers get the batched state at each
+    record.  Returns a RunResult per level, or one for a single rates."""
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    tracker = DiagnosticsTracker(rates, initial, p_values=p_values)
-    state = SimulationState(0.0, initial.copy())
-    records: list[DiagnosticsRecord] = []
-    clamp_count, clamp_worst = _clamp_positivity(state.fields)
-    if t_final == 0.0:
-        return RunResult(state, records, clamp_count, clamp_worst, tracker)
-
-    n_steps = max(1, round(t_final / config.dt))
-    dt = t_final / n_steps
-    cfg = replace(config, dt=dt)
-    modal = _step_diffusion(initial, cfg)
+    levels = [rates] if isinstance(rates, RegularizedRates) else list(rates)
+    n = np.array([r.n for r in levels], dtype=float).reshape((-1,) + (1,) * initial.grid.dimension)
+    rates_b = RegularizedRates(initial.system, n)
+    tracker = DiagnosticsTracker(rates_b, initial, p_values=p_values)
+    values = np.repeat(initial.values[:, None], len(levels), axis=1)
+    state = SimulationState(0.0, FieldSet(initial.system, initial.grid, values))
+    records: list[list[DiagnosticsRecord]] = [[] for _ in levels]
+    n_steps = max(1, round(t_final / config.dt)) if t_final > 0.0 else 0
+    cfg = replace(config, dt=t_final / n_steps) if n_steps else config
+    dt = cfg.dt
     h2 = sum(h * h for h in initial.grid.h)
-    e_prev = tracker.e0
+    e_prev = np.full(len(levels), tracker.e0)
     e_tol = cfg.entropy_tolerance_factor * (dt * dt + h2) * abs(tracker.e0) + 1e-12
-    diss_integral = 0.0
+    diss_integral = np.zeros(len(levels))
 
     def emit(rec_state):
-        rec = tracker.observe(rec_state.time, rec_state.fields, diss_integral)
-        records.append(rec)
+        for b, level_records in enumerate(records):
+            rec = tracker.observe(rec_state.time, rec_state.fields.level(b), float(diss_integral[b]), b)
+            level_records.append(rec)
+            _check_record(rec, cfg, b)
         for obs in observers:
-            obs(rec_state, rec)
-        _check_record(rec, cfg)
-        return rec
+            obs(rec_state)
 
-    rec = emit(state)
-    for k in range(n_steps):
-        state = step(state, cfg, rates, modal)
-        c, w = _clamp_positivity(state.fields)
-        clamp_count += c
-        clamp_worst = min(clamp_worst, w)
-        d_tot, _, _ = dissipation(state.fields, rates)
-        diss_integral += d_tot * dt
-        tracker.accumulate(state.fields, dt)
-        e_now = entropy(state.fields)
-        if e_now > e_prev + e_tol:
-            raise InvariantBreach(
-                "entropy",
-                f"entropy rose by {e_now - e_prev:.3e} (> {e_tol:.3e}) at t={state.time:.6g}",
-                {"e_prev": e_prev, "e_now": e_now},
-            )
-        e_prev = e_now
-        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            rec = emit(state)
-    clamp_count += modal.clamp_count
-    clamp_worst = min(clamp_worst, modal.clamp_worst)
-    return RunResult(state, records, clamp_count, clamp_worst, tracker)
+    try:
+        _, clamp_count, clamp_worst = _clamp_positivity(state.fields)
+        modal = _step_diffusion(state.fields, cfg)
+        if n_steps:
+            emit(state)
+        for k in range(n_steps):
+            state = step(state, cfg, rates_b, modal)
+            _, c, w = _clamp_positivity(state.fields)
+            clamp_count = clamp_count + c
+            clamp_worst = _running_min(clamp_worst, w)
+            d_tot, _, _ = dissipation(state.fields, rates_b)
+            diss_integral += d_tot * dt
+            tracker.accumulate(state.fields, dt)
+            e_now = entropy(state.fields)
+            rose = _first_level(e_now > e_prev + e_tol, e_now - e_prev)
+            if rose:
+                raise InvariantBreach(
+                    "entropy",
+                    f"entropy rose by {rose[1]:.3e} (> {e_tol:.3e}) at t={state.time:.6g}",
+                    {"e_prev": float(e_prev[rose[0]]), "e_now": float(e_now[rose[0]]), "level": rose[0]},
+                )
+            e_prev = e_now
+            if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
+                emit(state)
+    except InvariantBreach as exc:
+        if "level" not in exc.details:
+            raise
+        raise exc.at_n(levels[exc.details["level"]].n) from exc
+    clamp_count = clamp_count + modal.clamp_count
+    clamp_worst = _running_min(clamp_worst, modal.clamp_worst)
+    results = [
+        RunResult(SimulationState(state.time, state.fields.level(b), state.step_count), records[b],
+                  int(clamp_count[b]), float(clamp_worst[b]), tracker)
+        for b in range(len(levels))
+    ]
+    return results[0] if isinstance(rates, RegularizedRates) else results
 
 
-def _check_record(rec: DiagnosticsRecord, cfg: StepperConfig):
+def _check_record(rec: DiagnosticsRecord, cfg: StepperConfig, level: int):
+    where = {"level": level}
     if rec.pair_mass_drift_rel > cfg.mass_tol_rel:
         raise InvariantBreach(
             "pair-mass",
             f"relative pair-mass drift {rec.pair_mass_drift_rel:.3e} at t={rec.time:.6g}",
+            where,
         )
     if rec.degenerate_pair_dev > cfg.degenerate_pair_tol:
         raise InvariantBreach(
             "degenerate-pair",
             f"pointwise pair difference drifted {rec.degenerate_pair_dev:.3e}",
+            where,
         )
     if rec.a2_sum_dev > cfg.a2_sum_tol:
         raise InvariantBreach(
             "a2-pointwise-sum",
             f"pointwise a_i + a_m drifted {rec.a2_sum_dev:.3e}",
+            where,
         )

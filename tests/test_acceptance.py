@@ -18,7 +18,7 @@ from trdlab.diagnostics import entropy_balance_check
 from trdlab.kernel import KernelSpec, gaussian_bound_fit, mass_conservation_check, semigroup_check, smoothing_probe
 from trdlab.picard import canonical_scenario, convergence_envelope_check, ode_oracle, picard_iterate, picard_iterate_mp
 from trdlab.presets import PRESETS, preset_config
-from trdlab.runner import dt_order_study, mesh_order_study, run_single, study_n
+from trdlab.runner import dt_order_study, mesh_order_study, run_levels, study_n
 
 
 def verdict(k: int, label: str, ok: bool) -> bool:
@@ -33,7 +33,7 @@ def preset_runs():
     for name in PRESETS:
         config = preset_config(name)
         t0 = time.perf_counter()
-        results = {n: run_single(config, n) for n in config.n_values}
+        results = dict(zip(config.n_values, run_levels(config, config.n_values)))
         out[name] = SimpleNamespace(
             config=config, results=results, runtime=time.perf_counter() - t0
         )

@@ -96,6 +96,9 @@ class TestRunCommand:
             ("p_values", [float("nan")]),
             ("stepper.dt_safety", 0.5),
             ("stepper.positivity_tol", 1e-12),
+            ("n_values", [None]),
+            ("p_values", ["x"]),
+            ("seed", "abc"),
         ],
     )
     def test_non_finite_or_zero_fields_exit_1_naming_the_field(self, tmp_path, capsys, path, value):

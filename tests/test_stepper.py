@@ -138,6 +138,29 @@ class TestReactionSolveProperties:
         np.testing.assert_allclose(_rate_at(x, sigma, alpha, m, Q, n)[0], -g, rtol=1e-12, atol=1e-12)
 
 
+    def test_cell_below_double_precision_resolution_stops_at_a_one_ulp_bracket(self, monkeypatch):
+        # beside its vanishing factor (sigma_1 - x ~ 5e-9, exponent 0.135)
+        # the residual's slope times one ulp of x exceeds the solver's
+        # tolerance; without a stop rule this one cell ran all 200 iterations
+        import trdlab.stepper as stepper_module
+
+        system = TriangularSystem(m=3, alpha=(0.135, 2.71, 1.0), d=(0.0, 0.0, 0.0))
+        sigma = np.stack([np.full(128, 1.0), np.full(128, 2.0)])
+        x0 = np.full(128, 0.5)
+        sigma[:, 0], x0[0] = (0.795, 4.118), 0.792
+        calls = []
+        real = stepper_module._residual
+        monkeypatch.setattr(stepper_module, "_residual", lambda *a: calls.append(1) or real(*a))
+        alpha, Q, dt = system.reactant_alpha, system.Q, 0.0019
+        x, clamped = _solve_reaction_newton(x0, sigma, alpha, 3, Q, math.inf, dt)
+        assert len(calls) <= 64
+        assert not clamped.any()
+        args = (x0[:1], sigma[:, :1], alpha, 3, Q, math.inf, dt, 1.0, 0.0)
+        below, above = (real(np.nextafter(x[:1], to), *args)[0][0] for to in (-np.inf, np.inf))
+        r = real(x[:1], *args)[0][0]
+        assert min(below, r) <= 0.0 <= max(r, above)
+
+
 class TestDiffusionSubstep:
     def test_constant_fields_unchanged(self):
         grid = Grid((1.0,), (32,))
