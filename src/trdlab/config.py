@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -72,56 +73,49 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
-def _finite_number(value, path: str, positive: bool = False) -> float:
-    """A finite number, >= 0 (> 0 if positive); JSON NaN and Infinity
-    parse as floats and are rejected here."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
-        raise ConfigError(path, f"expected a finite {'positive' if positive else 'nonnegative'} number, got {value!r}")
-    return x
+def _number(value, path: str, kind=float, low: float = -math.inf, strict: bool = False):
+    """`value` as a finite `kind` (float, which takes JSON integers too, or
+    int), >= low (> low if strict).  Strings, bools, null, non-integers for
+    an int, and JSON's NaN and Infinity (parsed as floats) are rejected."""
+    ok = isinstance(value, (kind, int)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    if not (ok and (value > low if strict else value >= low)):
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise ConfigError(path, f"expected a finite {kind.__name__}{bound}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, path: str, kind=float, low: float = -math.inf) -> tuple:
+    if not isinstance(values, list):
+        raise ConfigError(path, "expected a list")
+    return tuple(_number(v, f"{path}[{i}]", kind, low) for i, v in enumerate(values))
 
 
 def _parse_n(value, path: str) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "+inf", "infinity"):
-            return math.inf
-        raise ConfigError(path, f"unrecognized n value {value!r}")
-    n = _convert(float, value, path)
-    if not (n > 0):
-        raise ConfigError(path, "n must be positive")
-    return n
-
-
-def _convert(kind, value, path: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}") from exc
+    if isinstance(value, str) and value.lower() in ("inf", "+inf", "infinity"):
+        return math.inf
+    return _number(value, path, low=0.0, strict=True)
 
 
 def _parse_system(data, path: str) -> TriangularSystem:
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
-    m = _require(data, "m", path)
-    alpha = _require(data, "alpha", path)
-    d = _require(data, "d", path)
+    m = _number(_require(data, "m", path), f"{path}.m", int)
+    alpha = _numbers(_require(data, "alpha", path), f"{path}.alpha")
+    d = _numbers(_require(data, "d", path), f"{path}.d")
     try:
-        return TriangularSystem(m=int(m), alpha=tuple(float(a) for a in alpha), d=tuple(float(v) for v in d))
-    except (TypeError, ValueError) as exc:
+        return TriangularSystem(m=m, alpha=alpha, d=d)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_grid(data, path: str) -> Grid:
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
-    lengths = _require(data, "lengths", path)
-    cells = _require(data, "cells", path)
+    lengths = _numbers(_require(data, "lengths", path), f"{path}.lengths")
+    cells = _numbers(_require(data, "cells", path), f"{path}.cells", int)
     try:
-        return Grid(lengths=tuple(float(v) for v in lengths), cells=tuple(int(v) for v in cells))
-    except (TypeError, ValueError) as exc:
+        return Grid(lengths=lengths, cells=cells)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -130,16 +124,11 @@ def _validate_initial_spec(spec, path: str) -> dict:
         raise ConfigError(path, "expected an object")
     kind = _require(spec, "kind", path)
     if kind == "constant":
-        value = float(_require(spec, "value", path))
-        if value < 0:
-            raise ConfigError(f"{path}.value", "initial data must be nonnegative")
-        return {"kind": kind, "value": value}
+        return {"kind": kind, "value": _number(_require(spec, "value", path), f"{path}.value", low=0.0)}
     if kind == "cosine":
-        base = float(_require(spec, "base", path))
-        amplitude = float(spec.get("amplitude", 0.0))
-        modes = tuple(int(k) for k in spec.get("modes", (1,)))
-        if any(k < 0 for k in modes):
-            raise ConfigError(f"{path}.modes", "mode indices must be nonnegative")
+        base = _number(_require(spec, "base", path), f"{path}.base")
+        amplitude = _number(spec.get("amplitude", 0.0), f"{path}.amplitude")
+        modes = _numbers(spec.get("modes", [1]), f"{path}.modes", int, low=0)
         if base - abs(amplitude) < 0:
             raise ConfigError(path, "cosine profile dips below zero (base < |amplitude|)")
         return {"kind": kind, "base": base, "amplitude": amplitude, "modes": modes}
@@ -175,10 +164,8 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     for key in stepper_raw:
         if key not in stepper_known:
             raise ConfigError(f"$.stepper.{key}", "unknown field")
-    _finite_number(_require(stepper_raw, "dt", "$.stepper"), "$.stepper.dt", positive=True)
-    record_every = stepper_raw.get("record_every", 1)
-    if isinstance(record_every, bool) or not isinstance(record_every, int) or record_every < 1:
-        raise ConfigError("$.stepper.record_every", f"expected a positive integer, got {record_every!r}")
+    _number(_require(stepper_raw, "dt", "$.stepper"), "$.stepper.dt", low=0.0, strict=True)
+    _number(stepper_raw.get("record_every", 1), "$.stepper.record_every", int, low=1)
     try:
         stepper = StepperConfig(**stepper_raw)
     except (TypeError, ValueError) as exc:
@@ -189,11 +176,8 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
         raise ConfigError("$.n_values", "expected a nonempty list")
     n_values = tuple(_parse_n(v, f"$.n_values[{i}]") for i, v in enumerate(raw_n))
 
-    t_final = _finite_number(_require(data, "t_final", "$"), "$.t_final")
-
-    p_values = tuple(_convert(float, p, "$.p_values") for p in data.get("p_values", (4.0,)))
-    if any(not (p >= 1) for p in p_values):
-        raise ConfigError("$.p_values", "Lebesgue exponents must be >= 1")
+    t_final = _number(_require(data, "t_final", "$"), "$.t_final", low=0.0)
+    p_values = _numbers(data.get("p_values", [4.0]), "$.p_values", low=1.0)
 
     return ExperimentConfig(
         system=system,
@@ -203,7 +187,7 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
         n_values=n_values,
         t_final=t_final,
         p_values=p_values,
-        seed=_convert(int, data.get("seed", 0), "$.seed"),
+        seed=_number(data.get("seed", 0), "$.seed", int),
         label=str(data.get("label", label)),
     )
 
@@ -219,7 +203,7 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def _evaluate_species(spec: dict, grid: Grid) -> np.ndarray:
+def _evaluate_species(spec: dict, grid: Grid, path: str) -> np.ndarray:
     if spec["kind"] == "constant":
         return np.full(grid.shape, spec["value"])
     if spec["kind"] == "cosine":
@@ -238,14 +222,17 @@ def _evaluate_species(spec: dict, grid: Grid) -> np.ndarray:
     if len(coords) > 1:
         names["y"] = coords[1]
     try:
-        values = eval(spec["formula"], {"__builtins__": {}}, names)  # noqa: S307 - sandboxed namespace
+        with np.errstate(all="ignore"):  # non-finite values are reported by build_initial
+            values = eval(spec["formula"], {"__builtins__": {}}, names)  # noqa: S307 - sandboxed namespace
     except Exception as exc:
-        raise ConfigError("$.initial", f"expression failed to evaluate: {exc}") from exc
+        raise ConfigError(path, f"expression failed to evaluate: {exc}") from exc
     return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
 
 
 def build_initial(config: ExperimentConfig) -> FieldSet:
-    values = np.stack([_evaluate_species(spec, config.grid) for spec in config.initial])
-    if values.min() < 0:
-        raise ConfigError("$.initial", f"initial data dips below zero (min {values.min():g})")
+    values = np.stack([_evaluate_species(spec, config.grid, f"$.initial[{i}]") for i, spec in enumerate(config.initial)])
+    for i, v in enumerate(values):
+        if not np.all((v >= 0.0) & (v < math.inf)):
+            message = f"initial data must be finite and nonnegative (min {v.min():g}, max {v.max():g})"
+            raise ConfigError(f"$.initial[{i}]", message)
     return FieldSet(config.system, config.grid, values)

@@ -9,7 +9,7 @@ stability is a testable statement, so those checks never hard-fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,9 +171,10 @@ class DiagnosticsRecord:
 
 
 class DiagnosticsTracker:
-    """Accumulates space-time norms and invariant references over a run
-    and produces one DiagnosticsRecord per observation; with rates.n of
-    shape (B, 1, ...), for B n-levels that share the initial data."""
+    """Holds, per n-level, the entropy, dissipation and space-time
+    integrals of the latest state passed to `accumulate`, and produces one
+    DiagnosticsRecord per observation; rates.n has shape (B, 1, ...) for B
+    n-levels that share the initial data."""
 
     def __init__(self, rates: RegularizedRates, initial: FieldSet, p_values=(4.0,)):
         self.rates = rates
@@ -203,12 +204,19 @@ class DiagnosticsTracker:
         levels = np.shape(rates.n)[:1]
         self._st_accum = {p: np.zeros((m,) + levels) for p in self.p_values}
         self._l1prod_accum = np.zeros((m - 1,) + levels)
+        self.diss_integral = np.zeros(levels)
+        self.entropy = self.dissipation = None  # set by accumulate
 
     def accumulate(self, fields: FieldSet, dt: float):
-        """Advance the space-time integrals by one step of length dt
-        (right-endpoint rule on the post-step state)."""
+        """The diagnostics pass over the state after a step of length dt
+        (dt = 0 for the initial state): per n-level the entropy, the
+        dissipation (total, gradient part, reaction part), and the
+        right-endpoint integrals of D and of the space-time norms."""
         grid = fields.grid
         meas = grid.cell_measure
+        self.entropy = entropy(fields)
+        self.dissipation = np.array(np.broadcast_arrays(*dissipation(fields, self.rates)))
+        self.diss_integral = self.diss_integral + self.dissipation[0] * dt
         for p in self.p_values:
             self._st_accum[p] += grid.cell_sum(np.abs(fields.values) ** p * meas) * dt
         am = fields.values[-1]
@@ -216,18 +224,13 @@ class DiagnosticsTracker:
             ai = fields.values[i]
             self._l1prod_accum[i] += grid.cell_sum(ai * ai + ai * am) * meas * dt
 
-    def observe(
-        self, time: float, fields: FieldSet, diss_integral: float, level: int | None = None
-    ) -> DiagnosticsRecord:
-        """The record of one state: of `fields` itself, or of n-level
-        `level` when the tracker follows a batch."""
+    def observe(self, time: float, fields: FieldSet, level: int) -> DiagnosticsRecord:
+        """The record of n-level `level` at `time`: entropy and dissipation
+        from the last `accumulate`, the rest from the level's copy `fields`."""
         m = self.system.m
-        rates, at = self.rates, (slice(None),)
-        if level is not None:
-            rates, at = replace(rates, n=rates.n[level]), (slice(None), level)
         meas = fields.grid.cell_measure
         norms = lp_norms(fields, (1.0, 2.0) + self.p_values + (math.inf,))
-        d_tot, d_grad, d_reac = dissipation(fields, rates)
+        d_tot, d_grad, d_reac = (float(v) for v in self.dissipation[:, level])
         pair_mass = np.array(
             [(fields.values[i] + fields.values[m - 1]).sum() * meas for i in range(m - 1)]
         )
@@ -252,22 +255,22 @@ class DiagnosticsTracker:
         mass_total = float(fields.values.sum() * meas)
         return DiagnosticsRecord(
             time=time,
-            entropy=entropy(fields),
+            entropy=float(self.entropy[level]),
             dissipation=d_tot,
             dissipation_gradient=d_grad,
             dissipation_reaction=d_reac,
-            diss_integral=diss_integral,
+            diss_integral=float(self.diss_integral[level]),
             min_value=fields.min_value(),
             l1=norms[1.0],
             l2=norms[2.0],
             lp={p: norms[p] for p in self.p_values},
             sup=norms[math.inf],
-            st_lp={p: self._st_accum[p][at] ** (1.0 / p) for p in self.p_values},
+            st_lp={p: self._st_accum[p][:, level] ** (1.0 / p) for p in self.p_values},
             pair_mass=pair_mass,
             pair_mass_drift_rel=float(drift.max()) if m > 1 else 0.0,
             degenerate_pair_dev=deg_dev,
             a2_sum_dev=a2_dev,
-            l1_product=self._l1prod_accum[at].copy(),
+            l1_product=self._l1prod_accum[:, level].copy(),
             mass_total=mass_total,
             m2=self.m2,
             m2_flag=mass_total > self.m2 * (1.0 + 1e-9),

@@ -220,7 +220,7 @@ def _solve_sourced_heat(grid: Grid, d: float, source: np.ndarray, dt: float, n_s
     traj = grid.from_modes(np.stack(modes))
     rhs = traj[:-1] + dt * source
     resid = np.abs(traj[1:] - rhs - dt * d * grid.laplacian(traj[1:])).max()
-    if resid > (StepperConfig.linear_solver_tol + transform_roundoff(c_lam)) * (1.0 + np.abs(rhs).max()):
+    if not resid <= (StepperConfig.linear_solver_tol + transform_roundoff(c_lam)) * (1.0 + np.abs(rhs).max()):
         raise InvariantBreach("linear-solver", f"sourced heat residual {resid:.3e} above tolerance")
     return traj
 

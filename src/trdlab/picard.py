@@ -77,9 +77,11 @@ class PointwiseInputs:
         return float(self.times[-1])
 
     def delta2(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r > 0.0, r, 1.0) ** (self.alpha_j - 1.0)
-        out = np.where((r > 0.0) | (self.alpha_j == 1.0), out, 0.0)
+        """delta2 at r: on floats, or elementwise on an object array of mp.mpf."""
+        r = np.asarray(r)
+        pos = r > 0
+        out = np.where(pos, r, 1.0) ** (self.alpha_j - 1.0)
+        out = np.where(pos | (self.alpha_j == 1.0), out, 0.0)
         for off, a in zip(self.offsets, self.offset_alphas):
             out = out * (off + r) ** a
         return out
@@ -102,8 +104,22 @@ class PicardBoundConstants:
 def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
     out = np.empty_like(f)
     out[0] = 0.0
-    np.cumsum(0.5 * (f[1:] + f[:-1]) * dt, out=out[1:])
+    np.cumsum((f[1:] + f[:-1]) * dt / 2, out=out[1:])
     return out
+
+
+def _map(inputs: PointwiseInputs, a, drivers, exp):
+    """The integrating-factor map, with drivers = (driver_am, delta1,
+    delta3, a_j0, dt) as floats and exp = np.exp, or as mp.mpf (object
+    arrays) and mp.exp applied elementwise, under mp.workdps."""
+    am, d1, d3, a0, dt = drivers
+    W = _cumtrapz(d1 * inputs.delta2(a) * d3, dt)
+    # array first: mpf + ndarray would make mpmath try to convert the array
+    return exp(-W) * (_cumtrapz(am * d1 * exp(W), dt) + a0)
+
+
+def _drivers(inputs: PointwiseInputs) -> tuple:
+    return inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt
 
 
 def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarray:
@@ -112,11 +128,7 @@ def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarr
     a = np.asarray(a_j_trajectory, dtype=float)
     if a.shape != inputs.times.shape:
         raise ValueError("trajectory must share the time mesh")
-    dt = inputs.dt
-    w = inputs.delta1 * inputs.delta2(a) * inputs.delta3
-    W = _cumtrapz(w, dt)
-    source = inputs.driver_am * inputs.delta1 * np.exp(W)
-    return np.exp(-W) * (inputs.a_j0 + _cumtrapz(source, dt))
+    return _map(inputs, a, _drivers(inputs), np.exp)
 
 
 def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = None):
@@ -137,41 +149,18 @@ def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = No
     return iterates
 
 
-def _delta2_mp(inputs: PointwiseInputs, r):
-    if r > 0:
-        out = r ** mp.mpf(inputs.alpha_j - 1.0)
-    else:
-        out = mp.mpf(1) if inputs.alpha_j == 1.0 else mp.mpf(0)
-    for off, a in zip(inputs.offsets, inputs.offset_alphas):
-        out *= (mp.mpf(off) + r) ** mp.mpf(a)
-    return out
-
-
 def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
-    """Arbitrary-precision twin of picard_iterate (same mesh, same
-    trapezoidal rule); used by the envelope certification."""
+    """picard_iterate's map at `dps` digits (same mesh, same trapezoidal
+    rule), one list of mp.mpf per iterate; used by the envelope
+    certification."""
     with mp.workdps(dps):
-        dt = mp.mpf(inputs.dt)
-        n = len(inputs.times)
-        am = [mp.mpf(v) for v in inputs.driver_am]
-        d1 = [mp.mpf(v) for v in inputs.delta1]
-        d3 = [mp.mpf(v) for v in inputs.delta3]
-        a0 = mp.mpf(inputs.a_j0)
-
-        def apply(a):
-            w = [d1[k] * _delta2_mp(inputs, a[k]) * d3[k] for k in range(n)]
-            W = [mp.mpf(0)] * n
-            for k in range(1, n):
-                W[k] = W[k - 1] + (w[k] + w[k - 1]) * dt / 2
-            src = [am[k] * d1[k] * mp.exp(W[k]) for k in range(n)]
-            J = [mp.mpf(0)] * n
-            for k in range(1, n):
-                J[k] = J[k - 1] + (src[k] + src[k - 1]) * dt / 2
-            return [mp.exp(-W[k]) * (a0 + J[k]) for k in range(n)]
-
-        iterates = [[a0] * n]
+        drivers = [np.frompyfunc(mp.mpf, 1, 1)(v) for v in _drivers(inputs)]
+        exp = np.frompyfunc(mp.exp, 1, 1)
+        a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
+        iterates = [list(a)]
         for _ in range(p_max):
-            iterates.append(apply(iterates[-1]))
+            a = _map(inputs, a, drivers, exp)
+            iterates.append(list(a))
         return iterates
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .config import ExperimentConfig, build_initial
 from .diagnostics import DiagnosticsRecord, entropy_balance_check
 from .kinetics import RegularizedRates
-from .stepper import ModalDiffusion, diffusion_substep, run
+from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
 
 __all__ = [
     "run_levels",
@@ -51,15 +51,9 @@ def _write_csv(path: Path, records: list[DiagnosticsRecord], m: int, p_values):
             writer.writerow([repr(v) for v in rec.csv_row()])
 
 
-def _entropy_tolerance(config: ExperimentConfig) -> float:
-    dt = config.stepper.dt
-    h2 = sum(h * h for h in config.grid.h)
-    return config.stepper.entropy_tolerance_factor * (dt * dt + h2)
-
-
-def _per_run_summary(config: ExperimentConfig, result) -> dict:
+def _per_run_summary(result) -> dict:
     records = result.records
-    balance = entropy_balance_check(records, _entropy_tolerance(config))
+    balance = entropy_balance_check(records, result.entropy_tol)
     final = records[-1] if records else None
     return {
         "final_time": result.final_state.time,
@@ -103,7 +97,7 @@ def run_scenario(config: ExperimentConfig, out_dir) -> dict:
     for n, result in results:
         label = f"{n:g}"  # "inf" for the limit system
         _write_csv(out / f"diagnostics_{label}.csv", result.records, config.system.m, config.p_values)
-        per = _per_run_summary(config, result)
+        per = _per_run_summary(result)
         summary["runs"][label] = per
         all_ok = all_ok and per["entropy_balance"]["ok"]
     summary["ok"] = all_ok
@@ -183,6 +177,15 @@ def _final_fields(config: ExperimentConfig, pure_diffusion: bool) -> np.ndarray:
     return state.values
 
 
+def _orders(errors, finals) -> list:
+    """log2 of each pair of successive errors, or None (JSON null) where
+    either error is at or below linear_solver_tol (1 + max|u|), the amount
+    by which the diffusion solve itself may miss: that is roundoff, not an
+    order."""
+    floor = StepperConfig.linear_solver_tol * (1.0 + max(float(np.abs(u).max()) for u in finals))
+    return [math.log2(e0 / e1) if min(e0, e1) > floor else None for e0, e1 in zip(errors[:-1], errors[1:])]
+
+
 def mesh_order_study(config: ExperimentConfig, levels: int = 3, pure_diffusion: bool = False) -> dict:
     """Self-convergence order in h: run at cells, 2*cells, 4*cells, ...
     compare successive solutions at the final time after restriction."""
@@ -197,10 +200,7 @@ def mesh_order_study(config: ExperimentConfig, levels: int = 3, pure_diffusion: 
         float(np.abs(_restrict(fine) - coarse).max())
         for coarse, fine in zip(finals[:-1], finals[1:])
     ]
-    orders = [
-        math.log2(e0 / e1) if e1 > 0 else math.inf for e0, e1 in zip(errors[:-1], errors[1:])
-    ]
-    return {"errors": errors, "orders": orders, "levels": levels}
+    return {"errors": errors, "orders": _orders(errors, finals), "levels": levels}
 
 
 def dt_order_study(config: ExperimentConfig, splitting: str | None = None, levels: int = 3) -> dict:
@@ -218,12 +218,9 @@ def dt_order_study(config: ExperimentConfig, splitting: str | None = None, level
     errors = [
         float(np.abs(a - b).max()) for a, b in zip(finals[:-1], finals[1:])
     ]
-    orders = [
-        math.log2(e0 / e1) if e1 > 0 else math.inf for e0, e1 in zip(errors[:-1], errors[1:])
-    ]
     return {
         "errors": errors,
-        "orders": orders,
+        "orders": _orders(errors, finals),
         "splitting": splitting or config.stepper.splitting,
         "dt_base": config.stepper.dt,
     }

@@ -99,11 +99,27 @@ class TestRunCommand:
             ("n_values", [None]),
             ("p_values", ["x"]),
             ("seed", "abc"),
+            ("initial[1].value", "abc"),
+            ("initial[0].modes[0]", "a"),
+            ("initial[1].value", float("nan")),
+            ("initial[0].base", float("nan")),
+            ("initial[0].base", float("inf")),
+            ("initial[2]", {"kind": "expression", "formula": "sqrt(x-0.5)"}),
+            ("initial[2]", {"kind": "expression", "formula": "1/(x-x)"}),
+            ("initial[2]", {"kind": "expression", "formula": "undefined_name(x)"}),
+            ("system.d[0]", float("nan")),
+            ("system.d[0]", float("inf")),
+            ("system.alpha[0]", float("nan")),
+            ("system.m", 3.5),
+            ("grid.lengths[0]", float("nan")),
+            ("grid.lengths[0]", float("inf")),
+            ("grid.cells[0]", 16.7),
         ],
     )
     def test_non_finite_or_zero_fields_exit_1_naming_the_field(self, tmp_path, capsys, path, value):
         bad = json.loads(json.dumps(FAST_CONFIG))
-        *parents, key = path.split(".")
+        bad["initial"][0] = {"kind": "cosine", "base": 1.2, "amplitude": 0.1, "modes": [1]}
+        *parents, key = [int(k[1:-1]) if k[0] == "[" else k for k in re.findall(r"\w+|\[\d+\]", path)]
         target = bad
         for name in parents:
             target = target[name]
@@ -144,6 +160,27 @@ class TestStudyCommands:
         assert main(["study-mesh", "--config", str(cfg), "--out", str(out), "--levels", "3"]) == EXIT_OK
         table = json.loads((out / "summary.json").read_text())
         assert "spatial" in table and "dt_lie" in table and "dt_strang" in table
+
+    def test_study_mesh_reports_null_orders_at_an_exact_equilibrium(self, tmp_path):
+        # constant data (1, 1, 1) with alpha = (1, 1, 1) never moves: every
+        # error is 0, and an order of 0/0 is no order
+        flat = {
+            **FAST_CONFIG,
+            "grid": {"lengths": [1.0], "cells": [16]},
+            "initial": [{"kind": "constant", "value": 1.0}] * 3,
+            "t_final": 0.5,
+        }
+        cfg = write_config(tmp_path, flat)
+        out = tmp_path / "out"
+        assert main(["study-mesh", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        table = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        for study in ("spatial", "dt_lie", "dt_strang"):
+            assert table[study]["errors"] == [0.0, 0.0]
+            assert table[study]["orders"] == [None]
 
 
 class TestAnalysisCommands:

@@ -160,6 +160,17 @@ class TestSmoothing:
             _solve_sourced_heat(grid, 1.0, source, dt=dt, n_steps=5)
         assert info.value.kind == "linear-solver"
 
+    def test_sourced_heat_nan_source_breaches(self):
+        from trdlab.errors import InvariantBreach
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid((1.0,), (16,))
+        source = np.ones(grid.shape)
+        source[4] = math.nan
+        with pytest.raises(InvariantBreach):
+            _solve_sourced_heat(grid, 1.0, source, dt=0.01, n_steps=3)
+
     def test_probe_ratios_stable_below_threshold(self):
         report = smoothing_probe(SPEC, p=2.0, s=4.0, dimension=1, trials=4, cells=32)
         assert report["passed"], report

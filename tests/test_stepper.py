@@ -54,7 +54,10 @@ class TestReactionCellSolve:
         for _ in range(20):
             cell = rng.uniform(0.0, 5.0, size=3)
             out = reaction_cell_solve(cell, LIMIT3, dt=0.37)
-            np.testing.assert_array_equal(out[:2] + out[2], cell[:2] + cell[2])
+            sigma = cell[:2] + cell[2]
+            # the solve stores fl(sigma - a_m); adding a_m back lands within one ulp
+            np.testing.assert_array_equal(out[:2], sigma - out[2])
+            assert np.all(np.abs(out[:2] + out[2] - sigma) <= np.spacing(sigma))
 
     def test_output_stays_in_the_invariant_box(self):
         rng = np.random.default_rng(5)
@@ -460,6 +463,26 @@ class TestStepAndRun:
         fs = FieldSet(SYS3, grid, vals)
         with pytest.raises(InvariantBreach):
             run(fs, StepperConfig(dt=0.1), LIMIT3, t_final=1.0)
+
+    @pytest.mark.parametrize("species, bad", [(0, math.inf), (2, math.nan), (2, math.inf)])
+    def test_non_finite_cell_breaches_within_one_step(self, species, bad):
+        # inf in a diffusing species turns its modes to NaN; inf in the frozen
+        # product makes the pair-mass drift NaN.  Every gate must fail on NaN,
+        # which no comparison x > limit does
+        grid = Grid((1.0,), (16,))
+        vals = np.ones((3, 16))
+        vals[species, 5] = bad
+        rates = [RegularizedRates(SYS3, 10.0), LIMIT3]
+        with pytest.raises(InvariantBreach, match="at n=10: "):
+            run(FieldSet(SYS3, grid, vals), StepperConfig(dt=0.05), rates, t_final=0.05)
+
+    def test_nan_diffusion_residual_breaches(self):
+        grid = Grid((1.0,), (16,))
+        vals = np.ones((3, 16))
+        vals[1, 7] = math.nan
+        with pytest.raises(InvariantBreach) as info:
+            diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 0.01))
+        assert info.value.kind == "linear-solver"
 
     def test_entropy_of_split_step_never_increases(self):
         grid = Grid((1.0,), (32,))
