@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSet
-from .grid import gradient_energy, per_level
+from .grid import Field, gradient_energy, per_level
 from .kinetics import RegularizedRates, entropy_kernel
 from .model import DegeneracyClassification, classify
 
@@ -35,9 +35,9 @@ _LOG_FLOOR = 1e-30  # keeps reported dissipation finite at vacuum states
 def entropy(fields: FieldSet):
     """E = integral of sum_i alpha_i (a_i (ln a_i - 1) + 1) >= 0; a float
     for one state, one value per n-level for a batch."""
-    alpha = np.asarray(fields.system.alpha)
+    m = fields.system.m
     kern = entropy_kernel(fields.values)
-    weighted = np.tensordot(alpha, kern, axes=(0, 0))
+    weighted = np.dot(np.reshape(fields.system.alpha, (1, m)), kern.reshape(m, -1)).reshape(kern.shape[1:])
     return per_level(fields.grid.cell_sum(weighted) * fields.grid.cell_measure)
 
 
@@ -52,11 +52,10 @@ def dissipation(fields: FieldSet, rates: RegularizedRates):
     (conservatively truncated) value.
     """
     system = fields.system
-    grad_part = 0.0
-    for i in range(1, system.m + 1):
-        w = system.alpha[i - 1] * system.d[i - 1]
-        if w > 0.0:
-            grad_part += w * gradient_energy(fields.species(i), weighted=True)
+    w = np.multiply(system.alpha, system.d)
+    rows = np.flatnonzero(w > 0.0)
+    energies = gradient_energy(Field(fields.grid, fields.values[rows]), weighted=True) if rows.size else ()
+    grad_part = per_level(sum(w[i] * e for i, e in zip(rows, energies)))
     x = np.asarray(rates.reactant_product(fields.values))
     y = fields.values[-1]
     phi = np.asarray(rates.phi(fields.values))
@@ -84,9 +83,8 @@ def m2_bound(system, e0: float, domain_measure: float) -> float:
     """M2 = max(alpha) e^2 |Omega| + (max alpha / min alpha) E(0); zero
     exponents are excluded from the min (weight-0 species carry no
     entropy)."""
-    alphas = [a for a in system.alpha]
-    pos = [a for a in alphas if a > 0]
-    return max(alphas) * math.e**2 * domain_measure + (max(alphas) / min(pos)) * e0
+    pos = [a for a in system.alpha if a > 0]
+    return max(system.alpha) * math.e**2 * domain_measure + (max(system.alpha) / min(pos)) * e0
 
 
 @dataclass
@@ -184,13 +182,7 @@ class DiagnosticsTracker:
         self.e0 = entropy(initial)
         self.m2 = m2_bound(self.system, self.e0, initial.grid.measure)
         m = self.system.m
-        meas = initial.grid.cell_measure
-        self.pair_mass0 = np.array(
-            [
-                (initial.values[i] + initial.values[m - 1]).sum() * meas
-                for i in range(m - 1)
-            ]
-        )
+        self.pair_mass0 = initial.grid.cell_sum(initial.values[:-1] + initial.values[-1]) * initial.grid.cell_measure
         lam1_react = sorted(self.classification.lambda1 - {m})
         self._deg_pairs = [
             (i, j, initial.values[i - 1] - initial.values[j - 1])
@@ -219,10 +211,8 @@ class DiagnosticsTracker:
         self.diss_integral = self.diss_integral + self.dissipation[0] * dt
         for p in self.p_values:
             self._st_accum[p] += grid.cell_sum(np.abs(fields.values) ** p * meas) * dt
-        am = fields.values[-1]
-        for i in range(self.system.m - 1):
-            ai = fields.values[i]
-            self._l1prod_accum[i] += grid.cell_sum(ai * ai + ai * am) * meas * dt
+        a = fields.values[:-1]
+        self._l1prod_accum += grid.cell_sum(a * a + a * fields.values[-1]) * meas * dt
 
     def observe(self, time: float, fields: FieldSet, level: int) -> DiagnosticsRecord:
         """The record of n-level `level` at `time`: entropy and dissipation
@@ -231,28 +221,13 @@ class DiagnosticsTracker:
         meas = fields.grid.cell_measure
         norms = lp_norms(fields, (1.0, 2.0) + self.p_values + (math.inf,))
         d_tot, d_grad, d_reac = (float(v) for v in self.dissipation[:, level])
-        pair_mass = np.array(
-            [(fields.values[i] + fields.values[m - 1]).sum() * meas for i in range(m - 1)]
-        )
+        v = fields.values
+        pair_mass = fields.grid.cell_sum(v[:-1] + v[-1]) * meas
         with np.errstate(divide="ignore", invalid="ignore"):
-            drift = np.abs(pair_mass - self.pair_mass0) / np.maximum(
-                np.abs(self.pair_mass0), 1e-300
-            )
-        deg_dev = max(
-            (
-                float(np.abs(fields.values[i - 1] - fields.values[j - 1] - off).max())
-                for i, j, off in self._deg_pairs
-            ),
-            default=0.0,
-        )
-        a2_dev = max(
-            (
-                float(np.abs(fields.values[i - 1] + fields.values[m - 1] - ref).max())
-                for i, ref in self._a2_sums
-            ),
-            default=0.0,
-        )
-        mass_total = float(fields.values.sum() * meas)
+            drift = np.abs(pair_mass - self.pair_mass0) / np.maximum(np.abs(self.pair_mass0), 1e-300)
+        deg_dev = max((float(np.abs(v[i - 1] - v[j - 1] - off).max()) for i, j, off in self._deg_pairs), default=0.0)
+        a2_dev = max((float(np.abs(v[i - 1] + v[m - 1] - ref).max()) for i, ref in self._a2_sums), default=0.0)
+        mass_total = float(v.sum() * meas)
         return DiagnosticsRecord(
             time=time,
             entropy=float(self.entropy[level]),

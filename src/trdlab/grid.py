@@ -38,15 +38,15 @@ class Grid:
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return len(self.lengths)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.cells))
 
-    @property
+    @cached_property
     def cell_measure(self) -> float:
         return float(np.prod(self.h))
 
@@ -166,12 +166,13 @@ def _face_gradient_energy(values: np.ndarray, grid: Grid):
     leading index."""
     total = 0.0
     for axis in range(values.ndim - grid.dimension, values.ndim):
-        h = grid.h[axis - values.ndim]
-        diff = np.diff(values, axis=axis) / h
-        sq = diff**2
+        before = (slice(None),) * axis
+        sq = values[before + (slice(1, None),)] - values[before + (slice(None, -1),)]
+        sq /= grid.h[axis - values.ndim]
+        sq *= sq
         w = grid.cell_sum(sq)
-        first = grid.cell_sum(np.take(sq, [0], axis=axis))
-        last = grid.cell_sum(np.take(sq, [-1], axis=axis))
+        first = grid.cell_sum(sq[before + (slice(None, 1),)])
+        last = grid.cell_sum(sq[before + (slice(-1, None),)])
         total += (w + 0.5 * first + 0.5 * last) * grid.cell_measure
     return total
 

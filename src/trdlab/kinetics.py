@@ -29,8 +29,16 @@ __all__ = [
 def reactant_product(alpha: np.ndarray, reactants: np.ndarray) -> np.ndarray:
     """prod_j r_j^{alpha_j} over the leading (reactant) axis, with the
     0^0 = 1 convention (spectator species with alpha_j = 0 contribute a
-    unit factor)."""
-    return np.prod(np.power(reactants, alpha.reshape((-1,) + (1,) * (reactants.ndim - 1))), axis=0)
+    unit factor).  Unit exponents are skipped, as their power is exact.
+    Each other factor is a power with a full exponent array: numpy takes
+    x*x or sqrt(x) for a scalar exponent 2 or 1/2, or one broadcast over
+    an array too large to buffer, which rounds unlike its power on a small
+    array, so a cell's product would depend on the size of its batch."""
+    prod = 1.0
+    for j, a in enumerate(alpha):
+        r = reactants[j : j + 1]  # a slice: one cell's factor is an array too
+        prod = prod * (r if a == 1.0 else np.power(r, np.full(r.shape, a)))
+    return prod[0]
 
 
 def phi(Q: float, n, total):
@@ -67,7 +75,7 @@ class RegularizedRates:
             raise ValueError("n must be positive (or +inf)")
 
     def phi(self, state) -> np.ndarray | float:
-        return phi_n(self.system, self.n, state)
+        return phi(self.system.Q, self.n, np.asarray(state, dtype=float).sum(axis=0))
 
     def g(self, state) -> np.ndarray | float:
         """Scalar regularized production g^n = (a_m - prod a_j^alpha_j)/phi^n."""
@@ -86,8 +94,9 @@ def entropy_kernel(a) -> np.ndarray | float:
     """a (ln a - 1) + 1 with 0 ln 0 = 0 (value 1 at a = 0); nonnegative,
     vanishing only at a = 1."""
     a = np.asarray(a, dtype=float)
+    pos = a > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(a > 0.0, a * (np.log(np.where(a > 0.0, a, 1.0)) - 1.0) + 1.0, 1.0)
+        val = np.where(pos, a * (np.log(np.where(pos, a, 1.0)) - 1.0) + 1.0, 1.0)
     if val.ndim == 0:
         return float(val)
     return val

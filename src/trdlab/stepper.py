@@ -91,19 +91,24 @@ class RunResult:
         return float(np.abs(fs.values[-1] - prod).max())
 
 
-def _rate_at(x, sigma, alpha, m, Q, n):
+def _rate_at(x, sigma, alpha, m, Q, n, total=None):
     """The regularized rate along the reaction orbit a_j = sigma_j - x,
-    a_m = x, whose species sum is sum sigma - (m-2) x."""
-    prod = reactant_product(alpha, np.maximum(sigma - x, 0.0))
-    phi_x = phi(Q, n, sigma.sum(axis=0) - (m - 2) * x)
-    return (prod - x) / phi_x, prod, phi_x
+    a_m = x, whose species sum is S = sum sigma - (m-2) x (`total` is sum
+    sigma, if known); then, for the Newton slope, prod, phi, S, prod - x
+    and the reactants max(sigma - x, 0)."""
+    reactants = np.maximum(sigma - x, 0.0)
+    prod = reactant_product(alpha, reactants)
+    S = (sigma.sum(axis=0) if total is None else total) - (m - 2) * x
+    phi_x = phi(Q, n, S)
+    net = prod - x
+    return net / phi_x, prod, phi_x, S, net, reactants
 
 
-def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0):
+def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None):
     """Theta-scheme residual: x - x0 - dt ((1-theta) g(x0) + theta g(x));
     theta = 1 is backward Euler, theta = 1/2 the trapezoidal rule."""
-    g, prod, phi_x = _rate_at(x, sigma, alpha, m, Q, n)
-    return x - x0 - dt * ((1.0 - theta) * g0 + theta * g), prod, phi_x
+    g, *rest = _rate_at(x, sigma, alpha, m, Q, n, total)
+    return (x - x0 - dt * ((1.0 - theta) * g0 + theta * g), *rest)
 
 
 def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=200, tol=1e-14):
@@ -111,45 +116,51 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
     vectorized over cells.  The root is bracketed in [0, min_j sigma_j];
     where the residual has no sign change inside the bracket (spectator
     exponents, or trapezoidal overshoot at large dt) the update clamps
-    at the offending end."""
-    lo = np.zeros_like(x0)
-    hi = sigma.min(axis=0)
-    x = np.clip(x0, lo, hi)
-    g0 = _rate_at(x0, sigma, alpha, m, Q, n)[0] if theta < 1.0 else 0.0
-    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0)
-    r_hi, _, _ = _residual(hi, *args)
-    clamped_hi = r_hi < 0.0
-    r_lo, _, _ = _residual(lo, *args)
-    clamped_lo = r_lo > 0.0
+    at the offending end.  The bracket ends and the start are evaluated
+    in one stacked residual call.  A cell that is done is frozen, so each
+    cell's result is independent of the others in the call."""
+    smin = hi = sigma.min(axis=0)
+    total = sigma.sum(axis=0)
+    lo = np.zeros(x0.shape)
+    x = np.clip(x0, lo, smin)
+    g0 = _rate_at(x0, sigma, alpha, m, Q, n, total)[0] if theta < 1.0 else 0.0
+    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total)
+    r, prod, phi_x, S, net, reactants = _residual(np.array([smin, lo, x]), x0, sigma[:, None], *args[2:])
+    clamped_hi, clamped_lo = r[0] < 0.0, r[1] > 0.0
+    r, prod, phi_x, S, net, reactants = r[2], prod[2], phi_x[2], S[2], net[2], reactants[:, 2]
+    stop = tol * (1.0 + np.abs(x0) + dt)
+    alpha_col = alpha.reshape((-1,) + (1,) * x.ndim)
+    dphi_coeff = -(m - 2) * (Q + 2.0)
     done = np.zeros(x.shape, dtype=bool)
-    for _ in range(max_iter):
-        r, prod, phi_x = _residual(x, *args)
-        done |= np.abs(r) <= tol * (1.0 + np.abs(x0) + dt)
-        if done.all():
-            break
-        pos = r > 0.0
-        hi = np.where(pos, x, hi)
-        lo = np.where(pos, lo, x)
-        mid = 0.5 * (lo + hi)
-        # where the slope times one ulp of x exceeds the tolerance, the bracket
-        # closes on adjacent floats first: mid then rounds to lo or hi, and x is one
-        done |= (mid == lo) | (mid == hi)
-        # analytic derivative of the residual; vanished factors get a huge
-        # finite slope so the Newton guard falls back to bisection there
-        diff = np.maximum(sigma - x, 0.0)
-        inv = np.where(diff > 0.0, 1.0 / np.where(diff > 0.0, diff, 1.0), 1e300)
-        dsum = (alpha.reshape((-1,) + (1,) * x.ndim) * inv).sum(axis=0)
-        dprod = -prod * dsum
-        # dphi is exactly 0 (and phi exactly 1) where n = inf
-        S = sigma.sum(axis=0) - (m - 2) * x
-        dphi = -(m - 2) * (Q + 2.0) * S ** (Q + 1.0) / n
-        dg = ((dprod - 1.0) * phi_x - (prod - x) * dphi) / phi_x**2
-        rprime = 1.0 - dt * theta * dg
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # vanished factors and overshooting Newton steps give infinities the
+    # guards below reject; they are expected, so not warned about
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            if k:
+                r, prod, phi_x, S, net, reactants = _residual(x, *args)
+            done |= np.abs(r) <= stop
+            if done.all():
+                break
+            pos = r > 0.0
+            hi = np.where(pos, x, hi)
+            lo = np.where(pos, lo, x)
+            mid = 0.5 * (lo + hi)
+            # where the slope times one ulp of x exceeds the tolerance, the bracket
+            # closes on adjacent floats first: mid then rounds to lo or hi, and x is one
+            done |= (mid == lo) | (mid == hi)
+            # analytic derivative of the residual; vanished factors get a huge
+            # finite slope so the Newton guard falls back to bisection there
+            inv = np.where(reactants > 0.0, 1.0 / reactants, 1e300)
+            dprod = -prod * (alpha_col * inv).sum(axis=0)
+            # dphi is exactly 0 (and phi exactly 1) where n = inf
+            dphi = dphi_coeff * S ** (Q + 1.0) / n
+            dg = ((dprod - 1.0) * phi_x - net * dphi) / phi_x**2
+            rprime = 1.0 - dt * theta * dg
             newton = x - r / rprime
-        use_newton = np.isfinite(newton) & (newton > lo) & (newton < hi) & (rprime > 0)
-        x = np.where(done, x, np.where(use_newton, newton, mid))
-    x = np.where(clamped_hi, sigma.min(axis=0), x)
+            # both bracket tests are false for a NaN or infinite newton
+            use_newton = (newton > lo) & (newton < hi) & (rprime > 0)
+            x = np.where(done, x, np.where(use_newton, newton, mid))
+    x = np.where(clamped_hi, smin, x)
     x = np.where(clamped_lo, 0.0, x)
     return x, clamped_hi | clamped_lo
 
@@ -170,17 +181,24 @@ def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float):
     return np.append(sigma - x, x)
 
 
+# cells per reaction solve: small enough temporaries that the allocator keeps its heap between steps
+_REACTION_BLOCK = 4096
+
+
 def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, theta: float = 1.0):
+    """The reaction solve over the flattened cells of every n-level, in blocks of _REACTION_BLOCK."""
     system = fields.system
-    m = system.m
-    vals = fields.values
+    vals = fields.values.reshape(system.m, -1)
     sigma = vals[:-1] + vals[-1]
-    alpha = system.reactant_alpha
-    x, _ = _solve_reaction_newton(vals[-1], sigma, alpha, m, system.Q, rates.n, dt, theta=theta)
+    n = np.full(fields.values.shape[1:], rates.n).reshape(-1)
     new = np.empty_like(vals)
-    new[:-1] = sigma - x
-    new[-1] = x
-    return FieldSet(system, fields.grid, new)
+    for start in range(0, vals.shape[1], _REACTION_BLOCK):
+        cells = slice(start, start + _REACTION_BLOCK)
+        x, _ = _solve_reaction_newton(vals[-1, cells], sigma[:, cells], system.reactant_alpha, system.m,
+                                      system.Q, n[cells], dt, theta)
+        new[:-1, cells] = sigma[:, cells] - x
+        new[-1, cells] = x
+    return FieldSet(system, fields.grid, new.reshape(fields.values.shape))
 
 
 def transform_roundoff(c_lam: np.ndarray) -> float:
@@ -282,14 +300,11 @@ def step(
     f = state.fields
     if modal is None:
         modal = _step_diffusion(f, config)
-    if config.splitting == "lie":
-        f = diffusion_substep(f, modal)
-        f = _reaction_substep(f, rates, dt)
-    else:
-        # second-order substeps (Crank-Nicolson / trapezoidal) so the
-        # Strang composition is genuinely O(dt^2)
-        f = diffusion_substep(f, modal)
-        f = _reaction_substep(f, rates, dt, theta=0.5)
+    # Strang takes second-order substeps (Crank-Nicolson / trapezoidal) so
+    # that the composition is genuinely O(dt^2)
+    strang = config.splitting == "strang"
+    f = _reaction_substep(diffusion_substep(f, modal), rates, dt, 0.5 if strang else 1.0)
+    if strang:
         f = diffusion_substep(f, modal)
     return SimulationState(state.time + dt, f, state.step_count + 1)
 

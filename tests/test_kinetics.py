@@ -13,6 +13,7 @@ from trdlab.kinetics import (
     log_inequality_slack,
     phi_n,
     raw_rate,
+    reactant_product,
 )
 from trdlab.model import TriangularSystem
 
@@ -64,6 +65,19 @@ class TestRawRate:
         full = raw_rate(SYS3, batch)
         for k in range(7):
             np.testing.assert_allclose(full[:, k], raw_rate(SYS3, batch[:, k]))
+
+
+class TestReactantProduct:
+    def test_a_cells_product_does_not_depend_on_its_batch(self):
+        # numpy squares, or takes the root for, a scalar exponent of 2 or 1/2,
+        # or one broadcast over an array too large to buffer, and rounds
+        # differently from its power on a small array
+        alpha = np.array([2.0, 0.5, 2.71])
+        reactants = np.random.default_rng(4).uniform(0.0, 5.0, size=(3, 2, 5000))
+        whole = reactant_product(alpha, reactants)
+        assert reactant_product(alpha, reactants[:, 1, :300]).tobytes() == whole[1, :300].tobytes()
+        cells = [reactant_product(alpha, reactants[:, 0, k]) for k in range(300)]
+        assert np.array(cells).tobytes() == whole[0, :300].tobytes()
 
 
 class TestRegularizedRates:

@@ -73,6 +73,19 @@ class TestBatchedEqualsAlone:
         # the levels really differ: the regularization slows n = 10
         assert not np.array_equal(batched[0].final_state.fields.values, batched[1].final_state.fields.values)
 
+    def test_exponents_two_and_one_half_on_a_large_grid(self):
+        # two levels of 2,500 cells: the batch is too large for numpy to
+        # buffer a broadcast exponent, each level alone is not
+        system = TriangularSystem(m=3, alpha=(2.0, 0.5, 1.0), d=(1.0, 0.0, 1.0))
+        grid = Grid((1.0,), (2500,))
+        x = grid.axis_centers(0)
+        vals = np.stack([1.0 + 0.3 * np.cos(math.pi * x), np.full(2500, 0.8), 0.5 + 0.2 * np.cos(2 * math.pi * x)])
+        fs = FieldSet(system, grid, vals)
+        cfg = StepperConfig(dt=0.01, record_every=2)
+        levels = [RegularizedRates(system, n) for n in (10.0, math.inf)]
+        for rates, got in zip(levels, run(fs, cfg, levels, t_final=0.04)):
+            assert_same_run(got, run(fs, cfg, rates, t_final=0.04))
+
     def test_clamp_counts_are_per_level(self):
         # the 64-cell point mass: the transform leaves roundoff negatives
         grid = Grid((1.0,), (64,))

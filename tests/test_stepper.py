@@ -156,12 +156,53 @@ class TestReactionSolveProperties:
         monkeypatch.setattr(stepper_module, "_residual", lambda *a: calls.append(1) or real(*a))
         alpha, Q, dt = system.reactant_alpha, system.Q, 0.0019
         x, clamped = _solve_reaction_newton(x0, sigma, alpha, 3, Q, math.inf, dt)
-        assert len(calls) <= 64
+        # every evaluation goes through _residual: the stacked one for the
+        # bracket ends and the start, then at least one in the loop
+        assert 2 <= len(calls) <= 64
         assert not clamped.any()
         args = (x0[:1], sigma[:, :1], alpha, 3, Q, math.inf, dt, 1.0, 0.0)
         below, above = (real(np.nextafter(x[:1], to), *args)[0][0] for to in (-np.inf, np.inf))
         r = real(x[:1], *args)[0][0]
         assert min(below, r) <= 0.0 <= max(r, above)
+
+
+class TestBlockedReactionSubstep:
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_blocks_equal_one_whole_array_solve(self, monkeypatch, theta):
+        # two levels of 64 x 70 cells: 8,960 cells, three blocks, the last partial
+        import trdlab.stepper as stepper_module
+
+        system = TriangularSystem(m=3, alpha=(0.135, 2.71, 1.0), d=(0.0, 0.0, 0.0))
+        grid = Grid((1.0, 1.0), (64, 70))
+        vals = np.random.default_rng(8).uniform(0.0, 3.0, size=(3, 2, 64, 70))
+        # in the second level, so in the last block: the cell below double
+        # precision resolution, and a cell whose trapezoidal residual has no
+        # sign change in its bracket
+        vals[:, 1, 60, 5] = (0.795 - 0.792, 4.118 - 0.792, 0.792)
+        vals[:, 1, 63, 69] = (1e-4, 2.0, 0.0)
+        n = np.array([10.0, math.inf]).reshape(2, 1, 1)
+        dt, alpha, Q = 0.0019, system.reactant_alpha, system.Q
+        sigma = vals[:-1] + vals[-1]
+        x, clamped = _solve_reaction_newton(vals[-1], sigma, alpha, 3, Q, n, dt, theta)
+
+        blocks = []
+        real = stepper_module._solve_reaction_newton
+        monkeypatch.setattr(stepper_module, "_solve_reaction_newton", lambda *a: blocks.append(real(*a)) or blocks[-1])
+        out = _reaction_substep(FieldSet(system, grid, vals), RegularizedRates(system, n), dt, theta)
+        sizes = [b[0].size for b in blocks]
+        assert len(sizes) >= 3 and sum(sizes) == x.size and sizes[-1] < sizes[0]
+        assert out.values[-1].tobytes() == x.tobytes()
+        assert out.values[:-1].tobytes() == (sigma - x).tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == clamped.tobytes()
+        # theta = 1/2 clamps both cells at their upper bracket end
+        assert clamped[1, 63, 69] == clamped[1, 60, 5] == (theta == 0.5)
+        if theta == 1.0:
+            # the first cell stopped at a one-ulp bracket short of the tolerance
+            args = (vals[-1, 1, 60, 5:6], sigma[:, 1, 60, 5:6], alpha, 3, Q, math.inf, dt)
+            at = x[1, 60, 5:6]
+            r, below, above = (_residual(v, *args)[0][0] for v in (at, np.nextafter(at, -1.0), np.nextafter(at, 9.0)))
+            assert abs(r) > 1e-14 * (1.0 + 0.792 + dt)
+            assert min(below, r) <= 0.0 <= max(r, above)
 
 
 class TestDiffusionSubstep:
