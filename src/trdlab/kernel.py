@@ -132,11 +132,11 @@ def semigroup_check(spec: KernelSpec, t: float, s: float, n_points: int = 9, n_q
     L = spec.lengths[0]
     z = _midpoints(L, n_quad)
     pts = np.linspace(0.0, L, n_points)
+    rights = [heat_kernel_eval(spec, s, z, float(y)) for y in pts]
     worst = 0.0
     for x in pts:
         left = heat_kernel_eval(spec, t, float(x), z)
-        for y in pts:
-            right = heat_kernel_eval(spec, s, z, float(y))
+        for y, right in zip(pts, rights):
             composed = float(np.sum(left * right) * (L / n_quad))
             direct = float(heat_kernel_eval(spec, t + s, float(x), float(y)))
             worst = max(worst, abs(composed - direct))

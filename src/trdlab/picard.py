@@ -58,6 +58,9 @@ class PointwiseInputs:
             if arr.shape != times.shape:
                 raise ValueError(f"{name} must share the time mesh")
             object.__setattr__(self, name, arr)
+        finite = (times, self.a_j0, self.driver_am, self.delta1, self.delta3, self.offsets)
+        if not all(np.isfinite(v).all() for v in finite):
+            raise ValueError("times, a_j0, drivers and offsets must be finite")
         if len(times) < 2 or times[0] != 0.0:
             raise ValueError("time mesh must start at 0 with at least two nodes")
         dts = np.diff(times)
@@ -80,10 +83,11 @@ class PointwiseInputs:
         """delta2 at r: on floats, or elementwise on an object array of mp.mpf."""
         r = np.asarray(r)
         pos = r > 0
-        out = np.where(pos, r, 1.0) ** (self.alpha_j - 1.0)
+        base = np.where(pos, r, 1.0)
+        out = base if self.alpha_j == 2.0 else base ** (self.alpha_j - 1.0)  # unit powers are exact: skipped
         out = np.where(pos | (self.alpha_j == 1.0), out, 0.0)
         for off, a in zip(self.offsets, self.offset_alphas):
-            out = out * (off + r) ** a
+            out = out * (off + r if a == 1.0 else (off + r) ** a)
         return out
 
 
@@ -94,32 +98,33 @@ class PicardBoundConstants:
     T: float
 
     def __post_init__(self):
-        if min(self.C4, self.C5, self.T) <= 0:
-            raise ValueError("C4, C5 and T must be positive")
+        if not all(0 < v < math.inf for v in (self.C4, self.C5, self.T)):
+            raise ValueError("C4, C5 and T must be positive and finite")
 
     def envelope(self, p: int, safety: float = 1.0) -> float:
         return safety * 2.0 * self.T * self.C4 * (self.C5 * self.T) ** p / math.factorial(p)
 
 
-def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
+def _cumtrapz(f: np.ndarray, half_dt) -> np.ndarray:
     out = np.empty_like(f)
     out[0] = 0.0
-    np.cumsum((f[1:] + f[:-1]) * dt / 2, out=out[1:])
+    np.cumsum((f[1:] + f[:-1]) * half_dt, out=out[1:])
     return out
 
 
 def _map(inputs: PointwiseInputs, a, drivers, exp):
-    """The integrating-factor map, with drivers = (driver_am, delta1,
-    delta3, a_j0, dt) as floats and exp = np.exp, or as mp.mpf (object
-    arrays) and mp.exp applied elementwise, under mp.workdps."""
-    am, d1, d3, a0, dt = drivers
-    W = _cumtrapz(d1 * inputs.delta2(a) * d3, dt)
+    """The integrating-factor map, with drivers = `_drivers(inputs, lift)`
+    as floats and exp = np.exp, or as mp.mpf (object arrays) and mp.exp
+    applied elementwise, under mp.workdps."""
+    am_d1, d1, d3, a0, half_dt = drivers
+    W = _cumtrapz(d1 * inputs.delta2(a) * d3, half_dt)
     # array first: mpf + ndarray would make mpmath try to convert the array
-    return exp(-W) * (_cumtrapz(am * d1 * exp(W), dt) + a0)
+    return exp(-W) * (_cumtrapz(am_d1 * exp(W), half_dt) + a0)
 
 
-def _drivers(inputs: PointwiseInputs) -> tuple:
-    return inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt
+def _drivers(inputs: PointwiseInputs, lift=lambda v: v) -> tuple:
+    am, d1, d3, a0, dt = (lift(v) for v in (inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt))
+    return am * d1, d1, d3, a0, dt / 2
 
 
 def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarray:
@@ -140,7 +145,7 @@ def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = No
     iterates = [np.full_like(inputs.times, inputs.a_j0)]
     for _ in range(p_max):
         nxt = integrating_factor_eval(inputs, iterates[-1])
-        if bound is not None and nxt.max() > bound * (1.0 + 1e-9):
+        if bound is not None and not nxt.max() <= bound * (1.0 + 1e-9):
             raise InvariantBreach(
                 "picard-bound",
                 f"iterate exceeded C4 = {bound:g} (max {nxt.max():g})",
@@ -154,7 +159,7 @@ def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     rule), one list of mp.mpf per iterate; used by the envelope
     certification."""
     with mp.workdps(dps):
-        drivers = [np.frompyfunc(mp.mpf, 1, 1)(v) for v in _drivers(inputs)]
+        drivers = _drivers(inputs, np.frompyfunc(mp.mpf, 1, 1))
         exp = np.frompyfunc(mp.exp, 1, 1)
         a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
         iterates = [list(a)]
@@ -196,16 +201,17 @@ def convergence_envelope_check(
     factorial envelope drops below 1e-16 near p = 20) stay resolvable."""
     results = []
     worst_p, worst_margin = None, math.inf
-    for p, traj in enumerate(iterates):
-        with mp.workdps(dps):
-            err = max(abs(mp.mpf(x) - mp.mpf(y)) for x, y in zip(traj, reference))
-            err = float(err)
-        env = constants.envelope(p, safety)
-        ok = err <= env
-        margin = math.inf if err == 0.0 else env / err
-        results.append({"p": p, "error": err, "envelope": env, "ok": ok})
-        if margin < worst_margin:
-            worst_margin, worst_p = margin, p
+    with mp.workdps(dps):
+        reference = [mp.mpf(y) for y in reference]
+        for p, traj in enumerate(iterates):
+            # a float array's max keeps a NaN, which max() over mpf can drop
+            err = float(np.array([abs(mp.mpf(x) - y) for x, y in zip(traj, reference)], dtype=float).max())
+            env = constants.envelope(p, safety)
+            ok = err <= env
+            margin = math.inf if err == 0.0 else env / err
+            results.append({"p": p, "error": err, "envelope": env, "ok": ok})
+            if margin < worst_margin:
+                worst_margin, worst_p = margin, p
     return {
         "passed": all(r["ok"] for r in results),
         "per_p": results,

@@ -206,6 +206,16 @@ class TestAnalysisCommands:
         text = (out / "kernel_fit.csv").read_text()
         assert "C_H" in text and "mass_max_defect" in text
 
+    @pytest.mark.parametrize("argv", [["picard-demo", "--p-max", "8"], ["kernel-check"]])
+    def test_reruns_are_byte_identical(self, tmp_path, argv):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out", str(out_a)]) == EXIT_OK
+        assert main([*argv, "--out", str(out_b)]) == EXIT_OK
+        names = sorted(path.name for path in out_a.iterdir())
+        assert names == sorted(path.name for path in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
     def test_internal_errors_exit_3(self, tmp_path, monkeypatch):
         import trdlab.cli as cli_mod
 

@@ -74,6 +74,20 @@ class TestConservationAndSemigroup:
         out = semigroup_check(SPEC, t=0.01, s=0.02)
         assert out["max_defect"] <= 1e-6
 
+    @pytest.mark.parametrize("spec", [SPEC, KernelSpec(d=0.5, lengths=(2.0,), truncation=60)])
+    def test_semigroup_defect_equals_a_loop_over_every_pair(self, spec):
+        t, s, n_quad = 0.01, 0.02, 512
+        L = spec.lengths[0]
+        z = (np.arange(n_quad) + 0.5) * (L / n_quad)
+        worst = 0.0
+        for x in np.linspace(0.0, L, 9):
+            for y in np.linspace(0.0, L, 9):
+                left = heat_kernel_eval(spec, t, float(x), z)
+                right = heat_kernel_eval(spec, s, z, float(y))
+                composed = float(np.sum(left * right) * (L / n_quad))
+                worst = max(worst, abs(composed - float(heat_kernel_eval(spec, t + s, float(x), float(y)))))
+        assert semigroup_check(spec, t, s)["max_defect"] == worst
+
 
 class TestGaussianBound:
     def test_fit_is_finite_and_stable(self):

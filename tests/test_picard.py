@@ -1,7 +1,9 @@
 """Integrating-factor map, Picard iteration, and the factorial envelope."""
 
 import math
+from itertools import accumulate
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -35,6 +37,74 @@ def linear_inputs(a_j0=0.3, n_points=2001, T=1.0):
     )
 
 
+def offset_inputs(n_points=101, T=1.0):
+    """alpha_j = 2 (a unit power in delta2), non-constant delta1, and two
+    offsets with exponents 1 and 1/2."""
+    t = np.linspace(0.0, T, n_points)
+    return PointwiseInputs(
+        times=t,
+        a_j0=0.2,
+        alpha_j=2.0,
+        offsets=(0.1, 0.3),
+        offset_alphas=(1.0, 0.5),
+        driver_am=0.25 + 0.05 * np.exp(-t),
+        delta1=1.0 / (1.0 + 0.5 * t * t),
+        delta3=0.3 - 0.1 * np.exp(-t),
+    )
+
+
+def reference_map(inputs, a, lift, exp):
+    """The integrating-factor map node by node, in the operation order it
+    had before its loop invariants were hoisted: trapezoid sums (f_i + f_{i-1}) * dt / 2 accumulated
+    from the left, am * d1 * exp(W) per node.  numpy's exp and powers on
+    arrays round unlike math.exp and Python's **, so each exp and power is
+    taken on a one-node array; `lift` is float, or mp.mpf under mp.workdps."""
+    n = len(a)
+    am, d1, d3 = ([lift(v) for v in arr] for arr in (inputs.driver_am, inputs.delta1, inputs.delta3))
+    dt, a0 = lift(inputs.dt), lift(inputs.a_j0)
+
+    def node(f, x):
+        return f(np.array([x]))[0]
+
+    def delta2(r):
+        out = node(lambda v: v ** (inputs.alpha_j - 1.0), r if r > 0 else 1.0)
+        if not (r > 0 or inputs.alpha_j == 1.0):
+            out = 0.0
+        for off, e in zip(inputs.offsets, inputs.offset_alphas):
+            out = out * node(lambda v: v**e, off + r)
+        return out
+
+    def cumtrapz(f):
+        return [0.0] + list(accumulate((f[i] + f[i - 1]) * dt / 2 for i in range(1, n)))
+
+    W = cumtrapz([d1[i] * delta2(a[i]) * d3[i] for i in range(n)])
+    J = cumtrapz([am[i] * d1[i] * node(exp, W[i]) for i in range(n)])
+    return [node(exp, -W[i]) * (J[i] + a0) for i in range(n)]
+
+
+def reference_iterates(inputs, p_max, lift, exp):
+    iterates = [[lift(inputs.a_j0)] * len(inputs.times)]
+    for _ in range(p_max):
+        iterates.append(reference_map(inputs, iterates[-1], lift, exp))
+    return iterates
+
+
+class TestMapArithmetic:
+    def test_float_iterates_equal_the_reference_bit_for_bit(self):
+        inp = offset_inputs()
+        expected = reference_iterates(inp, 10, float, np.exp)
+        for p, (got, want) in enumerate(zip(picard_iterate(inp, p_max=10), expected, strict=True)):
+            assert got.tobytes() == np.array(want).tobytes(), p
+
+    def test_mp_iterates_equal_the_reference_at_80_digits(self):
+        inp = offset_inputs()
+        got = picard_iterate_mp(inp, p_max=6, dps=80)
+        with mp.workdps(80):  # repr prints as many digits as the working precision holds
+            expected = reference_iterates(inp, 6, mp.mpf, np.frompyfunc(mp.exp, 1, 1))
+            for p, (mine, want) in enumerate(zip(got, expected, strict=True)):
+                assert repr(mine) == repr(want), p
+
+
 class TestPointwiseInputs:
     def test_rejects_nonuniform_mesh(self):
         t = np.array([0.0, 0.1, 0.3])
@@ -52,6 +122,23 @@ class TestPointwiseInputs:
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
             PointwiseInputs(t, 0.1, 1.0, (), (), np.ones(4), np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("field", ["times", "a_j0", "driver_am", "delta1", "delta3", "offsets"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_data(self, field, bad):
+        t = np.linspace(0, 1, 5)
+        data = {"times": t, "a_j0": 0.1, "alpha_j": 1.0, "offsets": (0.2,), "offset_alphas": (1.0,)}
+        data |= {name: np.ones(5) for name in ("driver_am", "delta1", "delta3")}
+        if field == "times":
+            data["times"] = np.append(t[:-1], bad)
+        elif field == "a_j0":
+            data["a_j0"] = bad
+        elif field == "offsets":
+            data["offsets"] = (bad,)
+        else:
+            data[field][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PointwiseInputs(**data)
 
     def test_delta2_offsets_and_exponents(self):
         t = np.linspace(0, 1, 3)
@@ -114,6 +201,14 @@ class TestPicardIteration:
         with pytest.raises(InvariantBreach):
             picard_iterate(inp, p_max=3, bound=0.5)  # limit approaches 1 > 0.5
 
+    def test_nan_iterate_breaches_the_bound(self):
+        # W reaches 1e6: exp(-W) underflows to 0 and exp(W) overflows, and
+        # 0 * inf is NaN from the second node on
+        t = np.linspace(0, 1, 11)
+        inp = PointwiseInputs(t, 1.0, 1.0, (), (), np.ones_like(t), np.ones_like(t), np.full_like(t, 1e6))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvariantBreach, match="nan"):
+            picard_iterate(inp, p_max=1, bound=2.0)
+
     def test_final_iterate_matches_adaptive_oracle(self):
         inp, constants, fns = canonical_scenario(n_points=4001)
         last = picard_iterate(inp, p_max=25, bound=constants.C4)[-1]
@@ -148,6 +243,21 @@ class TestEnvelope:
     def test_constants_require_positive_values(self):
         with pytest.raises(ValueError):
             PicardBoundConstants(C4=0.0, C5=1.0, T=1.0)
+
+    @pytest.mark.parametrize("c4, c5, T", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf)])
+    def test_constants_reject_non_finite_values(self, c4, c5, T):
+        with pytest.raises(ValueError):
+            PicardBoundConstants(C4=c4, C5=c5, T=T)
+
+    def test_nan_error_fails_the_check(self):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        iters = picard_iterate(inp, p_max=3)
+        broken = iters[1].copy()
+        broken[150] = math.nan  # not the first node, which max() would keep
+        rep = convergence_envelope_check([iters[0], broken], constants, iters[-1])
+        assert math.isnan(rep["per_p"][1]["error"])
+        assert rep["per_p"][1]["ok"] is False
+        assert rep["passed"] is False
 
 
 class TestCanonicalScenario:
