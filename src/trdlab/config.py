@@ -19,9 +19,11 @@ Schema (all keys at the top level):
       "seed": 0
     }
 
-Expression initial data is evaluated with the coordinate arrays (x, and
-y in 2D) plus a small math namespace; smoothness of the profile is the
-author's responsibility.
+The grid takes one length and one cell count per axis, in any dimension.
+A cosine profile takes at most one mode per axis; axes without one are
+constant.  Expression initial data is evaluated with the coordinate
+arrays of the first three axes (x, y, z) plus a small math namespace;
+smoothness of the profile is the author's responsibility.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _parse_grid(data, path: str) -> Grid:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _validate_initial_spec(spec, path: str) -> dict:
+def _validate_initial_spec(spec, path: str, dimension: int) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
     kind = _require(spec, "kind", path)
@@ -129,6 +131,8 @@ def _validate_initial_spec(spec, path: str) -> dict:
         base = _number(_require(spec, "base", path), f"{path}.base")
         amplitude = _number(spec.get("amplitude", 0.0), f"{path}.amplitude")
         modes = _numbers(spec.get("modes", [1]), f"{path}.modes", int, low=0)
+        if len(modes) > dimension:
+            raise ConfigError(f"{path}.modes", f"{len(modes)} modes for a grid of {dimension} axes")
         if base - abs(amplitude) < 0:
             raise ConfigError(path, "cosine profile dips below zero (base < |amplitude|)")
         return {"kind": kind, "base": base, "amplitude": amplitude, "modes": modes}
@@ -154,7 +158,7 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     if not isinstance(raw_initial, list) or len(raw_initial) != system.m:
         raise ConfigError("$.initial", f"expected a list of {system.m} per-species specs")
     initial = tuple(
-        _validate_initial_spec(spec, f"$.initial[{i}]") for i, spec in enumerate(raw_initial)
+        _validate_initial_spec(spec, f"$.initial[{i}]", grid.dimension) for i, spec in enumerate(raw_initial)
     )
 
     stepper_raw = _require(data, "stepper", "$")
@@ -207,20 +211,14 @@ def _evaluate_species(spec: dict, grid: Grid, path: str) -> np.ndarray:
     if spec["kind"] == "constant":
         return np.full(grid.shape, spec["value"])
     if spec["kind"] == "cosine":
-        out = np.full(grid.shape, spec["base"])
         profile = np.ones(grid.shape)
-        for axis, L in enumerate(grid.lengths):
-            k = spec["modes"][axis] if axis < len(spec["modes"]) else 0
-            shape = [1] * len(grid.lengths)
-            shape[axis] = -1
-            profile = profile * np.cos(k * math.pi * grid.axis_centers(axis) / L).reshape(shape)
-        return out + spec["amplitude"] * profile
+        for axis, k in enumerate(spec["modes"]):
+            x = grid.axis_centers(axis).reshape((-1,) + (1,) * (grid.dimension - 1 - axis))
+            profile = profile * np.cos(k * math.pi * x / grid.lengths[axis])
+        return spec["base"] + spec["amplitude"] * profile
     # expression table, evaluated on cell centers
     names = dict(_EXPR_NAMESPACE)
-    coords = grid.centers()
-    names["x"] = coords[0]
-    if len(coords) > 1:
-        names["y"] = coords[1]
+    names.update(zip("xyz", grid.centers()))
     try:
         with np.errstate(all="ignore"):  # non-finite values are reported by build_initial
             values = eval(spec["formula"], {"__builtins__": {}}, names)  # noqa: S307 - sandboxed namespace

@@ -1,5 +1,5 @@
-"""Cell-centered finite-volume grids on 1D intervals and 2D rectangles
-with homogeneous Neumann boundary (mirror ghost cells).
+"""Cell-centered finite-volume grids on boxes of any dimension with
+homogeneous Neumann boundary (mirror ghost cells).
 
 The discrete Laplacian is symmetric with zero row sums, so constants are
 harmonic and integrate(laplacian(u)) vanishes to roundoff.  The
@@ -12,7 +12,7 @@ Transform", SIAM Review 41, 1999).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,8 +31,8 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
-        if len(self.lengths) not in (1, 2) or len(self.lengths) != len(self.cells):
-            raise ValueError("grids are 1D intervals or 2D rectangles")
+        if not self.lengths or len(self.lengths) != len(self.cells):
+            raise ValueError("need one length and one cell count per axis, and at least one axis")
         if any(v <= 0 for v in self.lengths):
             raise ValueError("lengths must be positive")
         if any(n < 2 for n in self.cells):
@@ -64,24 +64,20 @@ class Grid:
 
     def centers(self):
         """Cell-center coordinate arrays, broadcastable to `shape`."""
-        axes = [self.axis_centers(k) for k in range(self.dimension)]
-        if self.dimension == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*map(self.axis_centers, range(self.dimension)), indexing="ij"))
 
     @cached_property
     def laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse Neumann Laplacian acting on flattened fields."""
+        """Sparse Neumann Laplacian acting on flattened fields: the
+        Kronecker sum of the per-axis operators, last axis fastest."""
         mats = []
         for n, h in zip(self.cells, self.h):
             main = np.full(n, -2.0)
             main[0] = main[-1] = -1.0
             off = np.ones(n - 1)
             mats.append(sp.diags([off, main, off], [-1, 0, 1]) / h**2)
-        if self.dimension == 1:
-            return mats[0].tocsr()
-        eye = [sp.identity(n) for n in self.cells]
-        return (sp.kron(mats[0], eye[1]) + sp.kron(eye[0], mats[1])).tocsr()
+        # kronsum(A, B) = kron(I, A) + kron(B, I) puts A on the fast axis
+        return reduce(sp.kronsum, mats[::-1]).tocsr()
 
     @cached_property
     def laplacian_eigenvalues(self) -> tuple[np.ndarray, ...]:
@@ -95,8 +91,7 @@ class Grid:
     def mode_eigenvalues(self) -> np.ndarray:
         """Laplacian eigenvalue of every tensor-product mode, shaped like
         the grid."""
-        lam = self.laplacian_eigenvalues
-        return lam[0] if self.dimension == 1 else lam[0][:, None] + lam[1][None, :]
+        return reduce(np.add.outer, self.laplacian_eigenvalues)
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal DCT-II coefficients of `values` over its trailing

@@ -101,6 +101,7 @@ class TestRunCommand:
             ("seed", "abc"),
             ("initial[1].value", "abc"),
             ("initial[0].modes[0]", "a"),
+            ("initial[0].modes", [1, 2]),
             ("initial[1].value", float("nan")),
             ("initial[0].base", float("nan")),
             ("initial[0].base", float("inf")),

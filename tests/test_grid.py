@@ -29,7 +29,7 @@ class TestGridGeometry:
         [
             dict(lengths=(1.0,), cells=(1,)),
             dict(lengths=(-1.0,), cells=(4,)),
-            dict(lengths=(1.0, 1.0, 1.0), cells=(4, 4, 4)),
+            dict(lengths=(), cells=()),
             dict(lengths=(1.0, 1.0), cells=(4,)),
         ],
     )
@@ -76,7 +76,12 @@ class TestLaplacian:
 
 
 class TestDctDiagonalisation:
-    GRIDS = [Grid((1.0,), (16,)), Grid((1.0, 1.0), (8, 8)), Grid((1.0, 2.0), (6, 9))]
+    GRIDS = [
+        Grid((1.0,), (16,)),
+        Grid((1.0, 1.0), (8, 8)),
+        Grid((1.0, 2.0), (6, 9)),
+        Grid((1.0, 2.0, 0.5), (6, 5, 4)),
+    ]
 
     @pytest.mark.parametrize("g", GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
     def test_modes_are_eigenvectors_of_the_matrix(self, g):
@@ -99,8 +104,8 @@ class TestDctDiagonalisation:
         for g in self.GRIDS:
             assert g.mode_eigenvalues()[(0,) * g.dimension] == 0.0
 
-    def test_batched_stencil_matches_matrix_row_by_row(self):
-        g = Grid((1.0, 2.0), (6, 9))
+    @pytest.mark.parametrize("g", GRIDS[2:], ids=lambda g: "x".join(map(str, g.cells)))
+    def test_batched_stencil_matches_matrix_row_by_row(self, g):
         u = np.random.default_rng(1).standard_normal((2, 3) + g.shape)
         batched = g.laplacian(u)
         for idx in np.ndindex(2, 3):
@@ -113,12 +118,18 @@ class TestQuadratures:
         g = Grid((2.0, 3.0), (10, 12))
         assert integrate(g.constant_field(1.5)) == pytest.approx(9.0)
 
-    def test_gradient_energy_of_linear_profile(self):
-        # u = x on (0, 1): integral of |u'|^2 is exactly 1, and the
-        # boundary half-cell extension keeps the discrete value exact
-        g = Grid((1.0,), (50,))
-        u = g.axis_centers(0)
-        assert gradient_energy(g.field(u)) == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize(
+        "g, slope",
+        [(Grid((1.0,), (50,)), (1.0,)), (Grid((1.0, 2.0, 0.5), (10, 12, 6)), (1.0, 2.0, -3.0))],
+        ids=["1d", "3d"],
+    )
+    def test_gradient_energy_of_linear_profile(self, g, slope):
+        # u = slope . x: |grad u|^2 = |slope|^2 everywhere, so the integral
+        # is |slope|^2 times the measure (1 on (0, 1), 14 on the 3D box),
+        # and the boundary half-cell extension keeps the discrete value exact
+        u = sum(c * x for c, x in zip(slope, g.centers()))
+        expected = sum(c * c for c in slope) * g.measure
+        assert gradient_energy(g.field(u)) == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_energy_of_constant_is_zero(self):
         g = Grid((1.0, 1.0), (8, 8))

@@ -35,6 +35,17 @@ GRID_2D = {
     "t_final": 0.2,
 }
 
+GRID_3D = {
+    **GRID_2D,
+    "label": "grid-3d-small",
+    "grid": {"lengths": [1.0, 0.75, 0.5], "cells": [8, 6, 5]},
+    "initial": [
+        {"kind": "cosine", "base": 1.0, "amplitude": 0.2, "modes": [1, 1, 1]},
+        {"kind": "cosine", "base": 1.0, "amplitude": 0.1, "modes": [1, 1, 1]},
+        {"kind": "cosine", "base": 0.5, "amplitude": 0.3, "modes": [1, 1, 1]},
+    ],
+}
+
 
 def short_preset(name, splitting):
     """The preset cut to T = 0.2 (10 steps), recording every 4 steps."""
@@ -64,10 +75,11 @@ class TestBatchedEqualsAlone:
         for n, got in zip(config.n_values, batched):
             assert_same_run(got, run_single(config, n))
 
-    def test_2d_strang_two_levels(self):
-        config = parse_config(GRID_2D)
+    @pytest.mark.parametrize("raw", [GRID_2D, GRID_3D], ids=["2d", "3d"])
+    def test_strang_two_levels(self, raw):
+        config = parse_config(raw)
         batched = run_levels(config, config.n_values)
-        assert batched[0].final_state.fields.values.shape == (3, 16, 12)
+        assert batched[0].final_state.fields.values.shape == (3,) + config.grid.shape
         for n, got in zip(config.n_values, batched):
             assert_same_run(got, run_single(config, n))
         # the levels really differ: the regularization slows n = 10
