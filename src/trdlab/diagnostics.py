@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSet
-from .grid import Field, gradient_energy, per_level
+from .grid import Field, gradient_energy, per_level, work_array
 from .kinetics import RegularizedRates, entropy_kernel
 from .model import DegeneracyClassification, classify
 
@@ -32,16 +32,16 @@ __all__ = [
 _LOG_FLOOR = 1e-30  # keeps reported dissipation finite at vacuum states
 
 
-def entropy(fields: FieldSet):
+def entropy(fields: FieldSet, work: dict | None = None):
     """E = integral of sum_i alpha_i (a_i (ln a_i - 1) + 1) >= 0; a float
-    for one state, one value per n-level for a batch."""
+    for one state, one value per n-level for a batch; temporaries in `work`."""
     m = fields.system.m
-    kern = entropy_kernel(fields.values)
-    weighted = np.dot(np.reshape(fields.system.alpha, (1, m)), kern.reshape(m, -1)).reshape(kern.shape[1:])
-    return per_level(fields.grid.cell_sum(weighted) * fields.grid.cell_measure)
+    kern = entropy_kernel(fields.values, work).reshape(m, -1)
+    weighted = np.dot(np.reshape(fields.system.alpha, (1, m)), kern, out=work_array(work, "entropy", (1, kern.shape[1])))
+    return per_level(fields.grid.cell_sum(weighted.reshape(fields.values.shape[1:])) * fields.grid.cell_measure)
 
 
-def dissipation(fields: FieldSet, rates: RegularizedRates):
+def dissipation(fields: FieldSet, rates: RegularizedRates, work: dict | None = None):
     """Returns (total, gradient_part, reaction_part): floats for one
     state, one value per n-level for a batch.
 
@@ -49,17 +49,22 @@ def dissipation(fields: FieldSet, rates: RegularizedRates):
     vacuum-safe form of |grad a_i|^2 / a_i).  Reaction part:
     (y - x) ln(y/x) / phi^n per cell with x = prod a_j^alpha_j, y = a_m;
     log arguments are floored at 1e-30 so vacuum states report a finite
-    (conservatively truncated) value.
+    (conservatively truncated) value.  Temporaries go in `work`.
     """
     system = fields.system
     w = np.multiply(system.alpha, system.d)
     rows = np.flatnonzero(w > 0.0)
-    energies = gradient_energy(Field(fields.grid, fields.values[rows]), weighted=True) if rows.size else ()
+    y = fields.values[-1]
+    gathered = np.take(fields.values, rows, axis=0, out=work_array(work, "rows", rows.shape + y.shape), mode="clip")
+    energies = gradient_energy(Field(fields.grid, gathered), weighted=True, work=work) if rows.size else ()
     grad_part = per_level(sum(w[i] * e for i, e in zip(rows, energies)))
     x = np.asarray(rates.reactant_product(fields.values))
-    y = fields.values[-1]
     phi = np.asarray(rates.phi(fields.values))
-    term = (y - x) * np.log(np.maximum(y, _LOG_FLOOR) / np.maximum(x, _LOG_FLOOR)) / phi
+    log = np.maximum(y, _LOG_FLOOR, out=work_array(work, "log", y.shape))
+    log /= np.maximum(x, _LOG_FLOOR, out=work_array(work, "term", y.shape))
+    term = np.subtract(y, x, out=work_array(work, "term", y.shape))
+    term *= np.log(log, out=log)
+    term /= phi
     reaction_part = per_level(fields.grid.cell_sum(term) * fields.grid.cell_measure)
     return grad_part + reaction_part, grad_part, reaction_part
 
@@ -171,8 +176,8 @@ class DiagnosticsRecord:
 class DiagnosticsTracker:
     """Holds, per n-level, the entropy, dissipation and space-time
     integrals of the latest state passed to `accumulate`, and produces one
-    DiagnosticsRecord per observation; rates.n has shape (B, 1, ...) for B
-    n-levels that share the initial data."""
+    DiagnosticsRecord per observation; rates.n has a leading axis over the B
+    n-levels, which share the initial data.  Temporaries go in `work`."""
 
     def __init__(self, rates: RegularizedRates, initial: FieldSet, p_values=(4.0,)):
         self.rates = rates
@@ -198,6 +203,7 @@ class DiagnosticsTracker:
         self._l1prod_accum = np.zeros((m - 1,) + levels)
         self.diss_integral = np.zeros(levels)
         self.entropy = self.dissipation = None  # set by accumulate
+        self.work = {}
 
     def accumulate(self, fields: FieldSet, dt: float):
         """The diagnostics pass over the state after a step of length dt
@@ -206,13 +212,19 @@ class DiagnosticsTracker:
         right-endpoint integrals of D and of the space-time norms."""
         grid = fields.grid
         meas = grid.cell_measure
-        self.entropy = entropy(fields)
-        self.dissipation = np.array(np.broadcast_arrays(*dissipation(fields, self.rates)))
+        self.entropy = entropy(fields, self.work)
+        self.dissipation = np.array(np.broadcast_arrays(*dissipation(fields, self.rates, self.work)))
         self.diss_integral = self.diss_integral + self.dissipation[0] * dt
+        powers = work_array(self.work, "kernel", fields.values.shape)  # the entropy kernel's, free again here
         for p in self.p_values:
-            self._st_accum[p] += grid.cell_sum(np.abs(fields.values) ** p * meas) * dt
+            np.abs(fields.values, out=powers)
+            powers **= p
+            powers *= meas
+            self._st_accum[p] += grid.cell_sum(powers) * dt
         a = fields.values[:-1]
-        self._l1prod_accum += grid.cell_sum(a * a + a * fields.values[-1]) * meas * dt
+        products = np.multiply(a, a, out=powers[:-1])
+        products += np.multiply(a, fields.values[-1], out=work_array(self.work, "products", a.shape))
+        self._l1prod_accum += grid.cell_sum(products) * meas * dt
 
     def observe(self, time: float, fields: FieldSet, level: int) -> DiagnosticsRecord:
         """The record of n-level `level` at `time`: entropy and dissipation

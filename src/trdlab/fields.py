@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Grid
 from .model import TriangularSystem
 
 __all__ = ["FieldSet"]
@@ -32,22 +32,6 @@ class FieldSet:
     def level(self, b: int) -> "FieldSet":
         """Level b of a batch, as a contiguous copy."""
         return FieldSet(self.system, self.grid, np.ascontiguousarray(self.values[:, b]))
-
-    @classmethod
-    def constant(cls, system: TriangularSystem, grid: Grid, state) -> "FieldSet":
-        state = np.asarray(state, dtype=float)
-        vals = np.broadcast_to(
-            state.reshape((system.m,) + (1,) * grid.dimension),
-            (system.m,) + grid.shape,
-        ).copy()
-        return cls(system, grid, vals)
-
-    def species(self, i: int) -> Field:
-        """Field of species i (1-based)."""
-        return Field(self.grid, self.values[i - 1])
-
-    def copy(self) -> "FieldSet":
-        return FieldSet(self.system, self.grid, self.values.copy())
 
     def min_value(self) -> float:
         return float(self.values.min())

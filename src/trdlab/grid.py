@@ -2,7 +2,7 @@
 homogeneous Neumann boundary (mirror ghost cells).
 
 The discrete Laplacian is symmetric with zero row sums, so constants are
-harmonic and integrate(laplacian(u)) vanishes to roundoff.  The
+harmonic and the cell sum of laplacian(u) vanishes to roundoff.  The
 orthonormal DCT-II diagonalises it exactly: along an axis of N cells of
 width h, mode k samples cos(k pi x / L) at the cell centres and has
 eigenvalue -(2/h sin(pi k / 2N))^2 (G. Strang, "The Discrete Cosine
@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
 # the same pocketfft transforms as scipy.fft's, without its backend
 # dispatch, which costs as much as a whole 128-cell transform
 from scipy.fftpack import dct, idct
 
-__all__ = ["Grid", "Field"]
+__all__ = ["Grid", "Field", "work_array"]
 
 
 @dataclass(frozen=True)
@@ -67,19 +66,6 @@ class Grid:
         return tuple(np.meshgrid(*map(self.axis_centers, range(self.dimension)), indexing="ij"))
 
     @cached_property
-    def laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse Neumann Laplacian acting on flattened fields: the
-        Kronecker sum of the per-axis operators, last axis fastest."""
-        mats = []
-        for n, h in zip(self.cells, self.h):
-            main = np.full(n, -2.0)
-            main[0] = main[-1] = -1.0
-            off = np.ones(n - 1)
-            mats.append(sp.diags([off, main, off], [-1, 0, 1]) / h**2)
-        # kronsum(A, B) = kron(I, A) + kron(B, I) puts A on the fast axis
-        return reduce(sp.kronsum, mats[::-1]).tocsr()
-
-    @cached_property
     def laplacian_eigenvalues(self) -> tuple[np.ndarray, ...]:
         """Per-axis eigenvalues -(2/h sin(pi k / 2N))^2, k = 0..N-1; mode 0
         (the constants) has eigenvalue exactly 0."""
@@ -93,41 +79,39 @@ class Grid:
         the grid."""
         return reduce(np.add.outer, self.laplacian_eigenvalues)
 
-    def to_modes(self, values: np.ndarray) -> np.ndarray:
+    def to_modes(self, values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Orthonormal DCT-II coefficients of `values` over its trailing
-        grid axes; leading axes are batch axes."""
+        grid axes; leading axes are batch axes.  With overwrite_x, every
+        pass runs in place in `values`."""
         for axis in range(-self.dimension, 0):
-            values = dct(values, norm="ortho", axis=axis)
+            values = dct(values, norm="ortho", axis=axis, overwrite_x=overwrite_x)
         return values
 
-    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
+    def from_modes(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Inverse of `to_modes` (the transform is orthonormal)."""
         for axis in range(-self.dimension, 0):
-            coeffs = idct(coeffs, norm="ortho", axis=axis)
+            coeffs = idct(coeffs, norm="ortho", axis=axis, overwrite_x=overwrite_x)
         return coeffs
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
+    def laplacian(self, values: np.ndarray, out: np.ndarray | None = None, flux: np.ndarray | None = None):
         """Neumann Laplacian of `values` over its trailing grid axes, as
-        zero-flux face differences; leading axes are batch axes."""
-        out = np.zeros_like(values)
+        zero-flux face differences; leading axes are batch axes.  `out`
+        and `flux`, arrays of values' shape (fresh ones if not given),
+        receive the result and each axis's face fluxes."""
+        out = np.empty_like(values) if out is None else out
+        out.fill(0.0)
         for k, h in enumerate(self.h):
             trailing = (slice(None),) * (self.dimension - 1 - k)
             lo, hi = (..., slice(None, -1)) + trailing, (..., slice(1, None)) + trailing
-            flux = values[hi] - values[lo]
-            flux *= 1.0 / h**2
-            out[lo] += flux
-            out[hi] -= flux
+            f = np.subtract(values[hi], values[lo], out=None if flux is None else flux[lo])
+            f *= 1.0 / h**2
+            out[lo] += f
+            out[hi] -= f
         return out
 
     def cell_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum over the trailing grid axes, per index of the leading ones."""
         return values.reshape(values.shape[: values.ndim - self.dimension] + (-1,)).sum(axis=-1)
-
-    def field(self, values) -> "Field":
-        return Field(self, np.asarray(values, dtype=float))
-
-    def constant_field(self, value: float) -> "Field":
-        return Field(self, np.full(self.shape, float(value)))
 
 
 @dataclass
@@ -144,17 +128,16 @@ class Field:
             )
 
 
-def neumann_laplacian(field: Field) -> Field:
-    """Second-order central differences with mirrored ghost cells."""
-    return Field(field.grid, field.grid.laplacian(field.values))
+def work_array(work: dict | None, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """Array `name` of the dict `work`, made anew when the shape asked for changes or `work` is None."""
+    work = {} if work is None else work
+    a = work.get(name)
+    if a is None or a.shape != shape:
+        a = work[name] = np.empty(shape, dtype)
+    return a
 
 
-def integrate(field: Field) -> float:
-    """Midpoint quadrature: sum of cell values times the cell measure."""
-    return float(field.values.sum() * field.grid.cell_measure)
-
-
-def _face_gradient_energy(values: np.ndarray, grid: Grid):
+def _face_gradient_energy(values: np.ndarray, grid: Grid, work: dict | None):
     """Sum of squared face-centered differences, with the boundary half
     cells carrying the nearest interior face gradient (keeps linear
     profiles exact despite the missing boundary faces); one sum per
@@ -162,7 +145,8 @@ def _face_gradient_energy(values: np.ndarray, grid: Grid):
     total = 0.0
     for axis in range(values.ndim - grid.dimension, values.ndim):
         before = (slice(None),) * axis
-        sq = values[before + (slice(1, None),)] - values[before + (slice(None, -1),)]
+        hi = values[before + (slice(1, None),)]
+        sq = np.subtract(hi, values[before + (slice(None, -1),)], out=work_array(work, f"faces{axis}", hi.shape))
         sq /= grid.h[axis - values.ndim]
         sq *= sq
         w = grid.cell_sum(sq)
@@ -172,16 +156,16 @@ def _face_gradient_energy(values: np.ndarray, grid: Grid):
     return total
 
 
-def gradient_energy(field: Field, weighted: bool = False):
+def gradient_energy(field: Field, weighted: bool = False, work: dict | None = None):
     """Discrete integral of |grad u|^2; with weighted=True computes
     4 |grad sqrt(u)|^2, the vacuum-safe form of |grad u|^2 / u.  A float
-    for one field, one value per level for a batch."""
+    for one field, one value per level for a batch; temporaries in `work`."""
     u = field.values
     if not weighted:
-        return per_level(_face_gradient_energy(u, field.grid))
-    if np.any(u < 0):
+        return per_level(_face_gradient_energy(u, field.grid, work))
+    if np.less(u, 0.0, out=work_array(work, "negative", u.shape, bool)).any():
         raise ValueError("weighted gradient energy needs a nonnegative field")
-    return per_level(4.0 * _face_gradient_energy(np.sqrt(u), field.grid))
+    return per_level(4.0 * _face_gradient_energy(np.sqrt(u, out=work_array(work, "sqrt", u.shape)), field.grid, work))
 
 
 def per_level(value):

@@ -60,32 +60,35 @@ class KernelSpec:
         return min(L * L for L in self.lengths) / self.d
 
 
-def _kernel_1d(d: float, L: float, K: int, t, x, y) -> np.ndarray:
+def _cosines(spec: KernelSpec, L: float, x) -> np.ndarray:
+    """cos(k pi x / L) for k = 1..spec.truncation, along a new last axis."""
+    return np.cos(np.arange(1, spec.truncation + 1) * math.pi * np.asarray(x, dtype=float)[..., None] / L)
+
+
+def _kernel_1d(spec: KernelSpec, L: float, t, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """The series on (0, L) at time(s) t from the cosine tables of both points."""
     t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    k = np.arange(1, K + 1)
+    if np.any(t <= 0.0):
+        raise ValueError("kernel requires t > 0")
+    k = np.arange(1, spec.truncation + 1)
     # shape bookkeeping: broadcast the mode axis last, sum it out
-    decay = np.exp(-d * (k * math.pi / L) ** 2 * t[..., None])
-    cx = np.cos(k * math.pi * x[..., None] / L)
-    cy = np.cos(k * math.pi * y[..., None] / L)
+    decay = np.exp(-spec.d * (k * math.pi / L) ** 2 * t[..., None])
     return 1.0 / L + (2.0 / L) * np.sum(decay * cx * cy, axis=-1)
 
 
 def heat_kernel_eval(spec: KernelSpec, t, x, y):
     """Kernel value(s); x, y are scalars in 1D or length-dim sequences.
     Broadcasts over array-valued t/x/y in 1D."""
-    if np.any(np.asarray(t, dtype=float) <= 0.0):
-        raise ValueError("kernel requires t > 0")
     if spec.dimension == 1:
-        return _kernel_1d(spec.d, spec.lengths[0], spec.truncation, t, x, y)
+        L = spec.lengths[0]
+        return _kernel_1d(spec, L, t, _cosines(spec, L, x), _cosines(spec, L, y))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape[-1] != spec.dimension or y.shape[-1] != spec.dimension:
         raise ValueError("points must have one coordinate per axis")
     out = 1.0
     for axis, L in enumerate(spec.lengths):
-        out = out * _kernel_1d(spec.d, L, spec.truncation, t, x[..., axis], y[..., axis])
+        out = out * _kernel_1d(spec, L, t, _cosines(spec, L, x[..., axis]), _cosines(spec, L, y[..., axis]))
     return out
 
 
@@ -115,11 +118,12 @@ def mass_conservation_check(spec: KernelSpec, t_values, x_values, n_quad: int = 
     if spec.dimension != 1:
         raise NotImplementedError("mass check is run per axis")
     L = spec.lengths[0]
-    z = _midpoints(L, n_quad)
+    cz = _cosines(spec, L, _midpoints(L, n_quad))
+    cxs = _cosines(spec, L, np.atleast_1d(x_values))
     worst = 0.0
     for t in np.atleast_1d(t_values):
-        for x in np.atleast_1d(x_values):
-            mass = float(np.sum(heat_kernel_eval(spec, t, float(x), z)) * (L / n_quad))
+        for cx in cxs:
+            mass = float(np.sum(_kernel_1d(spec, L, t, cx, cz)) * (L / n_quad))
             worst = max(worst, abs(mass - 1.0))
     return {"max_defect": worst, "n_quad": n_quad}
 
@@ -165,9 +169,10 @@ def gaussian_bound_fit(
         L = spec.lengths[0]
         ts = np.geomspace(window[0], window[1], nt) * L * L / spec.d
         xs = np.linspace(0.0, L, nx)
+        cx, cy = _cosines(spec, L, xs[:, None]), _cosines(spec, L, xs[None, :])
         log_c_h, k_min = -math.inf, math.inf
         for t in ts:
-            vals = heat_kernel_eval(spec, float(t), xs[:, None], xs[None, :])
+            vals = _kernel_1d(spec, L, float(t), cx, cy)
             k_min = min(k_min, float(vals.min()))
             # values below the truncation/roundoff noise floor carry no
             # information about the bound; clip them out before weighting
@@ -257,14 +262,10 @@ def smoothing_probe(
 
     def random_source(grid: Grid, coeffs) -> np.ndarray:
         field = np.full(grid.shape, coeffs[0])
-        idx = 1
         for axis, L in enumerate(grid.lengths):
             for k in range(1, modes + 1):
                 profile = np.cos(k * math.pi * grid.axis_centers(axis) / L)
-                shape = [1] * len(grid.lengths)
-                shape[axis] = -1
-                field = field + coeffs[idx] * profile.reshape(shape)
-                idx += 1
+                field = field + coeffs[axis * modes + k] * profile.reshape((-1,) + (1,) * (grid.dimension - 1 - axis))
         peak = np.abs(field).max()
         return field / peak if peak > 0 else field
 

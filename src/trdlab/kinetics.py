@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import work_array
 from .model import TriangularSystem
 
 __all__ = [
@@ -90,16 +91,21 @@ class RegularizedRates:
         return reactant_product(self.system.reactant_alpha, a[:-1])
 
 
-def entropy_kernel(a) -> np.ndarray | float:
+def entropy_kernel(a, work: dict | None = None) -> np.ndarray | float:
     """a (ln a - 1) + 1 with 0 ln 0 = 0 (value 1 at a = 0); nonnegative,
-    vanishing only at a = 1."""
+    vanishing only at a = 1.  An array result is an array of `work`."""
     a = np.asarray(a, dtype=float)
-    pos = a > 0.0
+    pos = np.greater(a, 0.0, out=work_array(work, "kernel_mask", a.shape, bool))
+    val = work_array(work, "kernel", a.shape)
+    np.copyto(val, 1.0)
+    np.copyto(val, a, where=pos)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(pos, a * (np.log(np.where(pos, a, 1.0)) - 1.0) + 1.0, 1.0)
-    if val.ndim == 0:
-        return float(val)
-    return val
+        np.log(val, out=val)
+        val -= 1.0
+        val *= a
+        val += 1.0
+    np.copyto(val, 1.0, where=np.logical_not(pos, out=pos))
+    return float(val) if val.ndim == 0 else val
 
 
 def log_inequality_slack(x: float, y: float, kappa: float) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvariantBreach
 
@@ -224,6 +223,8 @@ def ode_oracle(inputs: PointwiseInputs, am_fn=None, delta1_fn=None, delta3_fn=No
                rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
     """Independent adaptive Runge-Kutta integration of the same scalar
     ODE; drivers default to linear interpolation of the sampled data."""
+    from scipy.integrate import solve_ivp  # here, its only use: it pulls in scipy.sparse, .optimize and .linalg
+
     t = inputs.times
 
     def interp(arr):

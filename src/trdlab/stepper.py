@@ -30,6 +30,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, DiagnosticsTracker
 from .errors import InvariantBreach
 from .fields import FieldSet
+from .grid import work_array
 from .kinetics import RegularizedRates, phi, reactant_product
 
 __all__ = [
@@ -189,14 +190,14 @@ def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, thet
     """The reaction solve over the flattened cells of every n-level, in blocks of _REACTION_BLOCK."""
     system = fields.system
     vals = fields.values.reshape(system.m, -1)
-    sigma = vals[:-1] + vals[-1]
-    n = np.full(fields.values.shape[1:], rates.n).reshape(-1)
+    n = np.broadcast_to(rates.n, fields.values.shape[1:]).reshape(-1)  # a view if rates.n is per cell, as in `run`
     new = np.empty_like(vals)
+    sigma = np.add(vals[:-1], vals[-1], out=new[:-1])  # a block's sigma_j - x overwrites it once solved
     for start in range(0, vals.shape[1], _REACTION_BLOCK):
         cells = slice(start, start + _REACTION_BLOCK)
         x, _ = _solve_reaction_newton(vals[-1, cells], sigma[:, cells], system.reactant_alpha, system.m,
                                       system.Q, n[cells], dt, theta)
-        new[:-1, cells] = sigma[:, cells] - x
+        np.subtract(sigma[:, cells], x, out=sigma[:, cells])
         new[-1, cells] = x
     return FieldSet(system, fields.grid, new.reshape(fields.values.shape))
 
@@ -212,9 +213,9 @@ def transform_roundoff(c_lam: np.ndarray) -> float:
 
 class ModalDiffusion:
     """The theta-scheme diffusion substep of length dt for the diffusing
-    species of one system on one grid, as per-mode multipliers.  It also
-    counts, per n-level, the roundoff negatives its positivity clamp
-    zeroed and keeps the most negative of them."""
+    species of one system on one grid, as per-mode multipliers, with the
+    substep's `work` arrays.  It also counts, per n-level, the roundoff
+    negatives its positivity clamp zeroed and keeps the most negative."""
 
     def __init__(self, system, grid, dt: float, theta: float = 1.0):
         self.theta = theta
@@ -226,6 +227,7 @@ class ModalDiffusion:
         if np.any(self.multipliers[(...,) + (0,) * grid.dimension] != 1.0):
             raise InvariantBreach("linear-solver", "mode-0 multiplier is not exactly 1: mass would drift")
         self.clamp_count, self.clamp_worst = 0, math.inf
+        self.work = {}
 
 
 def _level_axes(values: np.ndarray, grid) -> tuple[int, ...]:
@@ -256,20 +258,29 @@ def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     theta.  The residual gate and the clamp act per n-level."""
     grid = fields.grid
     new = fields.values.copy()
-    u = fields.values[modal.rows]
-    if u.size == 0:
+    if modal.rows.size == 0:
         return FieldSet(fields.system, grid, new)
-    shape = (len(modal.rows),) + (1,) * (u.ndim - 1 - grid.dimension)  # (rows, 1 per level axis)
-    sol = grid.from_modes(modal.multipliers.reshape(shape + grid.shape) * grid.to_modes(u))
+    shape = modal.rows.shape + fields.values.shape[1:]
+    # mode "clip" (the rows are valid) fills `out` directly; "raise" fills a copy of it
+    u = np.take(fields.values, modal.rows, axis=0, out=work_array(modal.work, "u", shape), mode="clip")
+    lead = (len(modal.rows),) + (1,) * (u.ndim - 1 - grid.dimension)  # (rows, 1 per level axis)
+    sol = work_array(modal.work, "modes", shape)
+    grid.to_modes(np.take(fields.values, modal.rows, axis=0, out=sol, mode="clip"), overwrite_x=True)
+    sol *= modal.multipliers.reshape(lead + grid.shape)
+    grid.from_modes(sol, overwrite_x=True)
     # the linear residual A sol - B u of the theta-scheme on the stencil
-    theta = modal.theta
-    resid = grid.laplacian(sol if theta == 1.0 else theta * sol + (1.0 - theta) * u)
-    resid *= modal.coeff.reshape(shape + modal.coeff.shape[1:])
+    resid, flux = work_array(modal.work, "resid", shape), work_array(modal.work, "flux", shape)
+    arg = sol
+    if modal.theta != 1.0:
+        arg = np.multiply(sol, modal.theta, out=work_array(modal.work, "arg", shape))
+        arg += np.multiply(u, 1.0 - modal.theta, out=resid)
+    grid.laplacian(arg, out=resid, flux=flux)
+    resid *= modal.coeff.reshape(lead + modal.coeff.shape[1:])
     resid -= sol
     resid += u
     axes = _level_axes(u, grid)
     resid = np.abs(resid, out=resid).max(axis=axes)
-    limit = (StepperConfig.linear_solver_tol + modal.roundoff) * (1.0 + np.abs(u).max(axis=axes))
+    limit = (StepperConfig.linear_solver_tol + modal.roundoff) * (1.0 + np.abs(u, out=flux).max(axis=axes))
     bad = _first_level(~(resid <= limit), resid)
     if bad:
         raise InvariantBreach("linear-solver", f"diffusion residual {bad[1]:.3e} above tolerance", {"level": bad[0]})
@@ -345,8 +356,8 @@ def run(
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     levels = [rates] if isinstance(rates, RegularizedRates) else list(rates)
-    n = np.array([r.n for r in levels], dtype=float).reshape((-1,) + (1,) * initial.grid.dimension)
-    rates_b = RegularizedRates(initial.system, n)
+    n = np.repeat([float(r.n) for r in levels], initial.values[0].size).reshape((-1,) + initial.grid.shape)
+    rates_b = RegularizedRates(initial.system, n)  # n per cell, so the reaction substep copies none
     tracker = DiagnosticsTracker(rates_b, initial, p_values=p_values)
     values = np.repeat(initial.values[:, None], len(levels), axis=1)
     state = SimulationState(0.0, FieldSet(initial.system, initial.grid, values))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import constant_state
 from trdlab.diagnostics import (
     DiagnosticsTracker,
     dissipation,
@@ -28,22 +29,22 @@ GRID = Grid((1.0,), (32,))
 
 class TestEntropy:
     def test_vanishes_at_the_all_ones_state(self):
-        fs = FieldSet.constant(SYS3, GRID, (1.0, 1.0, 1.0))
+        fs = constant_state(SYS3, GRID, (1.0, 1.0, 1.0))
         assert entropy(fs) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_kernel_at_e(self):
         # kernel(e) = 1 per species, weights alpha = (1,1,1), |Omega| = 1
-        fs = FieldSet.constant(SYS3, GRID, (math.e, math.e, math.e))
+        fs = constant_state(SYS3, GRID, (math.e, math.e, math.e))
         assert entropy(fs) == pytest.approx(3.0)
 
     def test_vacuum_state_value(self):
         # kernel(0) = 1: E = sum(alpha) |Omega|
-        fs = FieldSet.constant(SYS3, GRID, (0.0, 0.0, 0.0))
+        fs = constant_state(SYS3, GRID, (0.0, 0.0, 0.0))
         assert entropy(fs) == pytest.approx(3.0)
 
     def test_weights_scale_with_alpha(self):
         system = TriangularSystem(m=3, alpha=(2.0, 3.0, 1.0), d=(1.0, 1.0, 1.0))
-        fs = FieldSet.constant(system, GRID, (0.0, 0.0, 0.0))
+        fs = constant_state(system, GRID, (0.0, 0.0, 0.0))
         assert entropy(fs) == pytest.approx(6.0)
 
     def test_nonnegative_on_random_states(self):
@@ -55,13 +56,13 @@ class TestEntropy:
 
 class TestDissipation:
     def test_equilibrium_state_dissipates_nothing(self):
-        fs = FieldSet.constant(SYS3, GRID, (2.0, 3.0, 6.0))
+        fs = constant_state(SYS3, GRID, (2.0, 3.0, 6.0))
         total, grad, reac = dissipation(fs, LIMIT3)
         assert total == pytest.approx(0.0, abs=1e-12)
         assert grad == 0.0
 
     def test_reaction_term_positive_off_equilibrium(self):
-        fs = FieldSet.constant(SYS3, GRID, (2.0, 2.0, 1.0))
+        fs = constant_state(SYS3, GRID, (2.0, 2.0, 1.0))
         total, grad, reac = dissipation(fs, LIMIT3)
         # x = 4, y = 1: (y - x) ln(y/x) = 3 ln 4 > 0
         assert reac == pytest.approx(3.0 * math.log(4.0))
@@ -74,13 +75,13 @@ class TestDissipation:
         assert grad > 0.0
 
     def test_finite_at_vacuum(self):
-        fs = FieldSet.constant(SYS3, GRID, (2.0, 2.0, 0.0))
+        fs = constant_state(SYS3, GRID, (2.0, 2.0, 0.0))
         total, grad, reac = dissipation(fs, LIMIT3)
         assert math.isfinite(total)
         assert reac > 0.0
 
     def test_regularization_scales_the_reaction_term(self):
-        fs = FieldSet.constant(SYS3, GRID, (2.0, 2.0, 1.0))
+        fs = constant_state(SYS3, GRID, (2.0, 2.0, 1.0))
         _, _, reac_limit = dissipation(fs, LIMIT3)
         _, _, reac_reg = dissipation(fs, RegularizedRates(SYS3, 1.0))
         phi = 1.0 + 5.0**5.0  # (2+2+1)^(Q+2)
@@ -89,7 +90,7 @@ class TestDissipation:
 
 class TestNorms:
     def test_constant_field_norms(self):
-        fs = FieldSet.constant(SYS3, GRID, (2.0, 3.0, 4.0))
+        fs = constant_state(SYS3, GRID, (2.0, 3.0, 4.0))
         norms = lp_norms(fs, (1.0, 2.0, math.inf))
         np.testing.assert_allclose(norms[1.0], [2.0, 3.0, 4.0])
         np.testing.assert_allclose(norms[2.0], [2.0, 3.0, 4.0])
@@ -105,7 +106,7 @@ class TestNorms:
             assert norms[4.0][i] <= norms[math.inf][i] + 1e-12
 
     def test_rejects_sub_lebesgue_exponent(self):
-        fs = FieldSet.constant(SYS3, GRID, (1.0, 1.0, 1.0))
+        fs = constant_state(SYS3, GRID, (1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             lp_norms(fs, (0.5,))
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import laplacian_matrix
 from trdlab.kernel import (
     KernelSpec,
     gaussian_bound_fit,
@@ -147,7 +148,7 @@ class TestSmoothing:
         source = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
         d, dt, n_steps = 0.7, 0.004, 60
         traj = _solve_sourced_heat(grid, d, source, dt, n_steps)
-        lap = grid.laplacian_matrix
+        lap = laplacian_matrix(grid)
         lu = splu((sp.identity(lap.shape[0], format="csc") - dt * d * lap).tocsc())
         psi = np.zeros(lap.shape[0])
         expected = [psi]

@@ -120,7 +120,7 @@ class TestGatesPerLevel:
 
         def corrupt_n10(fields, rates, dt, theta=1.0):
             out = real(fields, rates, dt, theta)
-            out.values[0, np.ravel(rates.n) == 10.0, 3] = -1e-6
+            out.values[0, rates.n[:, 0] == 10.0, 3] = -1e-6
             return out
 
         monkeypatch.setattr(stepper_module, "_reaction_substep", corrupt_n10)

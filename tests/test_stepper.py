@@ -1,6 +1,8 @@
 """Splitting integrator: reaction solve, implicit diffusion, and full runs."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from trdlab.diagnostics import entropy
+from oracles import constant_state, integrate, laplacian_matrix, species
+from trdlab.diagnostics import DiagnosticsTracker, entropy
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
-from trdlab.grid import Grid, integrate
+from trdlab.grid import Grid
 from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 from trdlab.stepper import (
@@ -208,7 +211,7 @@ class TestBlockedReactionSubstep:
 class TestDiffusionSubstep:
     def test_constant_fields_unchanged(self):
         grid = Grid((1.0,), (32,))
-        fs = FieldSet.constant(SYS3, grid, (1.0, 2.0, 3.0))
+        fs = constant_state(SYS3, grid, (1.0, 2.0, 3.0))
         out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.1))
         # exact up to the sparse solver's roundoff
         np.testing.assert_allclose(out.values, fs.values, rtol=0.0, atol=1e-13)
@@ -232,8 +235,8 @@ class TestDiffusionSubstep:
         fs = FieldSet(SYS3, grid, vals)
         out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.05))
         for i in (1, 2):
-            before = integrate(fs.species(i))
-            after = integrate(out.species(i))
+            before = integrate(species(fs, i))
+            after = integrate(species(out, i))
             assert after == pytest.approx(before, rel=1e-10)
 
     def test_degenerate_species_untouched(self):
@@ -276,7 +279,7 @@ ORACLE_GRIDS = [Grid((1.0,), (32,)), Grid((1.0, 1.0), (12, 12)), Grid((1.0, 2.0)
 
 def dense_theta_step(grid, u, c, theta):
     """(I - theta c L) sol = (I + (1 - theta) c L) u by a dense solve."""
-    lap = grid.laplacian_matrix.toarray()
+    lap = laplacian_matrix(grid).toarray()
     eye = np.eye(lap.shape[0])
     rhs = (eye + (1.0 - theta) * c * lap) @ u.ravel()
     return np.linalg.solve(eye - theta * c * lap, rhs).reshape(grid.shape)
@@ -316,7 +319,7 @@ class TestDiffusionOracle:
         fs = FieldSet(SYS3, grid, vals)
         out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 1e-4))
         assert out.values.min() >= 0.0
-        assert integrate(out.species(1)) == pytest.approx(integrate(fs.species(1)), rel=1e-12)
+        assert integrate(species(out, 1)) == pytest.approx(integrate(species(fs, 1)), rel=1e-12)
 
     def test_roundoff_negatives_are_clamped_and_counted(self):
         grid = Grid((1.0,), (64,))
@@ -389,11 +392,11 @@ class TestDiffusionOracle:
 class TestStepAndRun:
     def _constant_setup(self, data=(2.0, 2.0, 0.0), cells=8):
         grid = Grid((1.0,), (cells,))
-        return FieldSet.constant(SYS3, grid, data)
+        return constant_state(SYS3, grid, data)
 
     def test_zero_data_is_a_fixed_point(self):
         grid = Grid((1.0,), (16,))
-        fs = FieldSet.constant(SYS3, grid, (0.0, 0.0, 0.0))
+        fs = constant_state(SYS3, grid, (0.0, 0.0, 0.0))
         result = run(fs, StepperConfig(dt=0.05), LIMIT3, t_final=1.0)
         np.testing.assert_array_equal(result.final_state.fields.values, 0.0)
 
@@ -431,7 +434,7 @@ class TestStepAndRun:
 
     def test_equilibrium_is_stationary(self):
         grid = Grid((1.0,), (16,))
-        fs = FieldSet.constant(SYS3, grid, (2.0, 3.0, 6.0))
+        fs = constant_state(SYS3, grid, (2.0, 3.0, 6.0))
         state = SimulationState(0.0, fs)
         out = step(state, StepperConfig(dt=0.1), LIMIT3)
         np.testing.assert_allclose(out.fields.values, fs.values, atol=1e-9)
@@ -539,3 +542,88 @@ class TestStepAndRun:
             now = entropy(state.fields)
             assert now <= prev + 1e-10
             prev = now
+
+
+# the grid-2d benchmark's shape: a frozen reactant, two n-levels, 128 x 128
+SYS_FROZEN = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 1.0, 1.0))
+GRID_128 = Grid((1.0, 1.0), (128, 128))
+LEVELS = [RegularizedRates(SYS_FROZEN, 10.0), RegularizedRates(SYS_FROZEN, math.inf)]
+STRANG = StepperConfig(dt=0.01, splitting="strang")
+
+
+def frozen_state(levels: int) -> FieldSet:
+    x, y = GRID_128.centers()
+    cx, cy = np.cos(math.pi * x), np.cos(math.pi * y)
+    base = np.stack([1.0 + 0.2 * cx * cy, 1.0 + 0.1 * np.cos(2 * math.pi * x) * cy, 0.5 + 0.3 * cx * np.cos(2 * math.pi * y)])
+    # the levels differ, so a level mixed up with another shows
+    return FieldSet(SYS_FROZEN, GRID_128, np.stack([base * (1.0 + 0.1 * b) for b in range(levels)], axis=1))
+
+
+def level_rates(levels: int) -> RegularizedRates:
+    n = [r.n for r in LEVELS[:levels]]
+    return RegularizedRates(SYS_FROZEN, np.reshape(n, (-1, 1, 1)))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that `call` allocates, counting what it returns."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSteadyWorkArrays:
+    """A run keeps the state-sized work arrays of its per-step path, so a
+    step allocates little beyond the state it returns, and what it returns
+    is never overwritten later."""
+
+    def test_diffusion_substep_allocates_about_its_result(self):
+        fs = frozen_state(2)
+        modal = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+        for _ in range(2):
+            diffusion_substep(fs, modal)
+        assert traced_peak(lambda: diffusion_substep(fs, modal)) <= 1.5 * fs.values.nbytes
+
+    def test_accumulate_allocates_under_one_and_a_half_states(self):
+        fs = frozen_state(2)
+        tracker = DiagnosticsTracker(level_rates(2), FieldSet(SYS_FROZEN, GRID_128, fs.values[:, 0]))
+        for _ in range(2):
+            tracker.accumulate(fs, STRANG.dt)
+        assert traced_peak(lambda: tracker.accumulate(fs, STRANG.dt)) <= 1.5 * fs.values.nbytes
+
+    def test_returned_states_are_not_overwritten_by_later_steps(self):
+        state = SimulationState(0.0, frozen_state(2))
+        modal = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+        kept = []
+        for _ in range(4):
+            state = step(state, STRANG, level_rates(2), modal)
+            kept.append((state.fields, state.fields.values.copy()))
+        for fields, snapshot in kept:
+            assert fields.values.tobytes() == snapshot.tobytes()
+
+    def test_emitted_records_are_not_overwritten_by_later_steps(self, monkeypatch):
+        emitted = []
+        observe = DiagnosticsTracker.observe
+
+        def keep(self, *args):
+            rec = observe(self, *args)
+            emitted.append((rec, np.array(rec.csv_row()), rec.dissipation_gradient, rec.dissipation_reaction))
+            return rec
+
+        monkeypatch.setattr(DiagnosticsTracker, "observe", keep)
+        initial = FieldSet(SYS_FROZEN, GRID_128, frozen_state(1).values[:, 0])
+        results = run(initial, replace(STRANG, record_every=1), LEVELS, t_final=4 * STRANG.dt)
+        # both levels at t = 0 and after each of the four steps
+        assert len(emitted) == sum(len(r.records) for r in results) == 2 * 5
+        for rec, row, grad, reac in emitted:
+            assert np.array(rec.csv_row()).tobytes() == row.tobytes()
+            assert (rec.dissipation_gradient, rec.dissipation_reaction) == (grad, reac)
+
+    def test_modal_reused_across_batch_sizes_matches_a_fresh_one(self):
+        reused = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+        for levels in (2, 1, 2):
+            fs = frozen_state(levels)
+            fresh = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+            assert diffusion_substep(fs, reused).values.tobytes() == diffusion_substep(fs, fresh).values.tobytes()
