@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -26,6 +27,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
+
+# each numeric flag must lie above its floor and be finite (NaN fails too)
+FLAG_FLOORS = {"--p-max": 0, "--levels": 2, "--modes": 0, "--d": 0.0, "--length": 0.0}
 
 
 def _add_common(sub):
@@ -216,6 +220,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, floor in FLAG_FLOORS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and not floor < value < math.inf:
+                raise ConfigError(flag, f"must be finite and above {floor}, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

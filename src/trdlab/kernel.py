@@ -65,15 +65,23 @@ def _cosines(spec: KernelSpec, L: float, x) -> np.ndarray:
     return np.cos(np.arange(1, spec.truncation + 1) * math.pi * np.asarray(x, dtype=float)[..., None] / L)
 
 
+def _decay(spec: KernelSpec, L: float, t) -> np.ndarray:
+    """exp(-d (k pi / L)^2 t) for k = 1..spec.truncation, along a new last axis."""
+    k = np.arange(1, spec.truncation + 1)
+    return np.exp(-spec.d * (k * math.pi / L) ** 2 * np.asarray(t, dtype=float)[..., None])
+
+
 def _kernel_1d(spec: KernelSpec, L: float, t, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """The series on (0, L) at time(s) t from the cosine tables of both points."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if np.any(np.asarray(t) <= 0.0):
         raise ValueError("kernel requires t > 0")
-    k = np.arange(1, spec.truncation + 1)
     # shape bookkeeping: broadcast the mode axis last, sum it out
-    decay = np.exp(-spec.d * (k * math.pi / L) ** 2 * t[..., None])
-    return 1.0 / L + (2.0 / L) * np.sum(decay * cx * cy, axis=-1)
+    return 1.0 / L + (2.0 / L) * np.sum(_decay(spec, L, t) * cx * cy, axis=-1)
+
+
+def _pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) -> np.ndarray:
+    """The series at time t over every pair of points with cosine table c, as one GEMM."""
+    return 1.0 / L + (2.0 / L) * ((c * _decay(spec, L, t)) @ c.T)
 
 
 def heat_kernel_eval(spec: KernelSpec, t, x, y):
@@ -134,12 +142,13 @@ def semigroup_check(spec: KernelSpec, t: float, s: float, n_points: int = 9, n_q
     if spec.dimension != 1:
         raise NotImplementedError("semigroup check is run per axis")
     L = spec.lengths[0]
-    z = _midpoints(L, n_quad)
+    cz = _cosines(spec, L, _midpoints(L, n_quad))
     pts = np.linspace(0.0, L, n_points)
-    rights = [heat_kernel_eval(spec, s, z, float(y)) for y in pts]
+    # heat_kernel_eval's own products, on the quadrature table built once
+    rights = [_kernel_1d(spec, L, s, cz, _cosines(spec, L, float(y))) for y in pts]
     worst = 0.0
     for x in pts:
-        left = heat_kernel_eval(spec, t, float(x), z)
+        left = _kernel_1d(spec, L, t, _cosines(spec, L, float(x)), cz)
         for y, right in zip(pts, rights):
             composed = float(np.sum(left * right) * (L / n_quad))
             direct = float(heat_kernel_eval(spec, t + s, float(x), float(y)))
@@ -169,10 +178,10 @@ def gaussian_bound_fit(
         L = spec.lengths[0]
         ts = np.geomspace(window[0], window[1], nt) * L * L / spec.d
         xs = np.linspace(0.0, L, nx)
-        cx, cy = _cosines(spec, L, xs[:, None]), _cosines(spec, L, xs[None, :])
+        c = _cosines(spec, L, xs)
         log_c_h, k_min = -math.inf, math.inf
         for t in ts:
-            vals = _kernel_1d(spec, L, float(t), cx, cy)
+            vals = _pair_table(spec, L, t, c)
             k_min = min(k_min, float(vals.min()))
             # values below the truncation/roundoff noise floor carry no
             # information about the bound; clip them out before weighting

@@ -111,14 +111,15 @@ def _cumtrapz(f: np.ndarray, half_dt) -> np.ndarray:
     return out
 
 
-def _map(inputs: PointwiseInputs, a, drivers, exp):
+def _map(inputs: PointwiseInputs, a, drivers, exp_pair):
     """The integrating-factor map, with drivers = `_drivers(inputs, lift)`
-    as floats and exp = np.exp, or as mp.mpf (object arrays) and mp.exp
-    applied elementwise, under mp.workdps."""
+    and exp_pair(W) = (e^W, e^-W) in the same arithmetic: floats, or
+    object arrays of mp.mpf under mp.workdps."""
     am_d1, d1, d3, a0, half_dt = drivers
     W = _cumtrapz(d1 * inputs.delta2(a) * d3, half_dt)
+    grow, decay = exp_pair(W)
     # array first: mpf + ndarray would make mpmath try to convert the array
-    return exp(-W) * (_cumtrapz(am_d1 * exp(W), half_dt) + a0)
+    return decay * (_cumtrapz(am_d1 * grow, half_dt) + a0)
 
 
 def _drivers(inputs: PointwiseInputs, lift=lambda v: v) -> tuple:
@@ -132,7 +133,7 @@ def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarr
     a = np.asarray(a_j_trajectory, dtype=float)
     if a.shape != inputs.times.shape:
         raise ValueError("trajectory must share the time mesh")
-    return _map(inputs, a, _drivers(inputs), np.exp)
+    return _map(inputs, a, _drivers(inputs), lambda W: (np.exp(W), np.exp(-W)))
 
 
 def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = None):
@@ -156,14 +157,14 @@ def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = No
 def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     """picard_iterate's map at `dps` digits (same mesh, same trapezoidal
     rule), one list of mp.mpf per iterate; used by the envelope
-    certification."""
+    certification.  e^-W is the reciprocal of e^W at `dps` digits: one exp per node."""
     with mp.workdps(dps):
         drivers = _drivers(inputs, np.frompyfunc(mp.mpf, 1, 1))
-        exp = np.frompyfunc(mp.exp, 1, 1)
+        vexp = np.frompyfunc(mp.exp, 1, 1)
         a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
         iterates = [list(a)]
         for _ in range(p_max):
-            a = _map(inputs, a, drivers, exp)
+            a = _map(inputs, a, drivers, lambda W: (E := vexp(W), 1 / E))
             iterates.append(list(a))
         return iterates
 

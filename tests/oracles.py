@@ -4,6 +4,7 @@ itself does not need."""
 
 from __future__ import annotations
 
+import math
 from functools import cache, reduce
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 
 from trdlab.fields import FieldSet
 from trdlab.grid import Field, Grid
+from trdlab.kernel import KernelSpec
 from trdlab.model import TriangularSystem
 
 
@@ -52,3 +54,12 @@ def constant_state(system: TriangularSystem, grid: Grid, state) -> FieldSet:
 def species(fields: FieldSet, i: int) -> Field:
     """Field of species i (1-based)."""
     return Field(fields.grid, fields.values[i - 1])
+
+
+def broadcast_pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) -> np.ndarray:
+    """The cosine series at time t over every pair of points with cosine
+    table c (points x modes), as the (n, n, K) product summed over the
+    mode axis: the Gaussian fit's series before it was a matrix product."""
+    k = np.arange(1, spec.truncation + 1)
+    decay = np.exp(-spec.d * (k * math.pi / L) ** 2 * t)
+    return 1.0 / L + (2.0 / L) * np.sum(decay * c[:, None, :] * c[None, :, :], axis=-1)

@@ -217,6 +217,28 @@ class TestAnalysisCommands:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["picard-demo", "--p-max", "-3"],
+            ["picard-demo", "--p-max", "0"],
+            ["kernel-check", "--modes", "0"],
+            ["kernel-check", "--d", "-1"],
+            ["kernel-check", "--d", "nan"],
+            ["kernel-check", "--length", "0"],
+            ["kernel-check", "--length", "inf"],
+            ["study-mesh", "--preset", "df15-a1", "--levels", "0"],
+            ["study-mesh", "--preset", "df15-a1", "--levels", "-1"],
+            ["study-mesh", "--preset", "df15-a1", "--levels", "1"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_malformed_numeric_flags_exit_1_naming_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{argv[-2]}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_internal_errors_exit_3(self, tmp_path, monkeypatch):
         import trdlab.cli as cli_mod
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import laplacian_matrix
+from oracles import broadcast_pair_table, laplacian_matrix
+from trdlab import kernel
 from trdlab.kernel import (
     KernelSpec,
     gaussian_bound_fit,
@@ -89,6 +90,17 @@ class TestConservationAndSemigroup:
                 worst = max(worst, abs(composed - float(heat_kernel_eval(spec, t + s, float(x), float(y)))))
         assert semigroup_check(spec, t, s)["max_defect"] == worst
 
+    def test_semigroup_builds_its_quadrature_table_once(self, monkeypatch):
+        cosines, sizes = kernel._cosines, []
+
+        def recording(spec, L, x):
+            sizes.append(np.size(x))
+            return cosines(spec, L, x)
+
+        monkeypatch.setattr(kernel, "_cosines", recording)
+        semigroup_check(SPEC, t=0.01, s=0.02, n_quad=512)
+        assert sizes.count(512) == 1
+
 
 class TestGaussianBound:
     def test_fit_is_finite_and_stable(self):
@@ -106,6 +118,26 @@ class TestGaussianBound:
     def test_kernel_nonnegative_over_fit_samples(self):
         fit = gaussian_bound_fit(SPEC)
         assert fit["min_kernel_value"] >= -1e-10
+
+    @pytest.mark.parametrize("spec", [SPEC, KernelSpec(d=0.5, lengths=(2.0,), truncation=60)])
+    def test_matrix_product_series_matches_the_broadcast_sum(self, spec, monkeypatch):
+        gemm = kernel._pair_table
+        samples = []
+
+        def recording(spec, L, t, c):
+            vals = gemm(spec, L, t, c)
+            samples.append((vals, broadcast_pair_table(spec, L, t, c)))
+            return vals
+
+        monkeypatch.setattr(kernel, "_pair_table", recording)
+        fit = gaussian_bound_fit(spec)
+        assert len(samples) == 24 + 48  # every sample time of the coarse and the fine fit
+        for vals, want in samples:
+            assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+        monkeypatch.setattr(kernel, "_pair_table", broadcast_pair_table)
+        reference = gaussian_bound_fit(spec)
+        for key in ("C_H", "C_H_coarse", "rel_change", "passed"):
+            assert fit[key] == reference[key], key
 
     def test_rejects_kappa_too_large(self):
         with pytest.raises(ValueError):

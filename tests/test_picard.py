@@ -53,18 +53,39 @@ def offset_inputs(n_points=101, T=1.0):
     )
 
 
-def reference_map(inputs, a, lift, exp):
+def node(f, x):
+    """f on a one-node array: numpy's exp and powers on arrays round
+    unlike math.exp and Python's **."""
+    return f(np.array([x]))[0]
+
+
+MP_EXP = np.frompyfunc(mp.exp, 1, 1)
+
+
+def float_pair(w):
+    return node(np.exp, w), node(np.exp, -w)
+
+
+def mp_pair(w):
+    """The 80-digit map's pair: e^-w as the reciprocal of e^w."""
+    e = node(MP_EXP, w)
+    return e, 1 / e
+
+
+def mp_pair_negated(w):
+    """The order before the reciprocal: a second exp at -w."""
+    return node(MP_EXP, w), node(MP_EXP, -w)
+
+
+def reference_map(inputs, a, lift, exp_pair):
     """The integrating-factor map node by node, in the operation order it
     had before its loop invariants were hoisted: trapezoid sums (f_i + f_{i-1}) * dt / 2 accumulated
-    from the left, am * d1 * exp(W) per node.  numpy's exp and powers on
-    arrays round unlike math.exp and Python's **, so each exp and power is
-    taken on a one-node array; `lift` is float, or mp.mpf under mp.workdps."""
+    from the left, am * d1 * e^W per node.  Each power is taken on a
+    one-node array; `lift` is float, or mp.mpf under mp.workdps, and
+    exp_pair(w) gives (e^w, e^-w) at one node."""
     n = len(a)
     am, d1, d3 = ([lift(v) for v in arr] for arr in (inputs.driver_am, inputs.delta1, inputs.delta3))
     dt, a0 = lift(inputs.dt), lift(inputs.a_j0)
-
-    def node(f, x):
-        return f(np.array([x]))[0]
 
     def delta2(r):
         out = node(lambda v: v ** (inputs.alpha_j - 1.0), r if r > 0 else 1.0)
@@ -78,21 +99,22 @@ def reference_map(inputs, a, lift, exp):
         return [0.0] + list(accumulate((f[i] + f[i - 1]) * dt / 2 for i in range(1, n)))
 
     W = cumtrapz([d1[i] * delta2(a[i]) * d3[i] for i in range(n)])
-    J = cumtrapz([am[i] * d1[i] * node(exp, W[i]) for i in range(n)])
-    return [node(exp, -W[i]) * (J[i] + a0) for i in range(n)]
+    pairs = [exp_pair(w) for w in W]
+    J = cumtrapz([am[i] * d1[i] * pairs[i][0] for i in range(n)])
+    return [pairs[i][1] * (J[i] + a0) for i in range(n)]
 
 
-def reference_iterates(inputs, p_max, lift, exp):
+def reference_iterates(inputs, p_max, lift, exp_pair):
     iterates = [[lift(inputs.a_j0)] * len(inputs.times)]
     for _ in range(p_max):
-        iterates.append(reference_map(inputs, iterates[-1], lift, exp))
+        iterates.append(reference_map(inputs, iterates[-1], lift, exp_pair))
     return iterates
 
 
 class TestMapArithmetic:
     def test_float_iterates_equal_the_reference_bit_for_bit(self):
         inp = offset_inputs()
-        expected = reference_iterates(inp, 10, float, np.exp)
+        expected = reference_iterates(inp, 10, float, float_pair)
         for p, (got, want) in enumerate(zip(picard_iterate(inp, p_max=10), expected, strict=True)):
             assert got.tobytes() == np.array(want).tobytes(), p
 
@@ -100,9 +122,40 @@ class TestMapArithmetic:
         inp = offset_inputs()
         got = picard_iterate_mp(inp, p_max=6, dps=80)
         with mp.workdps(80):  # repr prints as many digits as the working precision holds
-            expected = reference_iterates(inp, 6, mp.mpf, np.frompyfunc(mp.exp, 1, 1))
+            expected = reference_iterates(inp, 6, mp.mpf, mp_pair)
             for p, (mine, want) in enumerate(zip(got, expected, strict=True)):
                 assert repr(mine) == repr(want), p
+
+    def test_mp_reciprocal_stays_within_1e_76_of_a_second_exp(self):
+        inp = offset_inputs()
+        got = picard_iterate_mp(inp, p_max=6, dps=80)
+        with mp.workdps(80):
+            negated = reference_iterates(inp, 6, mp.mpf, mp_pair_negated)
+            worst = max(abs(x - y) / abs(y) for mine, want in zip(got, negated, strict=True) for x, y in zip(mine, want))
+        assert worst <= mp.mpf("1e-76")
+
+    def test_envelope_report_is_the_same_under_both_orders(self):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        with mp.workdps(80):
+            negated = reference_iterates(inp, 40, mp.mpf, mp_pair_negated)
+        reports = [
+            convergence_envelope_check(iterates[:26], constants, iterates[-1], safety=1.1)
+            for iterates in (picard_iterate_mp(inp, p_max=40, dps=80), negated)
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0]["passed"]
+
+    def test_mp_map_takes_one_exp_per_node(self, monkeypatch):
+        exp, calls = mp.exp, []
+
+        def counting_exp(x):
+            calls.append(x)
+            return exp(x)
+
+        monkeypatch.setattr(mp, "exp", counting_exp)
+        inp = offset_inputs()
+        picard_iterate_mp(inp, p_max=3)
+        assert len(calls) == 3 * len(inp.times)
 
 
 class TestPointwiseInputs:
