@@ -16,8 +16,6 @@ __all__ = [
     "Exponent",
     "ChainStep",
     "ExponentChain",
-    "holder_conjugate",
-    "young_convolution",
     "kernel_time_integrable",
     "gn_identity_check",
     "ode_power_map",
@@ -66,28 +64,6 @@ class Exponent:
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else str(self.value)
-
-
-def holder_conjugate(p: Exponent) -> Exponent:
-    """q with 1/p + 1/q = 1; conjugate of +inf is 1."""
-    if p.is_infinite:
-        return Exponent.of(1)
-    if p.value == 1:
-        return Exponent.infinity()
-    if p.value <= 1:
-        raise ValueError("conjugate needs p > 1 or the infinity sentinel")
-    return Exponent(1 / (1 - 1 / p.value))
-
-
-def young_convolution(q: Exponent, r: Exponent) -> Exponent:
-    """p with 1 + 1/p = 1/q + 1/r (convolution L^q * L^r -> L^p)."""
-    s = q.reciprocal + r.reciprocal
-    if s < 1:
-        raise ValueError(
-            f"inadmissible pair: 1/q + 1/r = {s} < 1 leaves no Lebesgue exponent"
-        )
-    recip_p = s - 1
-    return Exponent.infinity() if recip_p == 0 else Exponent(1 / recip_p)
 
 
 def kernel_time_integrable(N: int, q: Exponent, p: Exponent) -> tuple[bool, Fraction]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import FieldSet
 from .grid import Field, gradient_energy, per_level, work_array
-from .kinetics import RegularizedRates, entropy_kernel
+from .kinetics import RegularizedRates, entropy_kernel, phi, reactant_product
 from .model import DegeneracyClassification, classify
 
 __all__ = [
@@ -58,13 +58,14 @@ def dissipation(fields: FieldSet, rates: RegularizedRates, work: dict | None = N
     gathered = np.take(fields.values, rows, axis=0, out=work_array(work, "rows", rows.shape + y.shape), mode="clip")
     energies = gradient_energy(Field(fields.grid, gathered), weighted=True, work=work) if rows.size else ()
     grad_part = per_level(sum(w[i] * e for i, e in zip(rows, energies)))
-    x = np.asarray(rates.reactant_product(fields.values))
-    phi = np.asarray(rates.phi(fields.values))
+    x = reactant_product(rates.system.reactant_alpha, fields.values[:-1], work)
+    total = np.sum(fields.values, axis=0, out=work_array(work, "total", y.shape))
+    phi_x = phi(rates.system.Q, rates.n, total, work)
     log = np.maximum(y, _LOG_FLOOR, out=work_array(work, "log", y.shape))
     log /= np.maximum(x, _LOG_FLOOR, out=work_array(work, "term", y.shape))
     term = np.subtract(y, x, out=work_array(work, "term", y.shape))
     term *= np.log(log, out=log)
-    term /= phi
+    term /= phi_x
     reaction_part = per_level(fields.grid.cell_sum(term) * fields.grid.cell_measure)
     return grad_part + reaction_part, grad_part, reaction_part
 

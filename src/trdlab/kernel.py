@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantBreach
-from .grid import Grid
+from .grid import Grid, work_array
 from .stepper import StepperConfig, transform_roundoff
 
 __all__ = [
@@ -220,30 +220,39 @@ def smoothing_threshold(p: float, dimension: int) -> float:
     return n_eff * p / (n_eff - 2 * p)
 
 
-def _solve_sourced_heat(grid: Grid, d: float, source: np.ndarray, dt: float, n_steps: int):
+def _solve_sourced_heat(grid: Grid, d: float, source: np.ndarray, dt: float, n_steps: int, work: dict | None = None):
     """Backward-Euler march of d/dt psi - d Lap psi = source from zero
     data, exact per DCT-II mode; returns the trajectory including the
     initial state, each step's residual checked against the finite-volume
-    stencil like `stepper.diffusion_substep`'s."""
+    stencil like `stepper.diffusion_substep`'s.  The trajectory and the
+    check's temporaries are arrays of `work`."""
     c_lam = dt * d * grid.mode_eigenvalues()
     multiplier = 1.0 / (1.0 - c_lam)
     forcing = dt * grid.to_modes(source)
-    modes = [np.zeros(grid.shape)]
-    for _ in range(n_steps):
-        modes.append(multiplier * (modes[-1] + forcing))
-    traj = grid.from_modes(np.stack(modes))
-    rhs = traj[:-1] + dt * source
-    resid = np.abs(traj[1:] - rhs - dt * d * grid.laplacian(traj[1:])).max()
-    if not resid <= (StepperConfig.linear_solver_tol + transform_roundoff(c_lam)) * (1.0 + np.abs(rhs).max()):
+    traj = work_array(work, "traj", (n_steps + 1,) + grid.shape)
+    traj[0] = 0.0
+    for k in range(n_steps):
+        np.multiply(np.add(traj[k], forcing, out=traj[k + 1]), multiplier, out=traj[k + 1])
+    traj = grid.from_modes(traj, overwrite_x=True)
+    rhs = np.add(traj[:-1], dt * source, out=work_array(work, "rhs", traj[1:].shape))
+    lap = work_array(work, "lap", rhs.shape)
+    scale = 1.0 + np.abs(rhs, out=lap).max()
+    grid.laplacian(traj[1:], out=lap, flux=work_array(work, "flux", rhs.shape))
+    resid = np.subtract(traj[1:], rhs, out=rhs)
+    resid -= np.multiply(lap, dt * d, out=lap)
+    resid = np.abs(resid, out=resid).max()
+    if not resid <= (StepperConfig.linear_solver_tol + transform_roundoff(c_lam)) * scale:
         raise InvariantBreach("linear-solver", f"sourced heat residual {resid:.3e} above tolerance")
     return traj
 
 
-def _spacetime_norm(traj: np.ndarray, exponent: float, dt: float, cell_measure: float) -> float:
+def _spacetime_norm(traj: np.ndarray, exponent: float, dt: float, cell_measure: float, work: dict | None = None) -> float:
     if math.isinf(exponent):
-        return float(np.abs(traj).max())
+        return float(np.abs(traj, out=work_array(work, "abs", traj.shape)).max())
     # right-endpoint rule in time over the marched states
-    body = np.sum(np.abs(traj[1:]) ** exponent) * dt * cell_measure
+    powers = np.abs(traj[1:], out=work_array(work, "powers", traj[1:].shape))
+    powers **= exponent
+    body = np.sum(powers) * dt * cell_measure
     return float(body ** (1.0 / exponent))
 
 
@@ -280,15 +289,17 @@ def smoothing_probe(
 
     coeff_sets = [rng.uniform(-1.0, 1.0, size=1 + modes * dimension) for _ in range(trials)]
 
+    work = {}  # the trials' arrays, made once per mesh
+
     def ratios(n_cells: int):
         grid = Grid(lengths=lengths, cells=(n_cells,) * dimension)
         out = []
         for coeffs in coeff_sets:
             theta = random_source(grid, coeffs)
-            traj = _solve_sourced_heat(grid, spec.d, theta, t_final / n_steps, n_steps)
+            traj = _solve_sourced_heat(grid, spec.d, theta, t_final / n_steps, n_steps, work)
             theta_traj = np.broadcast_to(theta, traj.shape)
-            num = _spacetime_norm(traj, s, t_final / n_steps, grid.cell_measure)
-            den = _spacetime_norm(theta_traj, p, t_final / n_steps, grid.cell_measure)
+            num = _spacetime_norm(traj, s, t_final / n_steps, grid.cell_measure, work)
+            den = _spacetime_norm(theta_traj, p, t_final / n_steps, grid.cell_measure, work)
             if den == 0.0:
                 continue  # zero source: nothing to certify
             out.append(num / den)

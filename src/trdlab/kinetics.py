@@ -8,7 +8,6 @@ first one.  For B n-levels advanced together, n is an array of shape
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,39 +19,50 @@ __all__ = [
     "RegularizedRates",
     "reactant_product",
     "phi",
-    "phi_n",
     "raw_rate",
     "entropy_kernel",
-    "log_inequality_slack",
 ]
 
 
-def reactant_product(alpha: np.ndarray, reactants: np.ndarray) -> np.ndarray:
+def reactant_product(alpha: np.ndarray, reactants: np.ndarray, work: dict | None = None) -> np.ndarray:
     """prod_j r_j^{alpha_j} over the leading (reactant) axis, with the
     0^0 = 1 convention (spectator species with alpha_j = 0 contribute a
     unit factor).  Unit exponents are skipped, as their power is exact.
     Each other factor is a power with a full exponent array: numpy takes
     x*x or sqrt(x) for a scalar exponent 2 or 1/2, or one broadcast over
     an array too large to buffer, which rounds unlike its power on a small
-    array, so a cell's product would depend on the size of its batch."""
-    prod = 1.0
+    array, so a cell's product would depend on the size of its batch.
+    The product and the exponent arrays are arrays of `work`."""
+    shape = (1,) + reactants.shape[1:]  # a slice: one cell's factor is an array too
+    prod = work_array(work, "prod", shape)
+    prod.fill(1.0)
     for j, a in enumerate(alpha):
-        r = reactants[j : j + 1]  # a slice: one cell's factor is an array too
-        prod = prod * (r if a == 1.0 else np.power(r, np.full(r.shape, a)))
+        r = reactants[j : j + 1]
+        prod *= r if a == 1.0 else np.power(r, _exponent(work, a, shape), out=work_array(work, "factor", shape))
     return prod[0]
 
 
-def phi(Q: float, n, total):
+def _exponent(work: dict | None, a: float, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of `work` with a in every entry, filled when it is made."""
+    name = f"exponent {float(a)!r}"
+    made = None if work is None else work.get(name)
+    e = work_array(work, name, shape)
+    if e is not made:
+        e.fill(a)
+    return e
+
+
+def phi(Q: float, n, total, work: dict | None = None):
     """The regularizer 1 + total^{Q+2}/n at the species sum `total`;
-    exactly 1 for n = +inf, where total^{Q+2}/n is 0."""
-    return 1.0 + total ** (Q + 2.0) / n
-
-
-def phi_n(system: TriangularSystem, n: float, state: np.ndarray) -> np.ndarray | float:
-    """phi^n = 1 + (1/n) (sum_i a_i)^{Q+2}; identically 1 for n = +inf."""
-    if not np.all(np.asarray(n) > 0):
-        raise ValueError("regularization index n must be positive")
-    return phi(system.Q, n, np.asarray(state, dtype=float).sum(axis=0))
+    exactly 1 for n = +inf, where total^{Q+2}/n is 0.  An array of `work` if given."""
+    if work is None:
+        return 1.0 + total ** (Q + 2.0) / n
+    out = work_array(work, "phi", np.shape(total))
+    np.copyto(out, total)
+    out **= Q + 2.0  # in place, numpy takes the power that total ** (Q + 2) takes
+    out /= n
+    out += 1.0
+    return out
 
 
 def raw_rate(system: TriangularSystem, state: np.ndarray) -> np.ndarray:
@@ -78,11 +88,6 @@ class RegularizedRates:
     def phi(self, state) -> np.ndarray | float:
         return phi(self.system.Q, self.n, np.asarray(state, dtype=float).sum(axis=0))
 
-    def g(self, state) -> np.ndarray | float:
-        """Scalar regularized production g^n = (a_m - prod a_j^alpha_j)/phi^n."""
-        a = np.asarray(state, dtype=float)
-        return (a[-1] - self.reactant_product(a)) / self.phi(a)
-
     def rate(self, state) -> np.ndarray:
         return raw_rate(self.system, state) / self.phi(state)
 
@@ -106,13 +111,3 @@ def entropy_kernel(a, work: dict | None = None) -> np.ndarray | float:
         val += 1.0
     np.copyto(val, 1.0, where=np.logical_not(pos, out=pos))
     return float(val) if val.ndim == 0 else val
-
-
-def log_inequality_slack(x: float, y: float, kappa: float) -> float:
-    """Slack of x <= kappa*y + (1/ln kappa)(y - x) ln(y/x); nonnegative
-    for all x, y > 0 and kappa > 1."""
-    if x <= 0 or y <= 0:
-        raise ValueError("x and y must be positive")
-    if kappa <= 1:
-        raise ValueError("kappa must exceed 1")
-    return kappa * y + (y - x) * math.log(y / x) / math.log(kappa) - x

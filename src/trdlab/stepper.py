@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "StepperConfig",
     "SimulationState",
     "RunResult",
-    "reaction_cell_solve",
     "ModalDiffusion",
     "diffusion_substep",
     "step",
@@ -92,102 +92,127 @@ class RunResult:
         return float(np.abs(fs.values[-1] - prod).max())
 
 
-def _rate_at(x, sigma, alpha, m, Q, n, total=None):
+def _rate_at(x, sigma, alpha, m, Q, n, total=None, work=None):
     """The regularized rate along the reaction orbit a_j = sigma_j - x,
     a_m = x, whose species sum is S = sum sigma - (m-2) x (`total` is sum
     sigma, if known); then, for the Newton slope, prod, phi, S, prod - x
-    and the reactants max(sigma - x, 0)."""
-    reactants = np.maximum(sigma - x, 0.0)
-    prod = reactant_product(alpha, reactants)
-    S = (sigma.sum(axis=0) if total is None else total) - (m - 2) * x
-    phi_x = phi(Q, n, S)
-    net = prod - x
-    return net / phi_x, prod, phi_x, S, net, reactants
+    and the reactants max(sigma - x, 0), all arrays of `work`.  For the
+    scalar n = inf, phi is exactly 1 and the rate prod - x: phi, S are None."""
+    reactants = work_array(work, "reactants", sigma.shape[:1] + x.shape)
+    prod = reactant_product(alpha, np.maximum(np.subtract(sigma, x, out=reactants), 0.0, out=reactants), work)
+    net = np.subtract(prod, x, out=work_array(work, "net", prod.shape))
+    if np.ndim(n) == 0 and n == math.inf:
+        return net, prod, None, None, net, reactants
+    S = work_array(work, "S", net.shape)
+    np.subtract(sigma.sum(axis=0) if total is None else total, np.multiply(x, m - 2, out=S), out=S)
+    phi_x = phi(Q, n, S, work)
+    return np.divide(net, phi_x, out=work_array(work, "g", net.shape)), prod, phi_x, S, net, reactants
 
 
-def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None):
-    """Theta-scheme residual: x - x0 - dt ((1-theta) g(x0) + theta g(x));
+def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None, work=None, rates=None):
+    """Theta-scheme residual: x - x0 - dt ((1-theta) g(x0) + theta g(x)),
+    then the rest of `_rate_at`'s tuple, `rates` if it was evaluated;
     theta = 1 is backward Euler, theta = 1/2 the trapezoidal rule."""
-    g, *rest = _rate_at(x, sigma, alpha, m, Q, n, total)
-    return (x - x0 - dt * ((1.0 - theta) * g0 + theta * g), *rest)
+    g, *rest = _rate_at(x, sigma, alpha, m, Q, n, total, work) if rates is None else rates
+    r = np.multiply(g, theta, out=work_array(work, "r", g.shape))
+    r += (1.0 - theta) * g0 if np.ndim(g0) == 0 else np.multiply(g0, 1.0 - theta, out=work_array(work, "lagged", g0.shape))
+    return (np.subtract(np.subtract(x, x0, out=work_array(work, "dx", r.shape)), np.multiply(r, dt, out=r), out=r), *rest)
 
 
-def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=200, tol=1e-14):
+def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None, max_iter=200, tol=1e-14):
     """Hybrid Newton-bisection for the implicit reaction update,
     vectorized over cells.  The root is bracketed in [0, min_j sigma_j];
     where the residual has no sign change inside the bracket (spectator
-    exponents, or trapezoidal overshoot at large dt) the update clamps
-    at the offending end.  The bracket ends and the start are evaluated
-    in one stacked residual call.  A cell that is done is frozen, so each
-    cell's result is independent of the others in the call."""
-    smin = hi = sigma.min(axis=0)
-    total = sigma.sum(axis=0)
-    lo = np.zeros(x0.shape)
-    x = np.clip(x0, lo, smin)
-    g0 = _rate_at(x0, sigma, alpha, m, Q, n, total)[0] if theta < 1.0 else 0.0
-    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total)
-    r, prod, phi_x, S, net, reactants = _residual(np.array([smin, lo, x]), x0, sigma[:, None], *args[2:])
-    clamped_hi, clamped_lo = r[0] < 0.0, r[1] > 0.0
-    r, prod, phi_x, S, net, reactants = r[2], prod[2], phi_x[2], S[2], net[2], reactants[:, 2]
-    stop = tol * (1.0 + np.abs(x0) + dt)
-    alpha_col = alpha.reshape((-1,) + (1,) * x.ndim)
+    exponents, or trapezoidal overshoot at large dt) the cell clamps at
+    the offending end.  Only there are the ends evaluated; this, and
+    skipping phi where every n is inf, changes no bit for x0 >= 0 and
+    sigma_j >= x0 (see the README).  A done cell is frozen, so each cell's
+    result is independent of the others.  The temporaries, and the x and
+    mask returned, are arrays of `work`, overwritten by its next call."""
+    work = {} if work is None else work
+    buf = partial(work_array, work, shape=x0.shape)
+    n = n if np.count_nonzero(np.not_equal(n, math.inf)) else math.inf
+    smin = hi = sigma.min(axis=0, out=buf("hi"))  # smin is needed only before the loop narrows hi
+    total = sigma.sum(axis=0, out=buf("total"))
+    lo, mid, dg, t, stop = (buf(name) for name in ("lo", "mid", "dg", "t", "stop"))
+    done, flag, other, clamped = (buf(name, dtype=bool) for name in ("done", "flag", "other", "clamped"))
+    inv, vanished = work_array(work, "inv", sigma.shape), work_array(work, "vanished", sigma.shape, bool)
+    lo.fill(0.0)
+    x = np.clip(x0, lo, smin, out=buf("x"))
+    if theta == 1.0 and alpha.min() > 0.0:  # r(0) <= 0 <= r(min sigma): no clamp
+        args = (x0, sigma, alpha, m, Q, n, dt, theta, 0.0, total, work)
+        r, prod, phi_x, S, net, reactants = _residual(x, *args)
+        clamped.fill(False)
+    else:
+        start = work.setdefault("start", {})
+        xs = work_array(start, "x", (3,) + x.shape)
+        xs[0], xs[1], xs[2] = smin, 0.0, x
+        rates = _rate_at(xs, sigma[:, None], alpha, m, Q, n, total, start)
+        g0 = rates[0][2] if theta < 1.0 else 0.0  # g(x0), as x = x0
+        args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, work)
+        r, *rest = _residual(xs, x0, sigma[:, None], *args[2:-1], start, rates)
+        np.putmask(x, np.less(r[0], 0.0, out=flag), smin)
+        np.putmask(x, np.greater(r[1], 0.0, out=other), 0.0)
+        np.logical_or(flag, other, out=clamped)
+        r, prod, phi_x, S, net = (None if v is None else v[2] for v in (r, *rest[:-1]))
+        reactants = rest[-1][:, 2]
+    np.copyto(done, clamped)  # a clamped cell is done at its bracket end
+    np.abs(x0, out=stop)
+    stop += 1.0
+    stop += dt
+    stop *= tol
     dphi_coeff = -(m - 2) * (Q + 2.0)
-    done = np.zeros(x.shape, dtype=bool)
+    scaled = [(j, a) for j, a in enumerate(alpha) if a != 1.0]
     # vanished factors and overshooting Newton steps give infinities the
     # guards below reject; they are expected, so not warned about
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(max_iter):
             if k:
                 r, prod, phi_x, S, net, reactants = _residual(x, *args)
-            done |= np.abs(r) <= stop
-            if done.all():
+            done |= np.less_equal(np.abs(r, out=t), stop, out=flag)
+            if np.count_nonzero(done) == done.size:
                 break
-            pos = r > 0.0
-            hi = np.where(pos, x, hi)
-            lo = np.where(pos, lo, x)
-            mid = 0.5 * (lo + hi)
+            np.putmask(hi, np.greater(r, 0.0, out=flag), x)
+            np.putmask(lo, np.logical_not(flag, out=flag), x)
+            np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
             # where the slope times one ulp of x exceeds the tolerance, the bracket
             # closes on adjacent floats first: mid then rounds to lo or hi, and x is one
-            done |= (mid == lo) | (mid == hi)
+            done |= np.equal(mid, lo, out=flag)
+            done |= np.equal(mid, hi, out=flag)
             # analytic derivative of the residual; vanished factors get a huge
             # finite slope so the Newton guard falls back to bisection there
-            inv = np.where(reactants > 0.0, 1.0 / reactants, 1e300)
-            dprod = -prod * (alpha_col * inv).sum(axis=0)
-            # dphi is exactly 0 (and phi exactly 1) where n = inf
-            dphi = dphi_coeff * S ** (Q + 1.0) / n
-            dg = ((dprod - 1.0) * phi_x - net * dphi) / phi_x**2
-            rprime = 1.0 - dt * theta * dg
-            newton = x - r / rprime
+            np.divide(1.0, reactants, out=inv)
+            np.putmask(inv, np.logical_not(np.greater(reactants, 0.0, out=vanished), out=vanished), 1e300)
+            for j, a in scaled:
+                inv[j] *= a
+            np.multiply(np.negative(prod, out=dg), inv.sum(axis=0, out=t), out=dg)
+            dg -= 1.0
+            if phi_x is not None:  # dg = ((dprod - 1) phi - net dphi) / phi^2
+                np.copyto(t, S)
+                t **= Q + 1.0  # in place, numpy takes the power that S ** (Q + 1) takes
+                t *= dphi_coeff
+                t /= n
+                dg *= phi_x
+                dg -= np.multiply(t, net, out=t)
+                dg /= np.multiply(phi_x, phi_x, out=t)  # numpy takes phi ** 2 as this square
+            rprime = np.subtract(1.0, np.multiply(dg, dt * theta, out=dg), out=dg)
+            newton = np.subtract(x, np.divide(r, rprime, out=t), out=t)
             # both bracket tests are false for a NaN or infinite newton
-            use_newton = (newton > lo) & (newton < hi) & (rprime > 0)
-            x = np.where(done, x, np.where(use_newton, newton, mid))
-    x = np.where(clamped_hi, smin, x)
-    x = np.where(clamped_lo, 0.0, x)
-    return x, clamped_hi | clamped_lo
-
-
-def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float):
-    """Integrate the reaction-only system over dt in one cell.
-
-    Exactly conserves sigma_j = a_j + a_m and keeps the output in the
-    nonnegative orthant with a_m in [0, min_j sigma_j].
-    """
-    a = np.asarray(state_cell, dtype=float)
-    system = rates.system
-    m = system.m
-    if a.shape != (m,) or np.any(a < 0):
-        raise ValueError("cell state must be a nonnegative m-vector")
-    sigma = a[:-1] + a[-1]
-    x = _solve_reaction_newton(a[-1:], sigma[:, None], system.reactant_alpha, m, system.Q, rates.n, dt)[0][0]
-    return np.append(sigma - x, x)
+            use_newton = np.greater(newton, lo, out=flag)
+            use_newton &= np.less(newton, hi, out=other)
+            use_newton &= np.greater(rprime, 0.0, out=other)
+            np.putmask(mid, use_newton, newton)
+            np.putmask(x, np.logical_not(done, out=flag), mid)
+    return x, clamped
 
 
 # cells per reaction solve: small enough temporaries that the allocator keeps its heap between steps
 _REACTION_BLOCK = 4096
 
 
-def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, theta: float = 1.0):
-    """The reaction solve over the flattened cells of every n-level, in blocks of _REACTION_BLOCK."""
+def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, theta: float = 1.0, work: dict | None = None):
+    """The reaction solve over the flattened cells of every n-level, in blocks of _REACTION_BLOCK, with each
+    block size's temporaries in a dict of `work` (fresh ones without it)."""
     system = fields.system
     vals = fields.values.reshape(system.m, -1)
     n = np.broadcast_to(rates.n, fields.values.shape[1:]).reshape(-1)  # a view if rates.n is per cell, as in `run`
@@ -195,8 +220,10 @@ def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, thet
     sigma = np.add(vals[:-1], vals[-1], out=new[:-1])  # a block's sigma_j - x overwrites it once solved
     for start in range(0, vals.shape[1], _REACTION_BLOCK):
         cells = slice(start, start + _REACTION_BLOCK)
-        x, _ = _solve_reaction_newton(vals[-1, cells], sigma[:, cells], system.reactant_alpha, system.m,
-                                      system.Q, n[cells], dt, theta)
+        x0 = vals[-1, cells]
+        block = None if work is None else work.setdefault(x0.size, {})
+        x, _ = _solve_reaction_newton(x0, sigma[:, cells], system.reactant_alpha, system.m, system.Q, n[cells], dt,
+                                      theta, block)
         np.subtract(sigma[:, cells], x, out=sigma[:, cells])
         new[-1, cells] = x
     return FieldSet(system, fields.grid, new.reshape(fields.values.shape))
@@ -302,11 +329,13 @@ def _step_diffusion(fields: FieldSet, config: StepperConfig) -> ModalDiffusion:
 
 
 def step(
-    state: SimulationState, config: StepperConfig, rates: RegularizedRates, modal: ModalDiffusion | None = None
+    state: SimulationState, config: StepperConfig, rates: RegularizedRates, modal: ModalDiffusion | None = None,
+    work: dict | None = None,
 ) -> SimulationState:
     """One splitting step of length config.dt (Lie: diffusion then
     reaction; Strang: half diffusion, reaction, half diffusion).  `run`
-    passes its `ModalDiffusion` so the multipliers are built once."""
+    passes its `ModalDiffusion` so the multipliers are built once, and
+    the `work` dict that keeps the reaction solve's temporaries."""
     dt = config.dt
     f = state.fields
     if modal is None:
@@ -314,7 +343,7 @@ def step(
     # Strang takes second-order substeps (Crank-Nicolson / trapezoidal) so
     # that the composition is genuinely O(dt^2)
     strang = config.splitting == "strang"
-    f = _reaction_substep(diffusion_substep(f, modal), rates, dt, 0.5 if strang else 1.0)
+    f = _reaction_substep(diffusion_substep(f, modal), rates, dt, 0.5 if strang else 1.0, work)
     if strang:
         f = diffusion_substep(f, modal)
     return SimulationState(state.time + dt, f, state.step_count + 1)
@@ -379,12 +408,12 @@ def run(
 
     try:
         _, clamp_count, clamp_worst = _clamp_positivity(state.fields)
-        modal = _step_diffusion(state.fields, cfg)
+        modal, reaction_work = _step_diffusion(state.fields, cfg), {}
         tracker.accumulate(state.fields, 0.0)
         if n_steps:
             emit(state)
         for k in range(n_steps):
-            state = step(state, cfg, rates_b, modal)
+            state = step(state, cfg, rates_b, modal, reaction_work)
             _, c, w = _clamp_positivity(state.fields)
             clamp_count = clamp_count + c
             clamp_worst = _running_min(clamp_worst, w)

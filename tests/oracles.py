@@ -10,9 +10,12 @@ from functools import cache, reduce
 import numpy as np
 import scipy.sparse as sp
 
+from trdlab import kinetics, stepper
+from trdlab.bootstrap import Exponent
 from trdlab.fields import FieldSet
 from trdlab.grid import Field, Grid
 from trdlab.kernel import KernelSpec
+from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 
 
@@ -63,3 +66,159 @@ def broadcast_pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) ->
     k = np.arange(1, spec.truncation + 1)
     decay = np.exp(-spec.d * (k * math.pi / L) ** 2 * t)
     return 1.0 / L + (2.0 / L) * np.sum(decay * c[:, None, :] * c[None, :, :], axis=-1)
+
+
+def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float):
+    """Integrate the reaction-only system over dt in one cell with the
+    stepper's reaction solve.
+
+    Exactly conserves sigma_j = a_j + a_m and keeps the output in the
+    nonnegative orthant with a_m in [0, min_j sigma_j].
+    """
+    a = np.asarray(state_cell, dtype=float)
+    system = rates.system
+    m = system.m
+    if a.shape != (m,) or np.any(a < 0):
+        raise ValueError("cell state must be a nonnegative m-vector")
+    sigma = a[:-1] + a[-1]
+    x = stepper._solve_reaction_newton(a[-1:], sigma[:, None], system.reactant_alpha, m, system.Q, rates.n, dt)[0][0]
+    return np.append(sigma - x, x)
+
+
+def phi_n(system: TriangularSystem, n: float, state: np.ndarray) -> np.ndarray | float:
+    """phi^n = 1 + (1/n) (sum_i a_i)^{Q+2}; identically 1 for n = +inf."""
+    if not np.all(np.asarray(n) > 0):
+        raise ValueError("regularization index n must be positive")
+    return kinetics.phi(system.Q, n, np.asarray(state, dtype=float).sum(axis=0))
+
+
+def rate_g(rates: RegularizedRates, state) -> np.ndarray | float:
+    """Scalar regularized production g^n = (a_m - prod a_j^alpha_j)/phi^n."""
+    a = np.asarray(state, dtype=float)
+    return (a[-1] - rates.reactant_product(a)) / rates.phi(a)
+
+
+def log_inequality_slack(x: float, y: float, kappa: float) -> float:
+    """Slack of x <= kappa*y + (1/ln kappa)(y - x) ln(y/x); nonnegative
+    for all x, y > 0 and kappa > 1."""
+    if x <= 0 or y <= 0:
+        raise ValueError("x and y must be positive")
+    if kappa <= 1:
+        raise ValueError("kappa must exceed 1")
+    return kappa * y + (y - x) * math.log(y / x) / math.log(kappa) - x
+
+
+def holder_conjugate(p: Exponent) -> Exponent:
+    """q with 1/p + 1/q = 1; conjugate of +inf is 1."""
+    if p.is_infinite:
+        return Exponent.of(1)
+    if p.value == 1:
+        return Exponent.infinity()
+    if p.value <= 1:
+        raise ValueError("conjugate needs p > 1 or the infinity sentinel")
+    return Exponent(1 / (1 - 1 / p.value))
+
+
+def young_convolution(q: Exponent, r: Exponent) -> Exponent:
+    """p with 1 + 1/p = 1/q + 1/r (convolution L^q * L^r -> L^p)."""
+    s = q.reciprocal + r.reciprocal
+    if s < 1:
+        raise ValueError(
+            f"inadmissible pair: 1/q + 1/r = {s} < 1 leaves no Lebesgue exponent"
+        )
+    recip_p = s - 1
+    return Exponent.infinity() if recip_p == 0 else Exponent(1 / recip_p)
+
+
+# The reaction solve as it was before its shortcuts and work arrays, kept
+# as the bit-for-bit oracle of `trdlab.stepper`'s: the three functions
+# verbatim, over the rate law's two functions as they were then.
+
+
+def reactant_product(alpha: np.ndarray, reactants: np.ndarray) -> np.ndarray:
+    """prod_j r_j^{alpha_j} over the leading axis, factor by factor, with
+    a full exponent array for each non-unit exponent."""
+    prod = 1.0
+    for j, a in enumerate(alpha):
+        r = reactants[j : j + 1]  # a slice: one cell's factor is an array too
+        prod = prod * (r if a == 1.0 else np.power(r, np.full(r.shape, a)))
+    return prod[0]
+
+
+def phi(Q: float, n, total):
+    """The regularizer 1 + total^{Q+2}/n."""
+    return 1.0 + total ** (Q + 2.0) / n
+
+
+def _rate_at(x, sigma, alpha, m, Q, n, total=None):
+    """The regularized rate along the reaction orbit a_j = sigma_j - x,
+    a_m = x, whose species sum is S = sum sigma - (m-2) x (`total` is sum
+    sigma, if known); then, for the Newton slope, prod, phi, S, prod - x
+    and the reactants max(sigma - x, 0)."""
+    reactants = np.maximum(sigma - x, 0.0)
+    prod = reactant_product(alpha, reactants)
+    S = (sigma.sum(axis=0) if total is None else total) - (m - 2) * x
+    phi_x = phi(Q, n, S)
+    net = prod - x
+    return net / phi_x, prod, phi_x, S, net, reactants
+
+
+def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None):
+    """Theta-scheme residual: x - x0 - dt ((1-theta) g(x0) + theta g(x));
+    theta = 1 is backward Euler, theta = 1/2 the trapezoidal rule."""
+    g, *rest = _rate_at(x, sigma, alpha, m, Q, n, total)
+    return (x - x0 - dt * ((1.0 - theta) * g0 + theta * g), *rest)
+
+
+def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=200, tol=1e-14):
+    """Hybrid Newton-bisection for the implicit reaction update,
+    vectorized over cells.  The root is bracketed in [0, min_j sigma_j];
+    where the residual has no sign change inside the bracket (spectator
+    exponents, or trapezoidal overshoot at large dt) the update clamps
+    at the offending end.  The bracket ends and the start are evaluated
+    in one stacked residual call.  A cell that is done is frozen, so each
+    cell's result is independent of the others in the call."""
+    smin = hi = sigma.min(axis=0)
+    total = sigma.sum(axis=0)
+    lo = np.zeros(x0.shape)
+    x = np.clip(x0, lo, smin)
+    g0 = _rate_at(x0, sigma, alpha, m, Q, n, total)[0] if theta < 1.0 else 0.0
+    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total)
+    r, prod, phi_x, S, net, reactants = _residual(np.array([smin, lo, x]), x0, sigma[:, None], *args[2:])
+    clamped_hi, clamped_lo = r[0] < 0.0, r[1] > 0.0
+    r, prod, phi_x, S, net, reactants = r[2], prod[2], phi_x[2], S[2], net[2], reactants[:, 2]
+    stop = tol * (1.0 + np.abs(x0) + dt)
+    alpha_col = alpha.reshape((-1,) + (1,) * x.ndim)
+    dphi_coeff = -(m - 2) * (Q + 2.0)
+    done = np.zeros(x.shape, dtype=bool)
+    # vanished factors and overshooting Newton steps give infinities the
+    # guards below reject; they are expected, so not warned about
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            if k:
+                r, prod, phi_x, S, net, reactants = _residual(x, *args)
+            done |= np.abs(r) <= stop
+            if done.all():
+                break
+            pos = r > 0.0
+            hi = np.where(pos, x, hi)
+            lo = np.where(pos, lo, x)
+            mid = 0.5 * (lo + hi)
+            # where the slope times one ulp of x exceeds the tolerance, the bracket
+            # closes on adjacent floats first: mid then rounds to lo or hi, and x is one
+            done |= (mid == lo) | (mid == hi)
+            # analytic derivative of the residual; vanished factors get a huge
+            # finite slope so the Newton guard falls back to bisection there
+            inv = np.where(reactants > 0.0, 1.0 / reactants, 1e300)
+            dprod = -prod * (alpha_col * inv).sum(axis=0)
+            # dphi is exactly 0 (and phi exactly 1) where n = inf
+            dphi = dphi_coeff * S ** (Q + 1.0) / n
+            dg = ((dprod - 1.0) * phi_x - net * dphi) / phi_x**2
+            rprime = 1.0 - dt * theta * dg
+            newton = x - r / rprime
+            # both bracket tests are false for a NaN or infinite newton
+            use_newton = (newton > lo) & (newton < hi) & (rprime > 0)
+            x = np.where(done, x, np.where(use_newton, newton, mid))
+    x = np.where(clamped_hi, smin, x)
+    x = np.where(clamped_lo, 0.0, x)
+    return x, clamped_hi | clamped_lo

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import holder_conjugate, young_convolution
 from trdlab.bootstrap import (
     CHAIN_SCENARIOS,
     Exponent,
     gn_identity_check,
-    holder_conjugate,
     kernel_time_integrable,
     linf_threshold,
     ode_power_map,
     replay_chain,
-    young_convolution,
 )
 
 fractions_ge_1 = st.fractions(min_value=1, max_value=100)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import constant_state
 from trdlab.diagnostics import (
     DiagnosticsTracker,
@@ -86,6 +87,22 @@ class TestDissipation:
         _, _, reac_reg = dissipation(fs, RegularizedRates(SYS3, 1.0))
         phi = 1.0 + 5.0**5.0  # (2+2+1)^(Q+2)
         assert reac_reg == pytest.approx(reac_limit / phi)
+
+
+    def test_work_arrays_leave_every_bit(self):
+        # the reaction part from the tracker's work arrays, against the rate
+        # law's fresh evaluation; non-unit exponents and mixed levels
+        system = TriangularSystem(m=4, alpha=(0.5, 2.0, 1.3, 1.0), d=(1.0, 0.5, 0.0, 1.0))
+        vals = np.random.default_rng(12).uniform(0.0, 3.0, size=(4, 2, 32))
+        fs = FieldSet(system, GRID, vals)
+        rates = RegularizedRates(system, np.array([10.0, math.inf]).reshape(2, 1))
+        x = oracles.reactant_product(system.reactant_alpha, vals[:-1])
+        y = vals[-1]
+        term = (y - x) * np.log(np.maximum(y, 1e-30) / np.maximum(x, 1e-30)) / oracles.phi(system.Q, rates.n, vals.sum(axis=0))
+        expected = GRID.cell_sum(term) * GRID.cell_measure
+        work = {}
+        for _ in range(2):
+            assert dissipation(fs, rates, work)[2].tobytes() == expected.tobytes()
 
 
 class TestNorms:

@@ -218,6 +218,29 @@ class TestSmoothing:
         with pytest.raises(InvariantBreach):
             _solve_sourced_heat(grid, 1.0, source, dt=0.01, n_steps=3)
 
+    def test_sourced_heat_reuses_its_work_arrays(self):
+        # the probe's trials share one work dict: a warmed march makes no
+        # trajectory-sized array, and its trajectory is the fresh one's; what
+        # it allocates is numpy's buffers for the stencil's strided slices
+        import tracemalloc
+
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid((1.0,), (128,))
+        source = np.random.default_rng(5).uniform(-1.0, 1.0, size=grid.shape)
+        fresh = _solve_sourced_heat(grid, 1.0, source, 1e-3, 500)
+        work = {}
+        _solve_sourced_heat(grid, 1.0, source, 1e-3, 500, work)
+        tracemalloc.start()
+        try:
+            traj = _solve_sourced_heat(grid, 1.0, source, 1e-3, 500, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.tobytes() == fresh.tobytes()
+        assert peak <= 0.5 * traj.nbytes
+
     def test_probe_ratios_stable_below_threshold(self):
         report = smoothing_probe(SPEC, p=2.0, s=4.0, dimension=1, trials=4, cells=32)
         assert report["passed"], report

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trdlab.kinetics import (
-    RegularizedRates,
-    entropy_kernel,
-    log_inequality_slack,
-    phi_n,
-    raw_rate,
-    reactant_product,
-)
+import oracles
+from oracles import log_inequality_slack, phi_n
+from trdlab.kinetics import RegularizedRates, entropy_kernel, phi, raw_rate, reactant_product
 from trdlab.model import TriangularSystem
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
@@ -80,6 +75,35 @@ class TestReactantProduct:
         assert np.array(cells).tobytes() == whole[0, :300].tobytes()
 
 
+class TestWorkArrays:
+    """With a `work` dict, the product and phi land in its arrays, bit for
+    bit as they were without them."""
+
+    def test_product_and_phi_match_the_fresh_evaluation(self):
+        rng = np.random.default_rng(6)
+        state = rng.uniform(0.0, 5.0, size=(4, 3, 50))
+        state[:, 0, :5] = 0.0
+        n = np.array([1.0, 10.0, math.inf]).reshape(3, 1)
+        work = {}
+        for alpha, Q in (([2.0, 0.5, 2.71], 6.21), ([1.0, 0.0, 1.0], 3.0)):
+            for _ in range(2):  # made, then reused
+                prod = reactant_product(np.array(alpha), state[:-1], work)
+                assert prod.tobytes() == oracles.reactant_product(np.array(alpha), state[:-1]).tobytes()
+                total = state.sum(axis=0)
+                assert phi(Q, n, total, work).tobytes() == oracles.phi(Q, n, total).tobytes()
+
+    def test_exponent_arrays_are_made_once_per_value_and_shape(self):
+        work = {}
+        reactants = np.full((2, 7), 2.0)
+        reactant_product(np.array([3.0, 0.5]), reactants, work)
+        exponents = {name: work[name] for name in work if name.startswith("exponent")}
+        assert sorted(exponents) == ["exponent 0.5", "exponent 3.0"]
+        assert reactant_product(np.array([3.0, 0.5]), reactants, work)[0] == 8.0 * math.sqrt(2.0)
+        assert all(work[name] is a for name, a in exponents.items())
+        # another exponent at the same position gets its own array
+        assert reactant_product(np.array([2.0, 0.5]), reactants, work)[0] == 4.0 * math.sqrt(2.0)
+
+
 class TestRegularizedRates:
     def test_rate_is_raw_over_phi(self):
         a = np.array([1.0, 1.0, 1.0])
@@ -89,7 +113,7 @@ class TestRegularizedRates:
     def test_g_matches_product_species_rate(self):
         a = np.array([2.0, 0.5, 3.0])
         rr = RegularizedRates(SYS3, 5.0)
-        assert rr.g(a) == pytest.approx(rr.rate(a)[-1] * -1.0)
+        assert oracles.rate_g(rr, a) == pytest.approx(rr.rate(a)[-1] * -1.0)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

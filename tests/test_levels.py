@@ -118,8 +118,8 @@ class TestGatesPerLevel:
     def test_a_breach_at_one_level_names_its_n(self, monkeypatch):
         real = stepper_module._reaction_substep
 
-        def corrupt_n10(fields, rates, dt, theta=1.0):
-            out = real(fields, rates, dt, theta)
+        def corrupt_n10(fields, rates, dt, theta=1.0, work=None):
+            out = real(fields, rates, dt, theta, work)
             out.values[0, rates.n[:, 0] == 10.0, 3] = -1e-6
             return out
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from oracles import constant_state, integrate, laplacian_matrix, species
+import oracles
+from oracles import constant_state, integrate, laplacian_matrix, reaction_cell_solve, species
 from trdlab.diagnostics import DiagnosticsTracker, entropy
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
@@ -26,7 +27,6 @@ from trdlab.stepper import (
     _residual,
     _solve_reaction_newton,
     diffusion_substep,
-    reaction_cell_solve,
     run,
     step,
 )
@@ -140,7 +140,7 @@ class TestReactionSolveProperties:
         assert np.all(clamped | converged | sign_change)
 
         # the merged rate law: the orbit form is -g of kinetics at (sigma - x, x)
-        g = RegularizedRates(system, n).g(np.concatenate([sigma - x, x[None]]))
+        g = oracles.rate_g(RegularizedRates(system, n), np.concatenate([sigma - x, x[None]]))
         np.testing.assert_allclose(_rate_at(x, sigma, alpha, m, Q, n)[0], -g, rtol=1e-12, atol=1e-12)
 
 
@@ -167,6 +167,78 @@ class TestReactionSolveProperties:
         below, above = (real(np.nextafter(x[:1], to), *args)[0][0] for to in (-np.inf, np.inf))
         r = real(x[:1], *args)[0][0]
         assert min(below, r) <= 0.0 <= max(r, above)
+
+
+ORACLE_CELLS = 8
+
+
+@st.composite
+def oracle_problems(draw, path):
+    """`reaction_problems` on ORACLE_CELLS cells, extended: a draw on one
+    path of the solve, "backward-euler" (theta = 1, every exponent > 0,
+    unit and integer ones included), "spectator" (theta = 1, some exponent
+    0) or "trapezoidal" (theta = 1/2); n a scalar, an all-inf array or a
+    per-cell mix; and vacuum cells, wholly or in one species."""
+    m = draw(st.integers(2, 4))
+    positive = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.1, 3.0))
+    exponent = positive if path == "backward-euler" else st.one_of(st.just(0.0), positive)
+    alpha = [draw(exponent) for _ in range(m - 1)]
+    if path == "spectator":
+        alpha[draw(st.integers(0, m - 2))] = 0.0
+    cells = ORACLE_CELLS * m
+    vals = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=cells, max_size=cells))).reshape(m, ORACLE_CELLS)
+    for c in draw(st.lists(st.integers(0, ORACLE_CELLS - 1), max_size=3)):
+        vals[:, c] = 0.0
+    for c in draw(st.lists(st.integers(0, ORACLE_CELLS - 1), max_size=3)):
+        vals[draw(st.integers(0, m - 1)), c] = 0.0
+    levels = st.sampled_from([1.0, 10.0, math.inf])
+    n = draw(st.one_of(
+        st.sampled_from([1.0, 100.0, math.inf]),
+        st.just(np.full(ORACLE_CELLS, math.inf)),
+        st.lists(levels, min_size=ORACLE_CELLS, max_size=ORACLE_CELLS).map(np.array),
+    ))
+    dt = draw(st.floats(1e-4, 10.0))
+    system = TriangularSystem(m=m, alpha=tuple(alpha) + (1.0,), d=(0.0,) * m)
+    return system, vals, dt, 0.5 if path == "trapezoidal" else 1.0, n
+
+
+class TestReactionSolveOracle:
+    """The solve with its shortcuts and work arrays against the solve
+    without them (`oracles._solve_reaction_newton`), bit for bit."""
+
+    @pytest.mark.parametrize("path", ["backward-euler", "spectator", "trapezoidal"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_unshortcut_solve_bit_for_bit(self, path, data):
+        system, vals, dt, theta, n = data.draw(oracle_problems(path))
+        sigma, x0 = vals[:-1] + vals[-1], vals[-1]
+        args = (x0, sigma, system.reactant_alpha, system.m, system.Q, n, dt, theta)
+        x_ref, clamped_ref = oracles._solve_reaction_newton(*args)
+        work = {}
+        for _ in range(2):  # fresh work arrays, then the same ones again
+            x, clamped = _solve_reaction_newton(*args, work)
+            assert x.tobytes() == x_ref.tobytes()
+            assert clamped.tobytes() == clamped_ref.tobytes()
+        if path == "backward-euler":
+            assert not clamped.any()
+
+    def test_a_run_steps_as_the_unshortcut_solve_does(self, monkeypatch):
+        # every shortcut at work in a run: Lie and Strang, finite and infinite n
+        import trdlab.stepper as stepper_module
+
+        system = TriangularSystem(m=3, alpha=(0.5, 2.0, 1.0), d=(1.0, 0.5, 0.0))
+        grid = Grid((1.0,), (64,))
+        x = grid.centers()[0]
+        initial = FieldSet(system, grid, np.stack([1.0 + 0.5 * np.cos(math.pi * x), np.full_like(x, 0.5), 0.2 + x]))
+        levels = [RegularizedRates(system, n) for n in (1.0, math.inf)]
+        for splitting in ("lie", "strang"):
+            config = StepperConfig(dt=0.05, splitting=splitting)
+            fast = run(initial, config, levels, t_final=0.5)
+            with monkeypatch.context() as patch:
+                patch.setattr(stepper_module, "_solve_reaction_newton", lambda *a: oracles._solve_reaction_newton(*a[:8]))
+                slow = run(initial, config, levels, t_final=0.5)
+            for a, b in zip(fast, slow):
+                assert a.final_state.fields.values.tobytes() == b.final_state.fields.values.tobytes()
 
 
 class TestBlockedReactionSubstep:
@@ -585,6 +657,23 @@ class TestSteadyWorkArrays:
         for _ in range(2):
             diffusion_substep(fs, modal)
         assert traced_peak(lambda: diffusion_substep(fs, modal)) <= 1.5 * fs.values.nbytes
+
+    @pytest.mark.parametrize("case", ["strang-128x128", "lie-5x128"])
+    def test_reaction_substep_allocates_little_beyond_its_result(self, case):
+        # n per cell, as `run` passes it; a warmed substep reuses the blocks'
+        # temporaries in its work dict, so it allocates about the state it returns
+        if case == "strang-128x128":
+            fs, levels, theta, limit = frozen_state(2), [10.0, math.inf], 0.5, 2.0
+        else:
+            system = TriangularSystem(m=3, alpha=(0.5, 2.0, 1.0), d=(1.0, 1.0, 0.0))
+            vals = np.random.default_rng(4).uniform(0.0, 2.0, size=(3, 5, 128))
+            fs, levels, theta, limit = FieldSet(system, Grid((1.0,), (128,)), vals), [1.0, 10.0, 100.0, 1e3, math.inf], 1.0, 6.0
+        cells = fs.values[0, 0].size
+        rates = RegularizedRates(fs.system, np.repeat(levels, cells).reshape(fs.values.shape[1:]))
+        work = {}
+        for _ in range(2):
+            _reaction_substep(fs, rates, STRANG.dt, theta, work)
+        assert traced_peak(lambda: _reaction_substep(fs, rates, STRANG.dt, theta, work)) <= limit * fs.values.nbytes
 
     def test_accumulate_allocates_under_one_and_a_half_states(self):
         fs = frozen_state(2)
