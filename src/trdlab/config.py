@@ -118,7 +118,7 @@ def _parse_grid(data, path: str) -> Grid:
     try:
         return Grid(lengths=lengths, cells=cells)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(f"{path}.lengths" if str(exc).startswith("lengths") else path, str(exc)) from exc
 
 
 def _validate_initial_spec(spec, path: str, dimension: int) -> dict:
@@ -224,7 +224,13 @@ def _evaluate_species(spec: dict, grid: Grid, path: str) -> np.ndarray:
             values = eval(spec["formula"], {"__builtins__": {}}, names)  # noqa: S307 - sandboxed namespace
     except Exception as exc:
         raise ConfigError(path, f"expression failed to evaluate: {exc}") from exc
-    return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ConfigError(path, f"expression must give real numbers, got {values.dtype} values")
+    try:
+        return np.broadcast_to(values.astype(float), grid.shape).copy()
+    except ValueError as exc:
+        raise ConfigError(path, f"expression of shape {values.shape} does not fit the grid {grid.shape}") from exc
 
 
 def build_initial(config: ExperimentConfig) -> FieldSet:

@@ -151,6 +151,9 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None, 
         g0 = rates[0][2] if theta < 1.0 else 0.0  # g(x0), as x = x0
         args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, work)
         r, *rest = _residual(xs, x0, sigma[:, None], *args[2:-1], start, rates)
+        for name, a in start.items():  # the loop works in the x rows, but for g's and net's: one holds g0
+            if a.shape[-2:] == xs.shape and name not in ("g", "net"):
+                work[name] = a[..., 2, :]
         np.putmask(x, np.less(r[0], 0.0, out=flag), smin)
         np.putmask(x, np.greater(r[1], 0.0, out=other), 0.0)
         np.logical_or(flag, other, out=clamped)
@@ -406,6 +409,28 @@ def run(
         for obs in observers:
             obs(rec_state)
 
+    # the diagnostics take a window of consecutive states in one pass, as many as fit the reaction's block
+    B, window = len(levels), max(1, _REACTION_BLOCK // values[0].size)
+    stack = np.empty((values.shape[0], window * B) + values.shape[2:]) if window > 1 else None
+    times = []  # of the steps whose states fill the window
+
+    def close():
+        """The diagnostics pass over the window, then each step's entropy gate in step order."""
+        if not times:
+            return
+        fields = state.fields if stack is None else FieldSet(initial.system, initial.grid, stack[:, : len(times) * B])
+        e_prev = tracker.entropy
+        for t, e_now in zip(times, tracker.accumulate(fields, dt)):
+            rose = _first_level(~(e_now <= e_prev + e_tol), e_now - e_prev)
+            if rose:
+                raise InvariantBreach(
+                    "entropy",
+                    f"entropy rose by {rose[1]:.3e} (> {e_tol:.3e}) at t={t:.6g}",
+                    {"e_prev": float(e_prev[rose[0]]), "e_now": float(e_now[rose[0]]), "level": rose[0]},
+                )
+            e_prev = e_now
+        times.clear()
+
     try:
         _, clamp_count, clamp_worst = _clamp_positivity(state.fields)
         modal, reaction_work = _step_diffusion(state.fields, cfg), {}
@@ -413,21 +438,21 @@ def run(
         if n_steps:
             emit(state)
         for k in range(n_steps):
-            state = step(state, cfg, rates_b, modal, reaction_work)
-            _, c, w = _clamp_positivity(state.fields)
+            try:
+                state = step(state, cfg, rates_b, modal, reaction_work)
+                _, c, w = _clamp_positivity(state.fields)
+            except InvariantBreach:
+                close()  # an earlier step's entropy rise breached first
+                raise
             clamp_count = clamp_count + c
             clamp_worst = _running_min(clamp_worst, w)
-            e_prev = tracker.entropy
-            tracker.accumulate(state.fields, dt)
-            e_now = tracker.entropy
-            rose = _first_level(~(e_now <= e_prev + e_tol), e_now - e_prev)
-            if rose:
-                raise InvariantBreach(
-                    "entropy",
-                    f"entropy rose by {rose[1]:.3e} (> {e_tol:.3e}) at t={state.time:.6g}",
-                    {"e_prev": float(e_prev[rose[0]]), "e_now": float(e_now[rose[0]]), "level": rose[0]},
-                )
-            if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
+            if stack is not None:
+                stack[:, len(times) * B : (len(times) + 1) * B] = state.fields.values
+            times.append(state.time)
+            record = (k + 1) % cfg.record_every == 0 or k == n_steps - 1
+            if record or len(times) == window:
+                close()
+            if record:
                 emit(state)
     except InvariantBreach as exc:
         if "level" not in exc.details:

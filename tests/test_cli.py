@@ -108,6 +108,10 @@ class TestRunCommand:
             ("initial[2]", {"kind": "expression", "formula": "sqrt(x-0.5)"}),
             ("initial[2]", {"kind": "expression", "formula": "1/(x-x)"}),
             ("initial[2]", {"kind": "expression", "formula": "undefined_name(x)"}),
+            ("initial[2]", {"kind": "expression", "formula": "x[:3]"}),
+            ("initial[2]", {"kind": "expression", "formula": "[1,2,3]"}),
+            ("initial[2]", {"kind": "expression", "formula": "'abc'"}),
+            ("initial[2]", {"kind": "expression", "formula": "1j+x"}),
             ("system.d[0]", float("nan")),
             ("system.d[0]", float("inf")),
             ("system.alpha[0]", float("nan")),
@@ -115,6 +119,9 @@ class TestRunCommand:
             ("grid.lengths[0]", float("nan")),
             ("grid.lengths[0]", float("inf")),
             ("grid.cells[0]", 16.7),
+            ("grid.lengths", [1e-300]),
+            ("grid.lengths", [1e-160]),
+            ("grid.lengths", [1e300]),
         ],
     )
     def test_non_finite_or_zero_fields_exit_1_naming_the_field(self, tmp_path, capsys, path, value):
@@ -128,6 +135,13 @@ class TestRunCommand:
         cfg = write_config(tmp_path, bad)  # json writes NaN / Infinity literals
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"$.{path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengths", [1e-109, 2e110])
+    def test_a_cell_measure_that_leaves_the_floats_exits_1(self, tmp_path, capsys, lengths):
+        # each h^2 is a normal float, but the product of three widths under- or overflows
+        box = dict(FAST_CONFIG, grid={"lengths": [lengths] * 3, "cells": [2] * 3})
+        assert main(["run", "--config", str(write_config(tmp_path, box)), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "$.grid.lengths" in capsys.readouterr().err
 
     def test_zero_horizon_run_succeeds(self, tmp_path):
         short = dict(FAST_CONFIG)

@@ -194,3 +194,53 @@ class TestTrackerAndBalance:
         rec.entropy = result.records[0].e0 * 2.0 + 1.0  # corrupt
         report = entropy_balance_check(result.records, tol=1e-3)
         assert not report["ok"]
+
+    def test_a_start_at_equilibrium_passes_the_balance(self):
+        # E(0) = 0: the roundoff in the dissipation integral (about 1e-33)
+        # is within the same 1e-12 floor as the monotonicity term
+        system = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 1.0, 1.0))
+        fs = constant_state(system, Grid((1.0,), (8,)), (1.0, 1.0, 1.0))
+        levels = [RegularizedRates(system, n) for n in (1.0, 10.0, math.inf)]
+        for result in run(fs, StepperConfig(dt=0.1), levels, t_final=0.2):
+            assert result.tracker.e0 == 0.0
+            assert entropy_balance_check(result.records, result.entropy_tol)["ok"]
+            result.records[-1].diss_integral += 1e-9  # an excess the floor must not hide
+            assert not entropy_balance_check(result.records, result.entropy_tol)["ok"]
+
+
+# spectator exponent alpha_1 = 0, exponents 2 and 1/2, a species without diffusion
+SYS_SPECTATOR = TriangularSystem(m=4, alpha=(0.0, 2.0, 0.5, 1.0), d=(1.0, 0.0, 0.5, 1.0))
+WINDOW_LEVELS = (1.0, 10.0, math.inf)
+
+
+class TestWindowedPass:
+    """`accumulate` over k states stacked along the level axis is k
+    passes over one state each, to the bit."""
+
+    @pytest.mark.parametrize("grid", [Grid((1.0,), (16,)), Grid((1.0, 0.5), (6, 5)), Grid((1.0, 1.0, 2.0), (4, 3, 5))],
+                             ids=["1d", "2d", "3d"])
+    def test_one_pass_over_k_states_equals_k_passes(self, grid):
+        rng = np.random.default_rng(7)
+        B, m = len(WINDOW_LEVELS), SYS_SPECTATOR.m
+        states = rng.uniform(0.0, 2.0, size=(7, m, B) + grid.shape)
+        states[2, 1, 0].flat[0] = states[4, 3, 2].flat[-1] = 0.0  # vacuum cells
+        rates = RegularizedRates(SYS_SPECTATOR, np.repeat(WINDOW_LEVELS, math.prod(grid.shape)).reshape((B,) + grid.shape))
+        initial = FieldSet(SYS_SPECTATOR, grid, states[0, :, 0])
+        single, windowed = (DiagnosticsTracker(rates, initial, p_values=(2.0, 3.5)) for _ in range(2))
+        rows, dt = [], 0.03
+        for s in states:
+            rows.append(single.accumulate(FieldSet(SYS_SPECTATOR, grid, s), dt))
+            assert rows[-1].shape == (1, B)
+        done = 0
+        for k in (3, 1, 3):  # a window size again after another, so its work dict is reused
+            stacked = np.concatenate(states[done : done + k], axis=1)
+            got = windowed.accumulate(FieldSet(SYS_SPECTATOR, grid, stacked), dt)
+            assert got.tobytes() == np.concatenate(rows[done : done + k]).tobytes()
+            done += k
+        assert sorted(windowed.work) == [1, 3]
+        assert windowed.entropy.tobytes() == single.entropy.tobytes()
+        assert windowed.dissipation.tobytes() == single.dissipation.tobytes()
+        assert windowed.diss_integral.tobytes() == single.diss_integral.tobytes()
+        assert windowed._l1prod_accum.tobytes() == single._l1prod_accum.tobytes()
+        for p in (2.0, 3.5):
+            assert windowed._st_accum[p].tobytes() == single._st_accum[p].tobytes()

@@ -222,6 +222,21 @@ class TestReactionSolveOracle:
         if path == "backward-euler":
             assert not clamped.any()
 
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_one_work_dict_serves_solves_of_finite_and_infinite_n(self, data):
+        # as one dict serves a run's blocks of a size, level-major: g0 is g's row
+        # where some n is finite, net's where every n is inf, and the loop reads it
+        work = {}
+        for path, n in [("trapezoidal", 10.0), ("trapezoidal", math.inf), ("spectator", 10.0), ("trapezoidal", math.inf),
+                        ("trapezoidal", 10.0)]:
+            system, vals, dt, theta, _ = data.draw(oracle_problems(path))
+            args = (vals[-1], vals[:-1] + vals[-1], system.reactant_alpha, system.m, system.Q, n, dt, theta)
+            x_ref, clamped_ref = oracles._solve_reaction_newton(*args)
+            x, clamped = _solve_reaction_newton(*args, work)
+            assert x.tobytes() == x_ref.tobytes()
+            assert clamped.tobytes() == clamped_ref.tobytes()
+
     def test_a_run_steps_as_the_unshortcut_solve_does(self, monkeypatch):
         # every shortcut at work in a run: Lie and Strang, finite and infinite n
         import trdlab.stepper as stepper_module
@@ -716,3 +731,64 @@ class TestSteadyWorkArrays:
             fs = frozen_state(levels)
             fresh = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
             assert diffusion_substep(fs, reused).values.tobytes() == diffusion_substep(fs, fresh).values.tobytes()
+
+
+# the presets' shape: five n-levels of 128 cells, 640 cells per species, so
+# the diagnostics take windows of six states (4096 // 640)
+PRESET_GRID = Grid((1.0,), (128,))
+PRESET_LEVELS = [RegularizedRates(SYS3, n) for n in (1.0, 10.0, 100.0, 1e3, math.inf)]
+PRESET_LIE = StepperConfig(dt=0.02, record_every=25)
+
+
+def preset_state() -> FieldSet:
+    x = PRESET_GRID.axis_centers(0)
+    return FieldSet(SYS3, PRESET_GRID, np.stack([1.5 + 0.4 * np.cos(math.pi * x), 1.2 + 0 * x, 0.6 - 0.3 * np.cos(2 * math.pi * x)]))
+
+
+class TestDiagnosticsWindow:
+    """`run` passes the diagnostics over windows of consecutive states; a
+    window of one state, which a record after every step forces, is the
+    per-step pass that every result must equal."""
+
+    def test_window_sizes_follow_the_reaction_block(self):
+        result = run(preset_state(), PRESET_LIE, PRESET_LEVELS, t_final=13 * PRESET_LIE.dt)[0]
+        assert sorted(result.tracker.work) == [1, 6]  # windows 6, 6, 1: the last step closes one
+        # grid-2d's 32,768-cell state has no room: it is passed as it is, one state a window
+        result = run(frozen_state(1).level(0), STRANG, LEVELS, t_final=2 * STRANG.dt)[0]
+        assert sorted(result.tracker.work) == [1]
+
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    def test_windows_leave_every_record_bit(self, splitting):
+        cfg = replace(PRESET_LIE, splitting=splitting, record_every=5)
+        windowed = run(preset_state(), cfg, PRESET_LEVELS, t_final=17 * cfg.dt)
+        per_step = run(preset_state(), replace(cfg, record_every=1), PRESET_LEVELS, t_final=17 * cfg.dt)
+        for w, s in zip(windowed, per_step):
+            kept = [rec for rec in s.records if any(rec.time == r.time for r in w.records)]
+            assert [r.time for r in kept] == [r.time for r in w.records]
+            for a, b in zip(w.records, kept):
+                assert np.array(a.csv_row()).tobytes() == np.array(b.csv_row()).tobytes()
+                assert (a.dissipation_gradient, a.dissipation_reaction) == (b.dissipation_gradient, b.dissipation_reaction)
+
+    @pytest.mark.parametrize("rise, negative", [(3, None), (3, 5), (1, 6), (8, 11)])
+    def test_an_entropy_rise_in_a_window_is_the_breach_a_per_step_pass_reports(self, monkeypatch, rise, negative):
+        import trdlab.stepper as stepper_module
+
+        real = stepper_module.step
+
+        def corrupted(state, *args):
+            new = real(state, *args)
+            if new.step_count == rise:
+                new.fields.values[:, 1] *= 1.5  # level n = 10 gains entropy
+            if new.step_count == negative:
+                new.fields.values[0, 3, 7] = -1.0  # and a later step of the window breaches positivity
+            return new
+
+        monkeypatch.setattr(stepper_module, "step", corrupted)
+        breaches = []
+        for record_every in (25, 1):
+            with pytest.raises(InvariantBreach) as info:
+                run(preset_state(), replace(PRESET_LIE, record_every=record_every), PRESET_LEVELS, t_final=1.0)
+            breaches.append((info.value.kind, str(info.value), info.value.details))
+        assert breaches[0] == breaches[1]
+        assert breaches[0][0] == "entropy" and breaches[0][2]["n"] == 10.0
+        assert f"t={rise * PRESET_LIE.dt:.6g}" in breaches[0][1]
