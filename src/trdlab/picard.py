@@ -10,18 +10,24 @@ delta2(r) = r^(alpha_j - 1) prod_i (offset_i + r)^(alpha_i) collects the
 other degenerate reactants (their values are pinned to a_j by the
 constant pointwise differences offset_i = a_{i,0} - a_{j,0}).
 
-The envelope check optionally runs in arbitrary precision (mpmath):
-beyond p ~ 20 the factorial envelope drops below float64 roundoff, so a
-double-precision iteration cannot certify it honestly.
+Beyond p ~ 20 the factorial envelope drops below float64 roundoff, so it is
+certified on iterates in binary fixed point on Python integers: x stands for
+x 2^-P, P = ceil(dps log2 10 / e) + _GUARD_BITS, e the least power in delta2
+below 1 (else 1), as r^e turns an error d in r into about d^e.  Sums are
+exact; a product (x y) >> P, an integer power and 2^2P // E round down, by less
+than one unit 2^-P; mpmath's exp and non-integer powers are good to a few units
+of their value's last place.  Only the iterates become mp.mpf at dps digits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import InvariantBreach
 
@@ -36,6 +42,8 @@ __all__ = [
     "constants_for",
     "canonical_scenario",
 ]
+
+_GUARD_BITS = 20  # fixed-point bits below the dps digits, for the roundings that add up along the iterates
 
 
 @dataclass(frozen=True)
@@ -78,15 +86,15 @@ class PointwiseInputs:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def delta2(self, r):
-        """delta2 at r: on floats, or elementwise on an object array of mp.mpf."""
+    def delta2(self, r, lift=float, mul=operator.mul, power=operator.pow):
+        """delta2 at r in the arithmetic of lift, mul and power: floats, mp.mpf arrays or fixed point."""
         r = np.asarray(r)
         pos = r > 0
-        base = np.where(pos, r, 1.0)
-        out = base if self.alpha_j == 2.0 else base ** (self.alpha_j - 1.0)  # unit powers are exact: skipped
-        out = np.where(pos | (self.alpha_j == 1.0), out, 0.0)
+        base = np.where(pos, r, lift(1.0))
+        out = base if self.alpha_j == 2.0 else power(base, self.alpha_j - 1.0)  # unit powers are exact: skipped
+        out = np.where(pos | (self.alpha_j == 1.0), out, lift(0.0))
         for off, a in zip(self.offsets, self.offset_alphas):
-            out = out * (off + r if a == 1.0 else (off + r) ** a)
+            out = mul(out, lift(off) + r if a == 1.0 else power(lift(off) + r, a))
         return out
 
 
@@ -104,27 +112,27 @@ class PicardBoundConstants:
         return safety * 2.0 * self.T * self.C4 * (self.C5 * self.T) ** p / math.factorial(p)
 
 
-def _cumtrapz(f: np.ndarray, half_dt) -> np.ndarray:
+def _cumtrapz(f: np.ndarray, half_dt, mul=operator.mul) -> np.ndarray:
     out = np.empty_like(f)
-    out[0] = 0.0
-    np.cumsum((f[1:] + f[:-1]) * half_dt, out=out[1:])
+    out[0] = 0
+    np.cumsum(mul(f[1:] + f[:-1], half_dt), out=out[1:])
     return out
 
 
-def _map(inputs: PointwiseInputs, a, drivers, exp_pair):
-    """The integrating-factor map, with drivers = `_drivers(inputs, lift)`
-    and exp_pair(W) = (e^W, e^-W) in the same arithmetic: floats, or
-    object arrays of mp.mpf under mp.workdps."""
+def _map(inputs: PointwiseInputs, a, drivers, exp_pair, lift=float, mul=operator.mul, power=operator.pow):
+    """The integrating-factor map, with drivers = `_drivers(inputs, lift, mul)`
+    and exp_pair(W) = (e^W, e^-W) in the same arithmetic as lift, mul and power:
+    floats, object arrays of mp.mpf under mp.workdps, or picard_iterate_mp's fixed point."""
     am_d1, d1, d3, a0, half_dt = drivers
-    W = _cumtrapz(d1 * inputs.delta2(a) * d3, half_dt)
+    W = _cumtrapz(mul(mul(d1, inputs.delta2(a, lift, mul, power)), d3), half_dt, mul)
     grow, decay = exp_pair(W)
     # array first: mpf + ndarray would make mpmath try to convert the array
-    return decay * (_cumtrapz(am_d1 * grow, half_dt) + a0)
+    return mul(decay, _cumtrapz(mul(am_d1, grow), half_dt, mul) + a0)
 
 
-def _drivers(inputs: PointwiseInputs, lift=lambda v: v) -> tuple:
-    am, d1, d3, a0, dt = (lift(v) for v in (inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt))
-    return am * d1, d1, d3, a0, dt / 2
+def _drivers(inputs: PointwiseInputs, lift=lambda v: v, mul=operator.mul) -> tuple:
+    am, d1, d3, a0, half_dt = map(lift, (inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt / 2))
+    return mul(am, d1), d1, d3, a0, half_dt
 
 
 def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarray:
@@ -155,18 +163,28 @@ def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = No
 
 
 def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
-    """picard_iterate's map at `dps` digits (same mesh, same trapezoidal
-    rule), one list of mp.mpf per iterate; used by the envelope
-    certification.  e^-W is the reciprocal of e^W at `dps` digits: one exp per node."""
-    with mp.workdps(dps):
-        drivers = _drivers(inputs, np.frompyfunc(mp.mpf, 1, 1))
-        vexp = np.frompyfunc(mp.exp, 1, 1)
-        a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
-        iterates = [list(a)]
-        for _ in range(p_max):
-            a = _map(inputs, a, drivers, lambda W: (E := vexp(W), 1 / E))
-            iterates.append(list(a))
-        return iterates
+    """picard_iterate's map to `dps` digits in the module docstring's fixed
+    point (same mesh and trapezoidal rule), one list of mp.mpf per iterate,
+    for the envelope certification.  One exp per node: e^-W is 2^2P // e^W."""
+    if bad := [name for name, v in (("p_max", p_max), ("dps", dps)) if type(v) is not int or v < 1]:
+        raise ValueError(f"{' and '.join(bad)} must be positive ints; got p_max={p_max!r}, dps={dps!r}")
+    root = min([1.0] + [e for e in (inputs.alpha_j - 1.0, *inputs.offset_alphas) if e > 0])  # see the module docstring
+    P, prec = math.ceil(dps * math.log2(10) / root) + _GUARD_BITS, libmp.dps_to_prec(dps)
+    lift = np.frompyfunc(lambda v: libmp.to_fixed(libmp.from_float(float(v)), P), 1, 1)
+    mul = lambda x, y: (x * y) >> P
+    def power(x, e):  # integer powers in integers, rounded once; the others through mpmath at P bits
+        if e == int(e) >= 0:
+            return (x ** int(e) << P) >> (int(e) * P)
+        e = libmp.from_float(e)
+        return np.frompyfunc(lambda v: libmp.to_fixed(libmp.mpf_pow(libmp.from_man_exp(v, -P), e, P), P), 1, 1)(x)
+    vexp = np.frompyfunc(lambda w: libmp.libelefun.exp_fixed(w, P), 1, 1)
+    exp_pair = lambda W: (E := vexp(W), (1 << 2 * P) // E)
+    to_mpf = np.frompyfunc(lambda x: mp.make_mpf(libmp.from_man_exp(x, -P, prec, "n")), 1, 1)
+    a = np.full(len(inputs.times), lift(inputs.a_j0), dtype=object)
+    drivers, iterates = _drivers(inputs, lift, mul), [list(to_mpf(a))]
+    for _ in range(p_max):  # only the latest iterate stays in integers
+        iterates.append(list(to_mpf(a := _map(inputs, a, drivers, exp_pair, lift, mul, power))))
+    return iterates
 
 
 def constants_for(inputs: PointwiseInputs, c_tilde: float | None = None, samples: int = 10001) -> PicardBoundConstants:
@@ -201,6 +219,8 @@ def convergence_envelope_check(
     factorial envelope drops below 1e-16 near p = 20) stay resolvable."""
     results = []
     worst_p, worst_margin = None, math.inf
+    if not iterates or any(len(traj) != len(reference) for traj in iterates):
+        raise ValueError("need at least one iterate, each on the reference's mesh")
     with mp.workdps(dps):
         reference = [mp.mpf(y) for y in reference]
         for p, traj in enumerate(iterates):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from functools import cache, reduce
 
+import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 
@@ -17,6 +18,7 @@ from trdlab.grid import Field, Grid
 from trdlab.kernel import KernelSpec
 from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
+from trdlab.picard import PointwiseInputs, _drivers, _map
 
 
 @cache
@@ -222,3 +224,19 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
     x = np.where(clamped_hi, smin, x)
     x = np.where(clamped_lo, 0.0, x)
     return x, clamped_hi | clamped_lo
+
+
+def picard_iterate_mpf(inputs: PointwiseInputs, p_max: int, dps: int = 40):
+    """picard_iterate's map at `dps` digits in mp.mpf arithmetic (same mesh,
+    same trapezoidal rule), one list of mp.mpf per iterate: the reference for
+    picard_iterate_mp's fixed point.  e^-W is the reciprocal of e^W at `dps`
+    digits: one exp per node."""
+    with mp.workdps(dps):
+        drivers = _drivers(inputs, np.frompyfunc(mp.mpf, 1, 1))
+        vexp = np.frompyfunc(mp.exp, 1, 1)
+        a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
+        iterates = [list(a)]
+        for _ in range(p_max):
+            a = _map(inputs, a, drivers, lambda W: (E := vexp(W), 1 / E))
+            iterates.append(list(a))
+        return iterates

@@ -1,14 +1,21 @@
 """Integrating-factor map, Picard iteration, and the factorial envelope."""
 
 import math
+import operator
 from itertools import accumulate
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import libmp
+from oracles import picard_iterate_mpf
 
 from trdlab.errors import InvariantBreach
 from trdlab.picard import (
+    _GUARD_BITS,
     PicardBoundConstants,
     PointwiseInputs,
     canonical_scenario,
@@ -37,16 +44,16 @@ def linear_inputs(a_j0=0.3, n_points=2001, T=1.0):
     )
 
 
-def offset_inputs(n_points=101, T=1.0):
-    """alpha_j = 2 (a unit power in delta2), non-constant delta1, and two
-    offsets with exponents 1 and 1/2."""
+def offset_inputs(n_points=101, T=1.0, alpha_j=2.0, offset_alphas=(1.0, 0.5)):
+    """By default alpha_j = 2 (a unit power in delta2), non-constant delta1,
+    and two offsets with exponents 1 and 1/2."""
     t = np.linspace(0.0, T, n_points)
     return PointwiseInputs(
         times=t,
         a_j0=0.2,
-        alpha_j=2.0,
+        alpha_j=alpha_j,
         offsets=(0.1, 0.3),
-        offset_alphas=(1.0, 0.5),
+        offset_alphas=offset_alphas,
         driver_am=0.25 + 0.05 * np.exp(-t),
         delta1=1.0 / (1.0 + 0.5 * t * t),
         delta3=0.3 - 0.1 * np.exp(-t),
@@ -67,7 +74,7 @@ def float_pair(w):
 
 
 def mp_pair(w):
-    """The 80-digit map's pair: e^-w as the reciprocal of e^w."""
+    """The mpf oracle's pair: e^-w as the reciprocal of e^w."""
     e = node(MP_EXP, w)
     return e, 1 / e
 
@@ -77,52 +84,112 @@ def mp_pair_negated(w):
     return node(MP_EXP, w), node(MP_EXP, -w)
 
 
-def reference_map(inputs, a, lift, exp_pair):
+def powered(v, e):
+    """v**e on a one-node array."""
+    return node(lambda u: u**e, v)
+
+
+FLOATS = SimpleNamespace(lift=float, mul=operator.mul, halve=lambda x: x / 2, power=powered, exp_pair=float_pair)
+MPF = SimpleNamespace(lift=mp.mpf, mul=operator.mul, halve=lambda x: x / 2, power=powered, exp_pair=mp_pair)
+MPF_NEGATED = SimpleNamespace(**vars(MPF) | {"exp_pair": mp_pair_negated})
+
+
+def fixed_point(inputs, dps=80):
+    """picard_iterate_mp's node arithmetic at `dps` digits: x stands for
+    x 2^-P, with 1/e times the bits where delta2 has a power e below 1."""
+    root = min([1.0] + [e for e in (inputs.alpha_j - 1.0, *inputs.offset_alphas) if e > 0])
+    P = math.ceil(dps * math.log2(10) / root) + _GUARD_BITS
+
+    def power(v, e):
+        """v**e: integer powers exactly, then one shift."""
+        if e == int(e):
+            return (v ** int(e) << P) >> (int(e) * P)
+        return libmp.to_fixed(libmp.mpf_pow(libmp.from_man_exp(v, -P), libmp.from_float(e), P), P)
+
+    def exp_pair(w):
+        e = libmp.libelefun.exp_fixed(w, P)
+        return e, (1 << 2 * P) // e
+
+    return P, SimpleNamespace(
+        lift=lambda v: int(math.ldexp(v, P)),  # exact: a float times a power of two
+        mul=lambda x, y: (x * y) >> P,
+        halve=lambda x: x >> 1,
+        power=power,
+        exp_pair=exp_pair,
+    )
+
+
+def reference_map(inputs, a, ar):
     """The integrating-factor map node by node, in the operation order it
     had before its loop invariants were hoisted: trapezoid sums (f_i + f_{i-1}) * dt / 2 accumulated
-    from the left, am * d1 * e^W per node.  Each power is taken on a
-    one-node array; `lift` is float, or mp.mpf under mp.workdps, and
-    exp_pair(w) gives (e^w, e^-w) at one node."""
+    from the left, am * d1 * e^W per node.  `ar` is the node arithmetic:
+    lift (float, mp.mpf under mp.workdps, or `fixed_point`'s integers), mul,
+    halve, power(v, e) and exp_pair(w) = (e^w, e^-w); in fixed point a shift
+    follows every product."""
     n = len(a)
-    am, d1, d3 = ([lift(v) for v in arr] for arr in (inputs.driver_am, inputs.delta1, inputs.delta3))
-    dt, a0 = lift(inputs.dt), lift(inputs.a_j0)
+    am, d1, d3 = ([ar.lift(v) for v in arr] for arr in (inputs.driver_am, inputs.delta1, inputs.delta3))
+    dt, a0 = ar.lift(inputs.dt), ar.lift(inputs.a_j0)
 
     def delta2(r):
-        out = node(lambda v: v ** (inputs.alpha_j - 1.0), r if r > 0 else 1.0)
+        out = ar.power(r if r > 0 else ar.lift(1.0), inputs.alpha_j - 1.0)
         if not (r > 0 or inputs.alpha_j == 1.0):
-            out = 0.0
+            out = ar.lift(0.0)
         for off, e in zip(inputs.offsets, inputs.offset_alphas):
-            out = out * node(lambda v: v**e, off + r)
+            out = ar.mul(out, ar.power(ar.lift(off) + r, e))
         return out
 
     def cumtrapz(f):
-        return [0.0] + list(accumulate((f[i] + f[i - 1]) * dt / 2 for i in range(1, n)))
+        return [ar.lift(0.0)] + list(accumulate(ar.halve(ar.mul(f[i] + f[i - 1], dt)) for i in range(1, n)))
 
-    W = cumtrapz([d1[i] * delta2(a[i]) * d3[i] for i in range(n)])
-    pairs = [exp_pair(w) for w in W]
-    J = cumtrapz([am[i] * d1[i] * pairs[i][0] for i in range(n)])
-    return [pairs[i][1] * (J[i] + a0) for i in range(n)]
+    W = cumtrapz([ar.mul(ar.mul(d1[i], delta2(a[i])), d3[i]) for i in range(n)])
+    pairs = [ar.exp_pair(w) for w in W]
+    J = cumtrapz([ar.mul(ar.mul(am[i], d1[i]), pairs[i][0]) for i in range(n)])
+    return [ar.mul(pairs[i][1], J[i] + a0) for i in range(n)]
 
 
-def reference_iterates(inputs, p_max, lift, exp_pair):
-    iterates = [[lift(inputs.a_j0)] * len(inputs.times)]
+def reference_iterates(inputs, p_max, ar):
+    iterates = [[ar.lift(inputs.a_j0)] * len(inputs.times)]
     for _ in range(p_max):
-        iterates.append(reference_map(inputs, iterates[-1], lift, exp_pair))
+        iterates.append(reference_map(inputs, iterates[-1], ar))
     return iterates
 
 
+# unit and half powers, then integer powers 2 and 3 in delta2: the fixed point takes them in integers
+POWERS = pytest.mark.parametrize("alpha_j, offset_alphas", [(2.0, (1.0, 0.5)), (3.0, (3.0, 1.0))])
+
+
 class TestMapArithmetic:
-    def test_float_iterates_equal_the_reference_bit_for_bit(self):
-        inp = offset_inputs()
-        expected = reference_iterates(inp, 10, float, float_pair)
+    @POWERS
+    def test_float_iterates_equal_the_reference_bit_for_bit(self, alpha_j, offset_alphas):
+        inp = offset_inputs(alpha_j=alpha_j, offset_alphas=offset_alphas)
+        expected = reference_iterates(inp, 10, FLOATS)
         for p, (got, want) in enumerate(zip(picard_iterate(inp, p_max=10), expected, strict=True)):
             assert got.tobytes() == np.array(want).tobytes(), p
 
-    def test_mp_iterates_equal_the_reference_at_80_digits(self):
-        inp = offset_inputs()
+    @POWERS
+    def test_fixed_point_iterates_equal_the_integer_reference_bit_for_bit(self, alpha_j, offset_alphas, monkeypatch):
+        raw, from_man_exp = [], libmp.from_man_exp
+
+        def recording(man, exp, *rounding):  # the iterates' conversion to mpf is the call that rounds
+            if rounding:
+                raw.append((man, exp))
+            return from_man_exp(man, exp, *rounding)
+
+        monkeypatch.setattr(libmp, "from_man_exp", recording)
+        inp = offset_inputs(alpha_j=alpha_j, offset_alphas=offset_alphas)
         got = picard_iterate_mp(inp, p_max=6, dps=80)
+        P, fixed = fixed_point(inp)
+        expected = reference_iterates(inp, 6, fixed)
+        assert raw == [(y, -P) for want in expected for y in want]  # every integer, guard bits included
+        with mp.workdps(80):  # mpf(int) rounds the P-bit integer to nearest at 80 digits
+            for p, (mine, want) in enumerate(zip(got, expected, strict=True)):
+                assert [x._mpf_ for x in mine] == [mp.ldexp(mp.mpf(y), -P)._mpf_ for y in want], p
+
+    def test_mpf_oracle_equals_the_reference_at_80_digits(self):
+        inp = offset_inputs()
+        got = picard_iterate_mpf(inp, p_max=6, dps=80)
         with mp.workdps(80):  # repr prints as many digits as the working precision holds
-            expected = reference_iterates(inp, 6, mp.mpf, mp_pair)
+            expected = reference_iterates(inp, 6, MPF)
             for p, (mine, want) in enumerate(zip(got, expected, strict=True)):
                 assert repr(mine) == repr(want), p
 
@@ -130,14 +197,14 @@ class TestMapArithmetic:
         inp = offset_inputs()
         got = picard_iterate_mp(inp, p_max=6, dps=80)
         with mp.workdps(80):
-            negated = reference_iterates(inp, 6, mp.mpf, mp_pair_negated)
+            negated = reference_iterates(inp, 6, MPF_NEGATED)
             worst = max(abs(x - y) / abs(y) for mine, want in zip(got, negated, strict=True) for x, y in zip(mine, want))
         assert worst <= mp.mpf("1e-76")
 
     def test_envelope_report_is_the_same_under_both_orders(self):
         inp, constants, _ = canonical_scenario(n_points=301)
         with mp.workdps(80):
-            negated = reference_iterates(inp, 40, mp.mpf, mp_pair_negated)
+            negated = reference_iterates(inp, 40, MPF_NEGATED)
         reports = [
             convergence_envelope_check(iterates[:26], constants, iterates[-1], safety=1.1)
             for iterates in (picard_iterate_mp(inp, p_max=40, dps=80), negated)
@@ -145,17 +212,74 @@ class TestMapArithmetic:
         assert reports[0] == reports[1]
         assert reports[0]["passed"]
 
+    def test_envelope_report_equals_the_mpf_oracle_s(self):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        reports = [
+            convergence_envelope_check(iterates[:26], constants, iterates[-1], safety=1.1)
+            for iterates in (picard_iterate_mp(inp, p_max=40, dps=80), picard_iterate_mpf(inp, p_max=40, dps=80))
+        ]
+        assert reports[0] == reports[1]
+
     def test_mp_map_takes_one_exp_per_node(self, monkeypatch):
-        exp, calls = mp.exp, []
+        exp_fixed, calls = libmp.libelefun.exp_fixed, []
 
-        def counting_exp(x):
+        def counting_exp(x, prec):
             calls.append(x)
-            return exp(x)
+            return exp_fixed(x, prec)
 
-        monkeypatch.setattr(mp, "exp", counting_exp)
+        monkeypatch.setattr(libmp.libelefun, "exp_fixed", counting_exp)
+        monkeypatch.setattr(mp, "exp", None)  # the mpf exp is not called at all
         inp = offset_inputs()
         picard_iterate_mp(inp, p_max=3)
         assert len(calls) == 3 * len(inp.times)
+
+    @pytest.mark.parametrize("p_max, dps", [(0, 40), (-1, 40), (2.5, 40), (True, 40), (3, 0), (3, -5), (3, 2.5), (3, None)])
+    def test_rejects_a_p_max_or_dps_that_is_not_a_positive_int(self, p_max, dps):
+        inp = offset_inputs(n_points=11)
+        with pytest.raises(ValueError, match="^dps must" if p_max == 3 else "^p_max must"):
+            picard_iterate_mp(inp, p_max=p_max, dps=dps)
+
+
+@st.composite
+def pointwise_inputs(draw):
+    """alpha_j in {1, 1.5, 2, 3}, up to two offsets with exponents in
+    {1, 1/2, 2}, non-constant delta1 and smooth drivers on [0, 1]."""
+    n = draw(st.integers(3, 25))
+    t = np.linspace(0.0, 1.0, n)
+    unit = st.floats(0.0, 1.0)
+    offsets = draw(st.lists(st.tuples(unit, st.sampled_from([1.0, 0.5, 2.0])), max_size=2))
+    c = draw(st.lists(unit, min_size=5, max_size=5))
+    return PointwiseInputs(
+        times=t,
+        a_j0=c[0],
+        alpha_j=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        offsets=tuple(off for off, _ in offsets),
+        offset_alphas=tuple(e for _, e in offsets),
+        driver_am=c[1] * (1.0 + np.sin(3.0 * t)),
+        delta1=1.0 / (1.0 + c[2] * t * t) + 0.1 * c[3] * np.cos(5.0 * t),
+        delta3=c[4] * np.exp(-t),
+    )
+
+
+def tiny_root_inputs(alpha_j, offsets, offset_alphas):
+    """a_j0 = 1e-100 under a power 1/2 in delta2: at dps digits of fixed
+    point alone a_j0 would be 0, and delta2 off by its square root, 1e-50."""
+    t = np.linspace(0.0, 1.0, 5)
+    return PointwiseInputs(t, 1e-100, alpha_j, offsets, offset_alphas, np.ones_like(t), 1.0 / (1.0 + t * t), np.exp(-t))
+
+
+class TestFixedPointAgainstTheMpfOracle:
+    @given(pointwise_inputs(), st.integers(1, 4))
+    @example(tiny_root_inputs(1.5, (), ()), 3)
+    @example(tiny_root_inputs(1.0, (0.0,), (0.5,)), 3)
+    @settings(max_examples=100, deadline=None)
+    def test_iterates_lie_within_1e_76_of_the_oracle(self, inp, p_max):
+        got = picard_iterate_mp(inp, p_max=p_max, dps=80)
+        want = picard_iterate_mpf(inp, p_max=p_max, dps=80)
+        with mp.workdps(80):
+            for mine, ref in zip(got, want, strict=True):
+                scale = max(1, max(abs(y) for y in ref))
+                assert max(abs(x - y) for x, y in zip(mine, ref, strict=True)) <= mp.mpf("1e-76") * scale
 
 
 class TestPointwiseInputs:
@@ -301,6 +425,21 @@ class TestEnvelope:
     def test_constants_reject_non_finite_values(self, c4, c5, T):
         with pytest.raises(ValueError):
             PicardBoundConstants(C4=c4, C5=c5, T=T)
+
+    @pytest.mark.parametrize("cut", ["reference", "iterate"])
+    def test_rejects_iterates_off_the_reference_mesh(self, cut):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        iters = picard_iterate(inp, p_max=3)
+        reference = iters[-1][:5] if cut == "reference" else iters[-1]
+        if cut == "iterate":
+            iters[1] = iters[1][:3]
+        with pytest.raises(ValueError, match="mesh"):
+            convergence_envelope_check(iters, constants, reference)
+
+    def test_rejects_an_empty_iterate_list(self):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        with pytest.raises(ValueError, match="at least one iterate"):
+            convergence_envelope_check([], constants, picard_iterate(inp, p_max=1)[-1])
 
     def test_nan_error_fails_the_check(self):
         inp, constants, _ = canonical_scenario(n_points=301)
