@@ -8,7 +8,7 @@ from .errors import ConfigError, InvariantBreach
 from .fields import FieldSet
 from .grid import Grid
 from .kinetics import RegularizedRates
-from .model import DegeneracyClass, TriangularSystem, classify, sc_check
+from .model import DegeneracyClass, TriangularSystem, classify
 from .stepper import StepperConfig, run
 
 __version__ = "0.1.0"
@@ -24,6 +24,4 @@ __all__ = [
     "TriangularSystem",
     "classify",
     "run",
-    "sc_check",
-    "__version__",
 ]

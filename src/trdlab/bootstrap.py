@@ -217,7 +217,7 @@ class _ChainBuilder:
         self.chain.steps.append(
             ChainStep(
                 f"linf-threshold-{kind}",
-                "a_m" if kind == "space" else "a_m",
+                "a_m",
                 {"p": p, "threshold": thr, "N": self.N},
                 None,
                 ok,

@@ -1,9 +1,10 @@
 """Run monitors: entropy, dissipation, norms, masses, invariant residuals,
-and the report-style empirical estimate checks.
+and the entropy-balance check.
 
 Constants that the underlying theory leaves non-constructive (duality and
-integrability constants) are fitted from the run and reported; only their
-stability is a testable statement, so those checks never hard-fail.
+integrability constants) are not fitted here: the records carry the
+space-time L^p norms and the running L^1 product integrals (the CSV's
+stlP_i and l1prod_i columns) that such a fit would read.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "dissipation",
     "entropy_balance_check",
     "lp_norms",
-    "duality_report",
-    "l1_product_estimate_check",
 ]
 
 _LOG_FLOOR = 1e-30  # keeps reported dissipation finite at vacuum states
@@ -306,39 +305,3 @@ def entropy_balance_check(records, tol: float) -> dict:
         "e0": e0,
     }
 
-
-def duality_report(records, pair: tuple[int, int], p: float) -> dict:
-    """Empirical smallest C with ||a_m||_{L^p(Omega_t)} <= C (1 + ||a_i||)
-    over the run; the theoretical constant is non-constructive, so only
-    the fitted value is reported."""
-    i, m = pair
-    best = 0.0
-    for rec in records:
-        if p not in rec.st_lp:
-            raise ValueError(f"records do not track space-time L^{p}")
-        num = rec.st_lp[p][m - 1]
-        den = 1.0 + rec.st_lp[p][i - 1]
-        best = max(best, float(num / den))
-    return {"pair": pair, "p": p, "fitted_C": best, "n_records": len(records)}
-
-
-def l1_product_estimate_check(records, i: int, rel_tol: float = 0.05) -> dict:
-    """Fit integral_{Omega_T}(a_i^2 + a_i a_m) = c0 + c1 T over the run's
-    checkpoints and report the relative fit residual; flags super-linear
-    growth in T."""
-    ts = np.array([rec.time for rec in records])
-    vs = np.array([rec.l1_product[i - 1] for rec in records])
-    if len(ts) < 3:
-        return {"ok": True, "residual_rel": 0.0, "c0": 0.0, "c1": 0.0}
-    A = np.vstack([np.ones_like(ts), ts]).T
-    (c0, c1), *_ = np.linalg.lstsq(A, vs, rcond=None)
-    fit = c0 + c1 * ts
-    scale = max(abs(c0) + abs(c1) * ts.max(), 1e-300)
-    residual = float(np.abs(vs - fit).max() / scale)
-    return {
-        "ok": residual <= rel_tol,
-        "residual_rel": residual,
-        "c0": float(c0),
-        "c1": float(c1),
-        "species": i,
-    }

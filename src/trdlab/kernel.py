@@ -1,16 +1,15 @@
-"""Neumann heat kernel on an interval (and tensor-product rectangles) via
-the cosine eigen-expansion, plus numerical verification of the Gaussian
-upper bound and the parabolic L^p -> L^s smoothing estimate.
+"""Neumann heat kernel on an interval via the cosine eigen-expansion, plus
+numerical verification of the Gaussian upper bound and the parabolic
+L^p -> L^s smoothing estimate.
 
-The series for a single interval of length L with diffusivity d is
+The series for an interval of length L with diffusivity d is
 
     G(t, x, y) = 1/L + (2/L) sum_{k=1..K} exp(-d (k pi / L)^2 t)
                  cos(k pi x / L) cos(k pi y / L)
 
-which is the exact Green function truncated at mode K; rectangles use
-the product of the per-axis series.  The smoothing probe marches the
-discrete sourced heat equation in the grid's DCT-II modes, the discrete
-counterpart of the same cosine eigenpairs.
+which is the exact Green function truncated at mode K.  The smoothing
+probe marches the discrete sourced heat equation in the grid's DCT-II
+modes, the discrete counterpart of the same cosine eigenpairs.
 """
 
 from __future__ import annotations
@@ -38,26 +37,23 @@ __all__ = [
 @dataclass(frozen=True)
 class KernelSpec:
     d: float
-    lengths: tuple[float, ...] = (1.0,)
+    lengths: tuple[float] = (1.0,)  # the interval's one length
     truncation: int = 200
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("diffusion coefficient must be positive")
+        if not 0 < self.d < math.inf:
+            raise ValueError(f"d: diffusion coefficient must be positive and finite, got {self.d}")
         if self.truncation < 1:
             raise ValueError("truncation must keep at least one mode")
         lengths = tuple(float(v) for v in np.atleast_1d(self.lengths))
-        if any(v <= 0 for v in lengths):
-            raise ValueError("interval lengths must be positive")
+        if len(lengths) != 1 or not 0 < lengths[0] < math.inf:
+            raise ValueError(f"lengths: need one positive finite interval length, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
-    def dimension(self) -> int:
-        return len(self.lengths)
-
-    @property
     def diffusive_time(self) -> float:
-        return min(L * L for L in self.lengths) / self.d
+        L = self.lengths[0]
+        return L * L / self.d
 
 
 def _cosines(spec: KernelSpec, L: float, x) -> np.ndarray:
@@ -85,34 +81,21 @@ def _pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) -> np.ndarr
 
 
 def heat_kernel_eval(spec: KernelSpec, t, x, y):
-    """Kernel value(s); x, y are scalars in 1D or length-dim sequences.
-    Broadcasts over array-valued t/x/y in 1D."""
-    if spec.dimension == 1:
-        L = spec.lengths[0]
-        return _kernel_1d(spec, L, t, _cosines(spec, L, x), _cosines(spec, L, y))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape[-1] != spec.dimension or y.shape[-1] != spec.dimension:
-        raise ValueError("points must have one coordinate per axis")
-    out = 1.0
-    for axis, L in enumerate(spec.lengths):
-        out = out * _kernel_1d(spec, L, t, _cosines(spec, L, x[..., axis]), _cosines(spec, L, y[..., axis]))
-    return out
+    """Kernel value(s); broadcasts over array-valued t, x and y."""
+    L = spec.lengths[0]
+    return _kernel_1d(spec, L, t, _cosines(spec, L, x), _cosines(spec, L, y))
 
 
 def kernel_tail_bound(spec: KernelSpec, t: float) -> float:
     """Upper bound on the dropped modes: sum_{k>K} (2/L) e^{-d(k pi/L)^2 t}
-    bounded by the geometric tail, per axis and combined crudely."""
+    bounded by the geometric tail."""
     if t <= 0:
         raise ValueError("kernel requires t > 0")
-    total = 0.0
-    K = spec.truncation
-    for L in spec.lengths:
-        rate = spec.d * (math.pi / L) ** 2 * t
-        head = math.exp(-rate * (K + 1) ** 2)
-        ratio = math.exp(-rate * (2 * K + 3))  # e^{-rate((k+1)^2 - k^2)} decreasing in k
-        total += (2.0 / L) * head / max(1.0 - ratio, 1e-300)
-    return total
+    K, L = spec.truncation, spec.lengths[0]
+    rate = spec.d * (math.pi / L) ** 2 * t
+    head = math.exp(-rate * (K + 1) ** 2)
+    ratio = math.exp(-rate * (2 * K + 3))  # e^{-rate((k+1)^2 - k^2)} decreasing in k
+    return (2.0 / L) * head / max(1.0 - ratio, 1e-300)
 
 
 def _midpoints(L: float, n: int) -> np.ndarray:
@@ -123,8 +106,6 @@ def mass_conservation_check(spec: KernelSpec, t_values, x_values, n_quad: int = 
     """Midpoint quadrature of int G(t, x, y) dy over sampled (t, x); the
     midpoint rule annihilates every cosine mode below the Nyquist count,
     so with K << n_quad the defect is pure roundoff plus truncation."""
-    if spec.dimension != 1:
-        raise NotImplementedError("mass check is run per axis")
     L = spec.lengths[0]
     cz = _cosines(spec, L, _midpoints(L, n_quad))
     cxs = _cosines(spec, L, np.atleast_1d(x_values))
@@ -139,8 +120,6 @@ def mass_conservation_check(spec: KernelSpec, t_values, x_values, n_quad: int = 
 def semigroup_check(spec: KernelSpec, t: float, s: float, n_points: int = 9, n_quad: int = 512) -> dict:
     """Compare G(t+s, x, y) with int G(t, x, z) G(s, z, y) dz on a coarse
     (x, y) grid."""
-    if spec.dimension != 1:
-        raise NotImplementedError("semigroup check is run per axis")
     L = spec.lengths[0]
     cz = _cosines(spec, L, _midpoints(L, n_quad))
     pts = np.linspace(0.0, L, n_points)
@@ -156,27 +135,17 @@ def semigroup_check(spec: KernelSpec, t: float, s: float, n_points: int = 9, n_q
     return {"max_defect": worst, "t": t, "s": s}
 
 
-def gaussian_bound_fit(
-    spec: KernelSpec,
-    kappa: float | None = None,
-    n_t: int = 24,
-    n_x: int = 33,
-    window: tuple[float, float] = (1e-4, 1e-1),
-) -> dict:
-    """Smallest C_H with G(t,x,y) <= C_H t^{-1/2} exp(-kappa (x-y)^2 / t)
-    over a log-spaced small-t sample window, and the verdict of the
+def gaussian_bound_fit(spec: KernelSpec) -> dict:
+    """Smallest C_H with G(t,x,y) <= C_H t^{-1/2} exp(-kappa (x-y)^2 / t),
+    kappa = 1/(8d) (half the free-space 1/(4d)), over 24 log-spaced times
+    t in [1e-4, 1e-1] L^2/d and 33 points in [0, L], and the verdict of the
     doubled-resolution refit (stability within 20%).  Also reports the
     kernel minimum over the samples (positivity)."""
-    if spec.dimension != 1:
-        raise NotImplementedError("the Gaussian bound is fitted per axis")
-    if kappa is None:
-        kappa = 1.0 / (8.0 * spec.d)
-    if kappa >= 1.0 / (4.0 * spec.d):
-        raise ValueError("kappa must stay below 1/(4d) for a finite fit")
+    kappa = 1.0 / (8.0 * spec.d)
 
     def fit(nt: int, nx: int):
         L = spec.lengths[0]
-        ts = np.geomspace(window[0], window[1], nt) * L * L / spec.d
+        ts = np.geomspace(1e-4, 1e-1, nt) * L * L / spec.d
         xs = np.linspace(0.0, L, nx)
         c = _cosines(spec, L, xs)
         log_c_h, k_min = -math.inf, math.inf
@@ -194,8 +163,8 @@ def gaussian_bound_fit(
             log_c_h = max(log_c_h, float(cand.max()))
         return math.exp(log_c_h), k_min
 
-    coarse, min_coarse = fit(n_t, n_x)
-    fine, min_fine = fit(2 * n_t, 2 * n_x - 1)
+    coarse, min_coarse = fit(24, 33)
+    fine, min_fine = fit(48, 65)
     rel_change = abs(fine - coarse) / coarse if coarse > 0 else math.inf
     free_space_floor = 1.0 / math.sqrt(4.0 * math.pi * spec.d)
     return {
@@ -275,7 +244,7 @@ def smoothing_probe(
     if dimension not in (1, 2):
         raise ValueError("probe supports dimension 1 or 2")
     rng = np.random.default_rng(seed)
-    lengths = spec.lengths * dimension if len(spec.lengths) == 1 else spec.lengths[:dimension]
+    lengths = spec.lengths * dimension
     n_steps = max(1, round(t_final / dt))
 
     def random_source(grid: Grid, coeffs) -> np.ndarray:

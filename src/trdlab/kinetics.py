@@ -1,4 +1,5 @@
-"""Rate laws, the Lipschitz regularization, and scalar entropy kernels.
+"""The rate law's reactant product, the Lipschitz regularization, and the
+scalar entropy kernel.
 
 All evaluators accept either a single state vector of shape (m,) or a
 batch of cell states of shape (m, ...); the species axis is always the
@@ -19,7 +20,6 @@ __all__ = [
     "RegularizedRates",
     "reactant_product",
     "phi",
-    "raw_rate",
     "entropy_kernel",
 ]
 
@@ -54,9 +54,7 @@ def _exponent(work: dict | None, a: float, shape: tuple[int, ...]) -> np.ndarray
 
 def phi(Q: float, n, total, work: dict | None = None):
     """The regularizer 1 + total^{Q+2}/n at the species sum `total`;
-    exactly 1 for n = +inf, where total^{Q+2}/n is 0.  An array of `work` if given."""
-    if work is None:
-        return 1.0 + total ** (Q + 2.0) / n
+    exactly 1 for n = +inf, where total^{Q+2}/n is 0.  An array of `work`."""
     out = work_array(work, "phi", np.shape(total))
     np.copyto(out, total)
     out **= Q + 2.0  # in place, numpy takes the power that total ** (Q + 2) takes
@@ -65,18 +63,9 @@ def phi(Q: float, n, total, work: dict | None = None):
     return out
 
 
-def raw_rate(system: TriangularSystem, state: np.ndarray) -> np.ndarray:
-    """f_i = a_m - prod_{j<m} a_j^{alpha_j} for i < m, f_m = -f_1."""
-    a = np.asarray(state, dtype=float)
-    f1 = a[-1] - reactant_product(system.reactant_alpha, a[:-1])
-    out = np.broadcast_to(f1, (system.m,) + np.shape(f1)).copy()
-    out[-1] = -f1
-    return out
-
-
 @dataclass(frozen=True)
 class RegularizedRates:
-    """Rates of the approximate system: raw rates divided by phi^n."""
+    """The approximate system at level n, whose rates are the raw rates divided by phi^n."""
 
     system: TriangularSystem
     n: float | np.ndarray  # positive; +inf selects the limit system phi == 1
@@ -84,12 +73,6 @@ class RegularizedRates:
     def __post_init__(self):
         if not np.all(np.asarray(self.n) > 0):
             raise ValueError("n must be positive (or +inf)")
-
-    def phi(self, state) -> np.ndarray | float:
-        return phi(self.system.Q, self.n, np.asarray(state, dtype=float).sum(axis=0))
-
-    def rate(self, state) -> np.ndarray:
-        return raw_rate(self.system, state) / self.phi(state)
 
     def reactant_product(self, state) -> np.ndarray | float:
         a = np.asarray(state, dtype=float)

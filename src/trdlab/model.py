@@ -11,7 +11,6 @@ with per-species diffusion coefficients d_i >= 0.  Species indices are
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +20,6 @@ __all__ = [
     "DegeneracyClass",
     "DegeneracyClassification",
     "classify",
-    "sc_check",
-    "triangular_domination_check",
-    "quasi_positivity_check",
 ]
 
 
@@ -54,12 +50,12 @@ class TriangularSystem:
             raise ValueError("alpha and d must have length m")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "d", tuple(float(x) for x in self.d))
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("stoichiometric exponents must be nonnegative")
+        if not all(0 <= a < np.inf for a in self.alpha):
+            raise ValueError(f"alpha: stoichiometric exponents must be finite and nonnegative, got {self.alpha}")
         if self.alpha[-1] != 1.0:
             raise ValueError("alpha[m] must be exactly 1")
-        if any(x < 0 for x in self.d):
-            raise ValueError("diffusion coefficients must be nonnegative")
+        if not all(0 <= x < np.inf for x in self.d):
+            raise ValueError(f"d: diffusion coefficients must be finite and nonnegative, got {self.d}")
 
     @property
     def Q(self) -> float:
@@ -97,81 +93,3 @@ def classify(system: TriangularSystem) -> DegeneracyClassification:
         cls = DegeneracyClass.A3
     return DegeneracyClassification(lambda1, lambda2, cls, m=m)
 
-
-def sc_check(
-    system: TriangularSystem, classification: DegeneracyClassification
-) -> tuple[bool, str]:
-    """Stoichiometric condition on the non-diffusing species.
-
-    Requires alpha_i >= 1 for every i in lambda1 and at least one j in
-    lambda1 with alpha_j in {1} union [2, inf).  Holds automatically for
-    class A3 (lambda1 = {m}, alpha_m = 1).
-    """
-    lam1 = sorted(classification.lambda1)
-    bad = [i for i in lam1 if system.alpha[i - 1] < 1.0]
-    if bad:
-        return False, f"alpha below 1 on lambda1 indices {bad}"
-    good = [
-        j
-        for j in lam1
-        if system.alpha[j - 1] == 1.0 or system.alpha[j - 1] >= 2.0
-    ]
-    if not good:
-        return False, "no lambda1 index with alpha in {1} union [2, inf)"
-    return True, f"admissible lambda1 indices {good}"
-
-
-def triangular_domination_check(
-    system: TriangularSystem, sample_states
-) -> tuple[bool, np.ndarray | None]:
-    """Check P f(a) <= (1 + sum a) (1, 2, ..., 2, 0)^T componentwise.
-
-    P is the bidiagonal matrix with ones on the diagonal and first
-    subdiagonal.  Returns (False, violating_sample) on failure.
-    """
-    from .kinetics import raw_rate
-
-    m = system.m
-    bound_dir = np.full(m, 2.0)
-    bound_dir[0] = 1.0
-    bound_dir[-1] = 0.0
-    for sample in sample_states:
-        a = np.asarray(sample, dtype=float)
-        if a.shape != (m,) or np.any(a < 0):
-            raise ValueError("samples must be nonnegative m-vectors")
-        f = raw_rate(system, a)
-        pf = f.copy()
-        pf[1:] += f[:-1]
-        rhs = (1.0 + a.sum()) * bound_dir
-        if np.any(pf > rhs + 1e-12 * (1.0 + np.abs(rhs))):
-            return False, a
-    return True, None
-
-
-def quasi_positivity_check(
-    system: TriangularSystem,
-    boundary_samples,
-    n_values=(1.0, 10.0, math.inf),
-) -> bool:
-    """Rates must be nonnegative for the vanished species, both for the
-    raw law and for the regularized law at every n (the regularization
-    divides by phi^n >= 1, which cannot change the sign)."""
-    from .kinetics import RegularizedRates, raw_rate
-
-    for sample in boundary_samples:
-        a = np.asarray(sample, dtype=float)
-        zero_idx = np.flatnonzero(a == 0.0)
-        if zero_idx.size != 1 or np.any(a < 0):
-            raise ValueError(
-                "boundary samples need exactly one zero coordinate and no "
-                "negative entries"
-            )
-        i = zero_idx[0]
-        if raw_rate(system, a)[i] < 0.0:
-            return False
-        # phi^n >= 1 > 0: sign of the regularized rate matches the raw one,
-        # still evaluate to guard the implementation
-        for n in n_values:
-            if RegularizedRates(system, n).rate(a)[i] < 0.0:
-                return False
-    return True

@@ -65,9 +65,9 @@ class PointwiseInputs:
             if arr.shape != times.shape:
                 raise ValueError(f"{name} must share the time mesh")
             object.__setattr__(self, name, arr)
-        finite = (times, self.a_j0, self.driver_am, self.delta1, self.delta3, self.offsets)
-        if not all(np.isfinite(v).all() for v in finite):
-            raise ValueError("times, a_j0, drivers and offsets must be finite")
+        names = ("times", "a_j0", "alpha_j", "offsets", "offset_alphas", "driver_am", "delta1", "delta3")
+        if bad := [name for name in names if not np.isfinite(getattr(self, name)).all()]:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if len(times) < 2 or times[0] != 0.0:
             raise ValueError("time mesh must start at 0 with at least two nodes")
         dts = np.diff(times)
@@ -240,8 +240,7 @@ def convergence_envelope_check(
     }
 
 
-def ode_oracle(inputs: PointwiseInputs, am_fn=None, delta1_fn=None, delta3_fn=None,
-               rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+def ode_oracle(inputs: PointwiseInputs, am_fn=None, delta1_fn=None, delta3_fn=None) -> np.ndarray:
     """Independent adaptive Runge-Kutta integration of the same scalar
     ODE; drivers default to linear interpolation of the sampled data."""
     from scipy.integrate import solve_ivp  # here, its only use: it pulls in scipy.sparse, .optimize and .linalg
@@ -264,8 +263,8 @@ def ode_oracle(inputs: PointwiseInputs, am_fn=None, delta1_fn=None, delta3_fn=No
         (t[0], t[-1]),
         [inputs.a_j0],
         t_eval=t,
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
         method="RK45",
         dense_output=False,
     )

@@ -203,16 +203,14 @@ def mesh_order_study(config: ExperimentConfig, levels: int = 3, pure_diffusion: 
     return {"errors": errors, "orders": _orders(errors, finals), "levels": levels}
 
 
-def dt_order_study(config: ExperimentConfig, splitting: str | None = None, levels: int = 3) -> dict:
+def dt_order_study(config: ExperimentConfig, splitting: str, levels: int = 3) -> dict:
     """Self-convergence order in dt at a fixed mesh: run at dt, dt/2,
     dt/4, ... and compare final-time fields."""
     if levels < 3:
         raise ValueError("need at least 3 timestep levels")
     finals = []
     for level in range(levels):
-        stepper = replace(config.stepper, dt=config.stepper.dt / 2**level)
-        if splitting:
-            stepper = replace(stepper, splitting=splitting)
+        stepper = replace(config.stepper, dt=config.stepper.dt / 2**level, splitting=splitting)
         cfg = replace(config, stepper=stepper)
         finals.append(run_single(cfg, cfg.n_values[-1]).final_state.fields.values)
     errors = [
@@ -221,7 +219,7 @@ def dt_order_study(config: ExperimentConfig, splitting: str | None = None, level
     return {
         "errors": errors,
         "orders": _orders(errors, finals),
-        "splitting": splitting or config.stepper.splitting,
+        "splitting": splitting,
         "dt_base": config.stepper.dt,
     }
 

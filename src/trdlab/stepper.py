@@ -62,8 +62,8 @@ class StepperConfig:
     linear_solver_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.splitting not in ("lie", "strang"):
             raise ValueError("splitting must be 'lie' or 'strang'")
 

@@ -97,7 +97,7 @@ def phi_n(system: TriangularSystem, n: float, state: np.ndarray) -> np.ndarray |
 def rate_g(rates: RegularizedRates, state) -> np.ndarray | float:
     """Scalar regularized production g^n = (a_m - prod a_j^alpha_j)/phi^n."""
     a = np.asarray(state, dtype=float)
-    return (a[-1] - rates.reactant_product(a)) / rates.phi(a)
+    return (a[-1] - rates.reactant_product(a)) / phi(rates.system.Q, rates.n, a.sum(axis=0))
 
 
 def log_inequality_slack(x: float, y: float, kappa: float) -> float:

@@ -1,0 +1,37 @@
+"""The public value types reject NaN, and infinity where a value must be
+finite, with a ValueError whose message starts with the field's name."""
+
+import math
+
+import numpy as np
+import pytest
+
+from trdlab.kernel import KernelSpec
+from trdlab.model import TriangularSystem
+from trdlab.picard import PointwiseInputs
+from trdlab.stepper import StepperConfig
+
+
+def pointwise(**bad):
+    t = np.linspace(0.0, 1.0, 5)
+    data = dict(times=t, a_j0=0.2, alpha_j=2.0, offsets=(0.1,), offset_alphas=(1.0,))
+    data |= {name: np.ones(5) for name in ("driver_am", "delta1", "delta3")}
+    return PointwiseInputs(**(data | bad))
+
+
+CASES = [
+    pytest.param("alpha_j", lambda v: pointwise(alpha_j=v), id="PointwiseInputs.alpha_j"),
+    pytest.param("offset_alphas", lambda v: pointwise(offset_alphas=(v,)), id="PointwiseInputs.offset_alphas"),
+    pytest.param("dt", lambda v: StepperConfig(dt=v), id="StepperConfig.dt"),
+    pytest.param("alpha", lambda v: TriangularSystem(m=3, alpha=(v, 1.0, 1.0), d=(1.0,) * 3), id="TriangularSystem.alpha"),
+    pytest.param("d", lambda v: TriangularSystem(m=3, alpha=(1.0,) * 3, d=(1.0, v, 1.0)), id="TriangularSystem.d"),
+    pytest.param("d", lambda v: KernelSpec(d=v), id="KernelSpec.d"),
+    pytest.param("lengths", lambda v: KernelSpec(d=1.0, lengths=(v,)), id="KernelSpec.lengths"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field, make", CASES)
+def test_rejects_non_finite_value_naming_the_field(field, make, bad):
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        make(bad)

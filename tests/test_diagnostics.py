@@ -10,10 +10,8 @@ from oracles import constant_state
 from trdlab.diagnostics import (
     DiagnosticsTracker,
     dissipation,
-    duality_report,
     entropy,
     entropy_balance_check,
-    l1_product_estimate_check,
     lp_norms,
     m2_bound,
 )
@@ -174,19 +172,22 @@ class TestTrackerAndBalance:
         result = self._run()
         assert min(r.dissipation for r in result.records) >= -1e-12
 
-    def test_duality_report_fits_a_finite_constant(self):
-        result = self._run()
-        report = duality_report(result.records, pair=(1, 3), p=4.0)
-        assert math.isfinite(report["fitted_C"])
-        assert report["fitted_C"] >= 0.0
+    def test_duality_constant_is_finite(self):
+        # smallest C with ||a_3||_{L^4(Omega_t)} <= C (1 + ||a_1||_{L^4(Omega_t)}) over the run
+        records = self._run().records
+        fitted_c = max(float(r.st_lp[4.0][2] / (1.0 + r.st_lp[4.0][0])) for r in records)
+        assert 0.0 <= fitted_c < math.inf
 
     def test_l1_product_growth_is_affine(self):
         # near equilibrium the running space-time integral of
         # a_i^2 + a_i a_m grows linearly in T
         result = self._run(t_final=6.0)
         tail = result.records[len(result.records) // 2 :]
-        report = l1_product_estimate_check(tail, i=1, rel_tol=0.05)
-        assert report["ok"], report
+        ts = np.array([r.time for r in tail])
+        vs = np.array([r.l1_product[0] for r in tail])
+        c1, c0 = np.polyfit(ts, vs, 1)
+        residual = np.abs(vs - (c0 + c1 * ts)).max() / (abs(c0) + abs(c1) * ts.max())
+        assert residual <= 0.05, (c0, c1, residual)
 
     def test_balance_check_detects_violations(self):
         result = self._run()

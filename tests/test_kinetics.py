@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import log_inequality_slack, phi_n
-from trdlab.kinetics import RegularizedRates, entropy_kernel, phi, raw_rate, reactant_product
+from trdlab.kinetics import RegularizedRates, entropy_kernel, phi, reactant_product
 from trdlab.model import TriangularSystem
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
@@ -39,30 +39,18 @@ class TestPhi:
         assert phi_n(SYS3, 3.0, np.array([a1, a2, a3])) >= 1.0
 
 
-class TestRawRate:
-    def test_reactants_share_one_rate_and_product_negates_it(self):
-        f = raw_rate(SYS3, np.array([2.0, 3.0, 1.0]))
-        assert f[0] == f[1] == 1.0 - 6.0
-        assert f[2] == 6.0 - 1.0
-
-    def test_equilibrium_state_has_zero_rate(self):
-        np.testing.assert_array_equal(raw_rate(SYS3, np.array([2.0, 3.0, 6.0])), np.zeros(3))
-
+class TestReactantProduct:
     def test_spectator_exponent_uses_zero_power_convention(self):
         # alpha_1 = 0: a_1 = 0 must contribute a unit factor, not zero
-        system = TriangularSystem(m=3, alpha=(0.0, 1.0, 1.0), d=(1.0, 1.0, 1.0))
-        f = raw_rate(system, np.array([0.0, 2.0, 5.0]))
-        assert f[0] == 5.0 - 2.0
+        assert reactant_product(np.array([0.0, 1.0]), np.array([0.0, 2.0])) == 2.0
 
     def test_batch_evaluation_matches_loop(self):
-        rng = np.random.default_rng(3)
-        batch = rng.uniform(0.0, 4.0, size=(3, 7))
-        full = raw_rate(SYS3, batch)
+        alpha = np.array([1.5, 2.0])
+        batch = np.random.default_rng(3).uniform(0.0, 4.0, size=(2, 7))
+        full = reactant_product(alpha, batch)
         for k in range(7):
-            np.testing.assert_allclose(full[:, k], raw_rate(SYS3, batch[:, k]))
+            assert full[k] == reactant_product(alpha, batch[:, k])
 
-
-class TestReactantProduct:
     def test_a_cells_product_does_not_depend_on_its_batch(self):
         # numpy squares, or takes the root for, a scalar exponent of 2 or 1/2,
         # or one broadcast over an array too large to buffer, and rounds
@@ -105,15 +93,15 @@ class TestWorkArrays:
 
 
 class TestRegularizedRates:
-    def test_rate_is_raw_over_phi(self):
-        a = np.array([1.0, 1.0, 1.0])
-        rr = RegularizedRates(SYS3, 1.0)
-        np.testing.assert_allclose(rr.rate(a), raw_rate(SYS3, a) / 244.0)
-
-    def test_g_matches_product_species_rate(self):
+    def test_g_is_net_rate_over_phi(self):
+        # a_m - a_1 a_2 = 3 - 1, phi = 1 + 5.5^5 / 5; phi = 1 in the limit system
         a = np.array([2.0, 0.5, 3.0])
-        rr = RegularizedRates(SYS3, 5.0)
-        assert oracles.rate_g(rr, a) == pytest.approx(rr.rate(a)[-1] * -1.0)
+        assert oracles.rate_g(RegularizedRates(SYS3, 5.0), a) == pytest.approx(2.0 / (1.0 + 5.5**5 / 5.0))
+        assert oracles.rate_g(RegularizedRates(SYS3, math.inf), np.array([2.0, 3.0, 1.0])) == 1.0 - 6.0
+
+    def test_equilibrium_state_has_zero_rate(self):
+        for n in (1.0, math.inf):
+            assert oracles.rate_g(RegularizedRates(SYS3, n), np.array([2.0, 3.0, 6.0])) == 0.0
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,9 @@
-"""System definition, degeneracy classification, and the structural
-rate-law checks."""
-
-import math
+"""System definition and degeneracy classification."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from trdlab.model import (
-    DegeneracyClass,
-    TriangularSystem,
-    classify,
-    quasi_positivity_check,
-    sc_check,
-    triangular_domination_check,
-)
+from trdlab.model import DegeneracyClass, TriangularSystem, classify
 
 
 def three_species(d):
@@ -71,84 +59,3 @@ class TestClassification:
         assert cls.lambda1 | cls.lambda2 == {1, 2, 3}
         assert not cls.lambda1 & cls.lambda2
 
-
-class TestStoichiometricCondition:
-    def test_a3_holds_automatically(self):
-        system = three_species((1.0, 1.0, 0.0))
-        ok, reason = sc_check(system, classify(system))
-        assert ok, reason
-
-    def test_unit_exponents_admissible(self):
-        system = three_species((0.0, 0.0, 1.0))
-        ok, _ = sc_check(system, classify(system))
-        assert ok
-
-    def test_fractional_exponent_below_one_fails(self):
-        system = TriangularSystem(m=3, alpha=(0.5, 1.0, 1.0), d=(0.0, 1.0, 1.0))
-        ok, reason = sc_check(system, classify(system))
-        assert not ok
-        assert "below 1" in reason
-
-    def test_gap_interval_exponent_fails(self):
-        # alpha in (1, 2) on every degenerate reactant: no admissible index
-        system = TriangularSystem(m=3, alpha=(1.5, 1.0, 1.0), d=(0.0, 1.0, 1.0))
-        ok, reason = sc_check(system, classify(system))
-        assert not ok
-
-    def test_noninteger_exponent_at_least_two_passes(self):
-        system = TriangularSystem(m=4, alpha=(1.5, 2.0, 1.0, 1.0), d=(0.0, 0.0, 1.0, 1.0))
-        ok, reason = sc_check(system, classify(system))
-        assert ok, reason
-
-
-class TestDomination:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 50.0),
-                st.floats(0.0, 50.0),
-                st.floats(0.0, 50.0),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_rates_linearly_dominated(self, samples):
-        system = three_species((1.0, 1.0, 1.0))
-        ok, witness = triangular_domination_check(system, samples)
-        assert ok, f"domination failed at {witness}"
-
-    def test_m4_with_large_exponents(self):
-        system = TriangularSystem(m=4, alpha=(2.0, 3.0, 1.0, 1.0), d=(1.0,) * 4)
-        rng = np.random.default_rng(7)
-        samples = rng.uniform(0.0, 10.0, size=(50, 4))
-        ok, witness = triangular_domination_check(system, samples)
-        assert ok, f"domination failed at {witness}"
-
-    def test_rejects_negative_sample(self):
-        system = three_species((1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            triangular_domination_check(system, [(-1.0, 1.0, 1.0)])
-
-
-class TestQuasiPositivity:
-    def test_vanished_species_never_consumed(self):
-        system = three_species((1.0, 1.0, 1.0))
-        samples = [
-            (0.0, 2.0, 3.0),
-            (1.0, 0.0, 5.0),
-            (2.0, 2.0, 0.0),
-        ]
-        assert quasi_positivity_check(system, samples)
-
-    def test_regularization_preserves_the_sign(self):
-        # phi^n >= 1, so dividing by it cannot flip a rate's sign
-        system = TriangularSystem(m=4, alpha=(1.5, 2.0, 1.0, 1.0), d=(0.0, 0.0, 1.0, 1.0))
-        samples = [(0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 0.0)]
-        assert quasi_positivity_check(system, samples, n_values=(1.0, 100.0, math.inf))
-
-    def test_rejects_interior_sample(self):
-        system = three_species((1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            quasi_positivity_check(system, [(1.0, 1.0, 1.0)])
