@@ -226,7 +226,7 @@ class _ChainBuilder:
         )
         return ok
 
-    def conclude(self, reached: bool, stuck_at: Exponent | None = None):
+    def conclude(self, reached: bool, stuck_at: Exponent):
         self.chain.conclusion = (
             "reached-Linf" if reached else f"stuck-at {stuck_at}"
         )
@@ -256,14 +256,14 @@ def _chain_a3_lowdim() -> ExponentChain:
             f"{pm} > {n1} (dimension 1)",
         )
     )
-    return b.conclude(ok and n1 < pm)
+    return b.conclude(ok and n1 < pm, pm)
 
 
 def _chain_quad_n3() -> ExponentChain:
     b = _ChainBuilder("quad-N3", 3, Fraction(2))
     # Sobolev + gradient bound give a_m in L^{N/(N-2)} = L^3 slices
     p = b.kernel_smoothing(Exponent.of(3), Exponent.infinity())
-    return b.conclude(p.is_infinite and all(s.passed for s in b.chain.steps))
+    return b.conclude(p.is_infinite and all(s.passed for s in b.chain.steps), p)
 
 
 def _chain_quad_n4() -> ExponentChain:
@@ -273,7 +273,7 @@ def _chain_quad_n4() -> ExponentChain:
     ok = b.threshold(pm, "space")
     if ok:
         b.kernel_smoothing(pm, Exponent.infinity())
-    return b.conclude(ok)
+    return b.conclude(ok, pm)
 
 
 def _chain_quad_n5() -> ExponentChain:
@@ -285,7 +285,7 @@ def _chain_quad_n5() -> ExponentChain:
     ok = b.threshold(pm, "space")
     if ok:
         b.kernel_smoothing(pm, Exponent.infinity())
-    return b.conclude(ok)
+    return b.conclude(ok, pm)
 
 
 def _chain_g103_n3() -> ExponentChain:
@@ -308,7 +308,7 @@ def _chain_g103_n3() -> ExponentChain:
     ok = b.threshold(pm, "space")
     if ok:
         b.kernel_smoothing(pm, Exponent.infinity())
-    return b.conclude(ok and ok_alt)
+    return b.conclude(ok and ok_alt, pm)
 
 
 CHAIN_SCENARIOS = {

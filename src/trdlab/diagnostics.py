@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSet
-from .grid import Field, gradient_energy, per_level, work_array
+from .grid import gradient_energy, per_level, work_array
 from .kinetics import RegularizedRates, entropy_kernel, phi, reactant_product
 from .model import DegeneracyClassification, classify
 
@@ -55,7 +55,7 @@ def dissipation(fields: FieldSet, rates: RegularizedRates, work: dict | None = N
     rows = np.flatnonzero(w > 0.0)
     y = fields.values[-1]
     gathered = np.take(fields.values, rows, axis=0, out=work_array(work, "rows", rows.shape + y.shape), mode="clip")
-    energies = gradient_energy(Field(fields.grid, gathered), weighted=True, work=work) if rows.size else ()
+    energies = gradient_energy(fields.grid, gathered, weighted=True, work=work) if rows.size else ()
     grad_part = per_level(sum(w[i] * e for i, e in zip(rows, energies)))
     x = reactant_product(rates.system.reactant_alpha, fields.values[:-1], work)
     total = np.sum(fields.values, axis=0, out=work_array(work, "total", y.shape))

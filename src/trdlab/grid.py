@@ -19,7 +19,7 @@ import numpy as np
 # dispatch, which costs as much as a whole 128-cell transform
 from scipy.fftpack import dct, idct
 
-__all__ = ["Grid", "Field", "work_array"]
+__all__ = ["Grid", "work_array"]
 
 
 @dataclass(frozen=True)
@@ -117,20 +117,6 @@ class Grid:
         return values.reshape(values.shape[: values.ndim - self.dimension] + (-1,)).sum(axis=-1)
 
 
-@dataclass
-class Field:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        # leading axes, if any, are n-levels
-        if self.values.shape[-self.grid.dimension :] != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-
 def work_array(work: dict | None, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """Array `name` of the dict `work`, made anew when the shape asked for changes or `work` is None."""
     work = {} if work is None else work
@@ -159,16 +145,16 @@ def _face_gradient_energy(values: np.ndarray, grid: Grid, work: dict | None):
     return total
 
 
-def gradient_energy(field: Field, weighted: bool = False, work: dict | None = None):
-    """Discrete integral of |grad u|^2; with weighted=True computes
-    4 |grad sqrt(u)|^2, the vacuum-safe form of |grad u|^2 / u.  A float
-    for one field, one value per level for a batch; temporaries in `work`."""
-    u = field.values
+def gradient_energy(grid: Grid, u: np.ndarray, weighted: bool = False, work: dict | None = None):
+    """Discrete integral of |grad u|^2 for values u on grid, whose leading
+    axes, if any, are n-levels; with weighted=True computes 4 |grad sqrt(u)|^2,
+    the vacuum-safe form of |grad u|^2 / u.  A float for one field, one
+    value per level for a batch; temporaries in `work`."""
     if not weighted:
-        return per_level(_face_gradient_energy(u, field.grid, work))
+        return per_level(_face_gradient_energy(u, grid, work))
     if np.less(u, 0.0, out=work_array(work, "negative", u.shape, bool)).any():
         raise ValueError("weighted gradient energy needs a nonnegative field")
-    return per_level(4.0 * _face_gradient_energy(np.sqrt(u, out=work_array(work, "sqrt", u.shape)), field.grid, work))
+    return per_level(4.0 * _face_gradient_energy(np.sqrt(u, out=work_array(work, "sqrt", u.shape)), grid, work))
 
 
 def per_level(value):

@@ -9,7 +9,9 @@ The series for an interval of length L with diffusivity d is
 
 which is the exact Green function truncated at mode K.  The smoothing
 probe marches the discrete sourced heat equation in the grid's DCT-II
-modes, the discrete counterpart of the same cosine eigenpairs.
+modes, the discrete counterpart of the same cosine eigenpairs, with the
+stepper's diffusion solve: a `stepper.ModalDiffusion` per mesh supplies the
+multipliers, the work arrays and the stencil residual gate.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantBreach
 from .grid import Grid, work_array
-from .stepper import StepperConfig, transform_roundoff
+from .stepper import ModalDiffusion
 
 __all__ = [
     "KernelSpec",
@@ -43,8 +44,8 @@ class KernelSpec:
     def __post_init__(self):
         if not 0 < self.d < math.inf:
             raise ValueError(f"d: diffusion coefficient must be positive and finite, got {self.d}")
-        if self.truncation < 1:
-            raise ValueError("truncation must keep at least one mode")
+        if type(self.truncation) is not int or self.truncation < 1:
+            raise ValueError(f"truncation must be an int >= 1, the modes kept, got {self.truncation!r}")
         lengths = tuple(float(v) for v in np.atleast_1d(self.lengths))
         if len(lengths) != 1 or not 0 < lengths[0] < math.inf:
             raise ValueError(f"lengths: need one positive finite interval length, got {lengths}")
@@ -98,38 +99,41 @@ def kernel_tail_bound(spec: KernelSpec, t: float) -> float:
     return (2.0 / L) * head / max(1.0 - ratio, 1e-300)
 
 
-def _midpoints(L: float, n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) * (L / n)
+_N_QUAD = 512  # midpoint-rule nodes of the mass check's y and the semigroup check's z
 
 
-def mass_conservation_check(spec: KernelSpec, t_values, x_values, n_quad: int = 512) -> dict:
+def _midpoints(L: float) -> np.ndarray:
+    return (np.arange(_N_QUAD) + 0.5) * (L / _N_QUAD)
+
+
+def mass_conservation_check(spec: KernelSpec, t_values, x_values) -> dict:
     """Midpoint quadrature of int G(t, x, y) dy over sampled (t, x); the
     midpoint rule annihilates every cosine mode below the Nyquist count,
-    so with K << n_quad the defect is pure roundoff plus truncation."""
+    so with K << _N_QUAD the defect is pure roundoff plus truncation."""
     L = spec.lengths[0]
-    cz = _cosines(spec, L, _midpoints(L, n_quad))
+    cz = _cosines(spec, L, _midpoints(L))
     cxs = _cosines(spec, L, np.atleast_1d(x_values))
     worst = 0.0
     for t in np.atleast_1d(t_values):
         for cx in cxs:
-            mass = float(np.sum(_kernel_1d(spec, L, t, cx, cz)) * (L / n_quad))
+            mass = float(np.sum(_kernel_1d(spec, L, t, cx, cz)) * (L / _N_QUAD))
             worst = max(worst, abs(mass - 1.0))
-    return {"max_defect": worst, "n_quad": n_quad}
+    return {"max_defect": worst, "n_quad": _N_QUAD}
 
 
-def semigroup_check(spec: KernelSpec, t: float, s: float, n_points: int = 9, n_quad: int = 512) -> dict:
+def semigroup_check(spec: KernelSpec, t: float, s: float) -> dict:
     """Compare G(t+s, x, y) with int G(t, x, z) G(s, z, y) dz on a coarse
-    (x, y) grid."""
+    (x, y) grid of 9 x 9 points."""
     L = spec.lengths[0]
-    cz = _cosines(spec, L, _midpoints(L, n_quad))
-    pts = np.linspace(0.0, L, n_points)
+    cz = _cosines(spec, L, _midpoints(L))
+    pts = np.linspace(0.0, L, 9)
     # heat_kernel_eval's own products, on the quadrature table built once
     rights = [_kernel_1d(spec, L, s, cz, _cosines(spec, L, float(y))) for y in pts]
     worst = 0.0
     for x in pts:
         left = _kernel_1d(spec, L, t, _cosines(spec, L, float(x)), cz)
         for y, right in zip(pts, rights):
-            composed = float(np.sum(left * right) * (L / n_quad))
+            composed = float(np.sum(left * right) * (L / _N_QUAD))
             direct = float(heat_kernel_eval(spec, t + s, float(x), float(y)))
             worst = max(worst, abs(composed - direct))
     return {"max_defect": worst, "t": t, "s": s}
@@ -189,29 +193,21 @@ def smoothing_threshold(p: float, dimension: int) -> float:
     return n_eff * p / (n_eff - 2 * p)
 
 
-def _solve_sourced_heat(grid: Grid, d: float, source: np.ndarray, dt: float, n_steps: int, work: dict | None = None):
+def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, dt: float, n_steps: int):
     """Backward-Euler march of d/dt psi - d Lap psi = source from zero
-    data, exact per DCT-II mode; returns the trajectory including the
-    initial state, each step's residual checked against the finite-volume
-    stencil like `stepper.diffusion_substep`'s.  The trajectory and the
-    check's temporaries are arrays of `work`."""
-    c_lam = dt * d * grid.mode_eigenvalues()
-    multiplier = 1.0 / (1.0 - c_lam)
+    data, exact per DCT-II mode with the multipliers of `modal`, a
+    ModalDiffusion of step dt for the one diffusivity d; returns the
+    trajectory including the initial state, the steps checked by the
+    modal's stencil residual gate.  The trajectory and the gate's
+    temporaries are arrays of the modal's `work`."""
     forcing = dt * grid.to_modes(source)
-    traj = work_array(work, "traj", (n_steps + 1,) + grid.shape)
+    traj = work_array(modal.work, "traj", (n_steps + 1,) + grid.shape)
     traj[0] = 0.0
     for k in range(n_steps):
-        np.multiply(np.add(traj[k], forcing, out=traj[k + 1]), multiplier, out=traj[k + 1])
+        np.multiply(np.add(traj[k], forcing, out=traj[k + 1]), modal.multipliers[0], out=traj[k + 1])
     traj = grid.from_modes(traj, overwrite_x=True)
-    rhs = np.add(traj[:-1], dt * source, out=work_array(work, "rhs", traj[1:].shape))
-    lap = work_array(work, "lap", rhs.shape)
-    scale = 1.0 + np.abs(rhs, out=lap).max()
-    grid.laplacian(traj[1:], out=lap, flux=work_array(work, "flux", rhs.shape))
-    resid = np.subtract(traj[1:], rhs, out=rhs)
-    resid -= np.multiply(lap, dt * d, out=lap)
-    resid = np.abs(resid, out=resid).max()
-    if not resid <= (StepperConfig.linear_solver_tol + transform_roundoff(c_lam)) * scale:
-        raise InvariantBreach("linear-solver", f"sourced heat residual {resid:.3e} above tolerance")
+    rhs = np.add(traj[:-1], dt * source, out=work_array(modal.work, "rhs", traj[1:].shape))
+    modal.gate(grid, traj[None, 1:], rhs[None])
     return traj
 
 
@@ -225,6 +221,9 @@ def _spacetime_norm(traj: np.ndarray, exponent: float, dt: float, cell_measure: 
     return float(body ** (1.0 / exponent))
 
 
+_SOURCE_MODES = 6  # a probe source sums cosine modes 0.._SOURCE_MODES along each axis
+
+
 def smoothing_probe(
     spec: KernelSpec,
     p: float,
@@ -235,7 +234,6 @@ def smoothing_probe(
     t_final: float = 0.5,
     dt: float = 1e-3,
     seed: int = 0,
-    modes: int = 6,
 ) -> dict:
     """Monte-Carlo probe of ||psi||_{L^s} <= C ||theta||_{L^p} for the
     sourced Neumann heat equation with zero data: random bounded
@@ -250,25 +248,25 @@ def smoothing_probe(
     def random_source(grid: Grid, coeffs) -> np.ndarray:
         field = np.full(grid.shape, coeffs[0])
         for axis, L in enumerate(grid.lengths):
-            for k in range(1, modes + 1):
+            for k in range(1, _SOURCE_MODES + 1):
                 profile = np.cos(k * math.pi * grid.axis_centers(axis) / L)
-                field = field + coeffs[axis * modes + k] * profile.reshape((-1,) + (1,) * (grid.dimension - 1 - axis))
+                axes = (-1,) + (1,) * (grid.dimension - 1 - axis)
+                field = field + coeffs[axis * _SOURCE_MODES + k] * profile.reshape(axes)
         peak = np.abs(field).max()
         return field / peak if peak > 0 else field
 
-    coeff_sets = [rng.uniform(-1.0, 1.0, size=1 + modes * dimension) for _ in range(trials)]
-
-    work = {}  # the trials' arrays, made once per mesh
+    coeff_sets = [rng.uniform(-1.0, 1.0, size=1 + _SOURCE_MODES * dimension) for _ in range(trials)]
 
     def ratios(n_cells: int):
         grid = Grid(lengths=lengths, cells=(n_cells,) * dimension)
+        modal = ModalDiffusion((spec.d,), grid, t_final / n_steps)  # its work holds the trials' arrays
         out = []
         for coeffs in coeff_sets:
             theta = random_source(grid, coeffs)
-            traj = _solve_sourced_heat(grid, spec.d, theta, t_final / n_steps, n_steps, work)
+            traj = _solve_sourced_heat(modal, grid, theta, t_final / n_steps, n_steps)
             theta_traj = np.broadcast_to(theta, traj.shape)
-            num = _spacetime_norm(traj, s, t_final / n_steps, grid.cell_measure, work)
-            den = _spacetime_norm(theta_traj, p, t_final / n_steps, grid.cell_measure, work)
+            num = _spacetime_norm(traj, s, t_final / n_steps, grid.cell_measure, modal.work)
+            den = _spacetime_norm(theta_traj, p, t_final / n_steps, grid.cell_measure, modal.work)
             if den == 0.0:
                 continue  # zero source: nothing to certify
             out.append(num / den)

@@ -74,10 +74,6 @@ class RegularizedRates:
         if not np.all(np.asarray(self.n) > 0):
             raise ValueError("n must be positive (or +inf)")
 
-    def reactant_product(self, state) -> np.ndarray | float:
-        a = np.asarray(state, dtype=float)
-        return reactant_product(self.system.reactant_alpha, a[:-1])
-
 
 def entropy_kernel(a, work: dict | None = None) -> np.ndarray | float:
     """a (ln a - 1) + 1 with 0 ln 0 = 0 (value 1 at a = 0); nonnegative,

@@ -11,7 +11,7 @@ with per-species diffusion coefficients d_i >= 0.  Species indices are
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class DegeneracyClassification:
     lambda1: frozenset[int]
     lambda2: frozenset[int]
     degeneracy: DegeneracyClass
-    m: int = field(repr=False, default=0)
 
 
 def classify(system: TriangularSystem) -> DegeneracyClassification:
@@ -91,5 +90,5 @@ def classify(system: TriangularSystem) -> DegeneracyClassification:
         cls = DegeneracyClass.A2
     else:
         cls = DegeneracyClass.A3
-    return DegeneracyClassification(lambda1, lambda2, cls, m=m)
+    return DegeneracyClassification(lambda1, lambda2, cls)
 

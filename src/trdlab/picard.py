@@ -187,12 +187,11 @@ def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     return iterates
 
 
-def constants_for(inputs: PointwiseInputs, c_tilde: float | None = None, samples: int = 10001) -> PicardBoundConstants:
-    """Bound constants with the measured sup of the drivers standing in
+def constants_for(inputs: PointwiseInputs, c_tilde: float) -> PicardBoundConstants:
+    """Bound constants with c_tilde, a bound on the drivers, standing in
     for the theory's non-constructive uniform bound; the Lipschitz
     supremum of the reactant polynomial is taken by dense sampling."""
-    if c_tilde is None:
-        c_tilde = float(max(inputs.driver_am.max(), inputs.delta3.max()))
+    samples = 10001
     T = inputs.horizon
     c4 = inputs.a_j0 + T * c_tilde
     r = np.linspace(c4 / samples, c4, samples)
@@ -211,17 +210,16 @@ def convergence_envelope_check(
     constants: PicardBoundConstants,
     reference,
     safety: float = 1.1,
-    dps: int = 80,
 ) -> dict:
     """Verify sup_t |a_{j,p} - reference| <= safety * 2 T C4 (C5 T)^p / p!
     for every iterate; works on float or mpmath trajectories.  The
-    differences are taken at `dps` digits so sub-float64 errors (the
+    differences are taken at 80 digits so sub-float64 errors (the
     factorial envelope drops below 1e-16 near p = 20) stay resolvable."""
     results = []
     worst_p, worst_margin = None, math.inf
     if not iterates or any(len(traj) != len(reference) for traj in iterates):
         raise ValueError("need at least one iterate, each on the reference's mesh")
-    with mp.workdps(dps):
+    with mp.workdps(80):
         reference = [mp.mpf(y) for y in reference]
         for p, traj in enumerate(iterates):
             # a float array's max keeps a NaN, which max() over mpf can drop
@@ -240,23 +238,16 @@ def convergence_envelope_check(
     }
 
 
-def ode_oracle(inputs: PointwiseInputs, am_fn=None, delta1_fn=None, delta3_fn=None) -> np.ndarray:
+def ode_oracle(inputs: PointwiseInputs, am_fn, delta1_fn, delta3_fn) -> np.ndarray:
     """Independent adaptive Runge-Kutta integration of the same scalar
-    ODE; drivers default to linear interpolation of the sampled data."""
+    ODE, with the drivers as functions of time."""
     from scipy.integrate import solve_ivp  # here, its only use: it pulls in scipy.sparse, .optimize and .linalg
 
     t = inputs.times
 
-    def interp(arr):
-        return lambda s: np.interp(s, t, arr)
-
-    am = am_fn or interp(inputs.driver_am)
-    d1 = delta1_fn or interp(inputs.delta1)
-    d3 = delta3_fn or interp(inputs.delta3)
-
     def rhs(s, y):
         r = max(y[0], 0.0)
-        return [d1(s) * (am(s) - inputs.delta2(r) * r * d3(s))]
+        return [delta1_fn(s) * (am_fn(s) - inputs.delta2(r) * r * delta3_fn(s))]
 
     sol = solve_ivp(
         rhs,
@@ -273,12 +264,12 @@ def ode_oracle(inputs: PointwiseInputs, am_fn=None, delta1_fn=None, delta3_fn=No
     return sol.y[0]
 
 
-def canonical_scenario(T: float = 1.0, n_points: int = 4001):
+def canonical_scenario(n_points: int = 4001):
     """The pointwise scenario the demo and the acceptance suite use:
     alpha_j = 2 (admissible under the stoichiometric condition), one
     diffusing reactant with unit exponent, limit-system delta1 = 1, and
     smooth drivers bounded by 0.3 so that C5 T stays well below 2."""
-    t = np.linspace(0.0, T, n_points)
+    t = np.linspace(0.0, 1.0, n_points)
     am_fn = lambda s: 0.25 + 0.05 * np.exp(-s)
     a1_fn = lambda s: 0.3 - 0.1 * np.exp(-s)
     inputs = PointwiseInputs(

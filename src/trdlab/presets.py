@@ -32,8 +32,8 @@ def _three_species(d, initial, label):
     }
 
 
-def _cosine(base, amplitude, mode=1):
-    return {"kind": "cosine", "base": base, "amplitude": amplitude, "modes": [mode]}
+def _cosine(base, amplitude):
+    return {"kind": "cosine", "base": base, "amplitude": amplitude, "modes": [1]}
 
 
 def _const(v):

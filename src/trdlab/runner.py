@@ -153,13 +153,14 @@ def study_n(config: ExperimentConfig, out_dir) -> dict:
     return table
 
 
-def _restrict(values: np.ndarray, factor: int = 2) -> np.ndarray:
+def _restrict(values: np.ndarray) -> np.ndarray:
     """Cell-average restriction of a fine cell-centered array onto the
-    coarse mesh (second-order accurate for smooth fields)."""
+    coarse mesh of half as many cells per axis (second-order accurate for
+    smooth fields)."""
     out = values
     for axis in range(1, values.ndim):  # axis 0 is the species index
         n = out.shape[axis]
-        new_shape = out.shape[:axis] + (n // factor, factor) + out.shape[axis + 1 :]
+        new_shape = out.shape[:axis] + (n // 2, 2) + out.shape[axis + 1 :]
         out = out.reshape(new_shape).mean(axis=axis + 1)
     return out
 
@@ -170,7 +171,7 @@ def _final_fields(config: ExperimentConfig, pure_diffusion: bool) -> np.ndarray:
     initial = build_initial(config)
     n_steps = max(1, round(config.t_final / config.stepper.dt))
     dt = config.t_final / n_steps
-    modal = ModalDiffusion(initial.system, initial.grid, dt)
+    modal = ModalDiffusion(initial.system.d, initial.grid, dt)
     state = initial
     for _ in range(n_steps):
         state = diffusion_substep(state, modal)

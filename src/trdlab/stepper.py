@@ -10,8 +10,9 @@ well.
 The grid's orthonormal DCT-II diagonalises the Neumann Laplacian, so the
 implicit diffusion solve is exact in mode space: mode k with eigenvalue
 lambda_k is multiplied by (1 + (1-theta) c lambda_k) / (1 - theta c lambda_k),
-c = dt d_i.  The multipliers are built once per run (`ModalDiffusion`);
-each substep is checked a posteriori against the finite-volume stencil.
+c = dt d_i.  The multipliers are built once per run (`ModalDiffusion`,
+which the kernel's smoothing probe marches with too); each substep is
+checked a posteriori against the finite-volume stencil by its gate.
 
 `run` advances every regularization level n of a scenario as one state
 of shape (m, B, *grid).  The substeps act cell by cell or along the grid
@@ -66,6 +67,8 @@ class StepperConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.splitting not in ("lie", "strang"):
             raise ValueError("splitting must be 'lie' or 'strang'")
+        if type(self.record_every) is not int or self.record_every < 1:
+            raise ValueError(f"record_every must be an int >= 1, got {self.record_every!r}")
 
 
 @dataclass
@@ -87,8 +90,7 @@ class RunResult:
     @property
     def equilibrium_residual(self) -> float:
         fs = self.final_state.fields
-        rates = self.tracker.rates
-        prod = np.asarray(rates.reactant_product(fs.values))
+        prod = reactant_product(self.tracker.rates.system.reactant_alpha, fs.values[:-1])
         return float(np.abs(fs.values[-1] - prod).max())
 
 
@@ -119,7 +121,11 @@ def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None, w
     return (np.subtract(np.subtract(x, x0, out=work_array(work, "dx", r.shape)), np.multiply(r, dt, out=r), out=r), *rest)
 
 
-def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None, max_iter=200, tol=1e-14):
+# the reaction solve's iteration cap, and its stop rule |r| <= _NEWTON_TOL (1 + |x0| + dt)
+_NEWTON_MAX_ITER, _NEWTON_TOL = 200, 1e-14
+
+
+def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     """Hybrid Newton-bisection for the implicit reaction update,
     vectorized over cells.  The root is bracketed in [0, min_j sigma_j];
     where the residual has no sign change inside the bracket (spectator
@@ -163,13 +169,13 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None, 
     np.abs(x0, out=stop)
     stop += 1.0
     stop += dt
-    stop *= tol
+    stop *= _NEWTON_TOL
     dphi_coeff = -(m - 2) * (Q + 2.0)
     scaled = [(j, a) for j, a in enumerate(alpha) if a != 1.0]
     # vanished factors and overshooting Newton steps give infinities the
     # guards below reject; they are expected, so not warned about
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(max_iter):
+        for k in range(_NEWTON_MAX_ITER):
             if k:
                 r, prod, phi_x, S, net, reactants = _residual(x, *args)
             done |= np.less_equal(np.abs(r, out=t), stop, out=flag)
@@ -232,32 +238,55 @@ def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, thet
     return FieldSet(system, fields.grid, new.reshape(fields.values.shape))
 
 
-def transform_roundoff(c_lam: np.ndarray) -> float:
-    """Stencil residual, per unit of 1 + max|u|, that the DCT's roundoff
-    may leave after a diffusion step with mode eigenvalues c_lam = c lambda:
-    the roundoff is amplified by up to the operator norm 1 + max|c lambda|.
-    Measured below 0.75 eps times that norm from 128x128 to 32768 cells;
-    the residual gates allow 16 times as much on top of their tolerance."""
-    return 16.0 * np.finfo(float).eps * (1.0 + float(np.abs(c_lam).max(initial=0.0)))
-
-
 class ModalDiffusion:
-    """The theta-scheme diffusion substep of length dt for the diffusing
-    species of one system on one grid, as per-mode multipliers, with the
-    substep's `work` arrays.  It also counts, per n-level, the roundoff
-    negatives its positivity clamp zeroed and keeps the most negative."""
+    """The theta-scheme diffusion step of length dt, with diffusivities `d`
+    on one grid, as per-mode multipliers, with its `work` arrays and the
+    stencil residual gate.  It also counts, per n-level, the roundoff
+    negatives `diffusion_substep`'s positivity clamp zeroed and keeps the
+    most negative."""
 
-    def __init__(self, system, grid, dt: float, theta: float = 1.0):
+    def __init__(self, d, grid, dt: float, theta: float = 1.0):
         self.theta = theta
-        self.rows = np.flatnonzero(system.d)
-        self.coeff = dt * np.asarray(system.d)[self.rows].reshape((-1,) + (1,) * grid.dimension)
+        self.rows = np.flatnonzero(d)
+        self.coeff = dt * np.asarray(d)[self.rows].reshape((-1,) + (1,) * grid.dimension)
         c_lam = self.coeff * grid.mode_eigenvalues()
         self.multipliers = (1.0 + (1.0 - theta) * c_lam) / (1.0 - theta * c_lam)
-        self.roundoff = transform_roundoff(c_lam)
+        # the residual, per unit of 1 + max|u|, that the DCT's roundoff may leave: it is amplified by up to the
+        # operator norm 1 + max|c lambda|.  Measured below 0.75 eps times that norm from 128x128 to 32768 cells;
+        # the gate allows 16 times as much on top of its tolerance
+        self.roundoff = 16.0 * np.finfo(float).eps * (1.0 + float(np.abs(c_lam).max(initial=0.0)))
         if np.any(self.multipliers[(...,) + (0,) * grid.dimension] != 1.0):
             raise InvariantBreach("linear-solver", "mode-0 multiplier is not exactly 1: mass would drift")
         self.clamp_count, self.clamp_worst = 0, math.inf
         self.work = {}
+
+    def gate(self, grid, sol, u, axes=None):
+        """The stencil residual gate: the linear residual A sol - B u of the
+        theta-scheme on the finite-volume stencil, for arrays of shape
+        (rows, ..., *grid), reduced over `axes` (all of them by default),
+        must stay within (linear_solver_tol + roundoff) (1 + max|u|).  A
+        breach names the first index of the reduction that fails as its
+        level.  The temporaries are arrays of `work`."""
+        resid, flux = work_array(self.work, "resid", sol.shape), work_array(self.work, "flux", sol.shape)
+        arg = sol
+        if self.theta != 1.0:
+            arg = np.multiply(sol, self.theta, out=work_array(self.work, "arg", sol.shape))
+            arg += np.multiply(u, 1.0 - self.theta, out=resid)
+        grid.laplacian(arg, out=resid, flux=flux)
+        resid *= _per_row(self.coeff, sol.ndim)
+        resid -= sol
+        resid += u
+        resid = np.abs(resid, out=resid).max(axis=axes)
+        limit = (StepperConfig.linear_solver_tol + self.roundoff) * (1.0 + np.abs(u, out=flux).max(axis=axes))
+        bad = _first_level(~(resid <= limit), resid)
+        if bad:
+            message = f"diffusion residual {bad[1]:.3e} above tolerance"
+            raise InvariantBreach("linear-solver", message, {"level": bad[0]})
+
+
+def _per_row(a: np.ndarray, ndim: int) -> np.ndarray:
+    """`a`, of shape (rows, *grid), with unit axes after the rows to reach ndim axes."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
 def _level_axes(values: np.ndarray, grid) -> tuple[int, ...]:
@@ -293,27 +322,11 @@ def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     shape = modal.rows.shape + fields.values.shape[1:]
     # mode "clip" (the rows are valid) fills `out` directly; "raise" fills a copy of it
     u = np.take(fields.values, modal.rows, axis=0, out=work_array(modal.work, "u", shape), mode="clip")
-    lead = (len(modal.rows),) + (1,) * (u.ndim - 1 - grid.dimension)  # (rows, 1 per level axis)
     sol = work_array(modal.work, "modes", shape)
     grid.to_modes(np.take(fields.values, modal.rows, axis=0, out=sol, mode="clip"), overwrite_x=True)
-    sol *= modal.multipliers.reshape(lead + grid.shape)
+    sol *= _per_row(modal.multipliers, u.ndim)
     grid.from_modes(sol, overwrite_x=True)
-    # the linear residual A sol - B u of the theta-scheme on the stencil
-    resid, flux = work_array(modal.work, "resid", shape), work_array(modal.work, "flux", shape)
-    arg = sol
-    if modal.theta != 1.0:
-        arg = np.multiply(sol, modal.theta, out=work_array(modal.work, "arg", shape))
-        arg += np.multiply(u, 1.0 - modal.theta, out=resid)
-    grid.laplacian(arg, out=resid, flux=flux)
-    resid *= modal.coeff.reshape(lead + modal.coeff.shape[1:])
-    resid -= sol
-    resid += u
-    axes = _level_axes(u, grid)
-    resid = np.abs(resid, out=resid).max(axis=axes)
-    limit = (StepperConfig.linear_solver_tol + modal.roundoff) * (1.0 + np.abs(u, out=flux).max(axis=axes))
-    bad = _first_level(~(resid <= limit), resid)
-    if bad:
-        raise InvariantBreach("linear-solver", f"diffusion residual {bad[1]:.3e} above tolerance", {"level": bad[0]})
+    modal.gate(grid, sol, u, _level_axes(u, grid))
     new[modal.rows] = sol
     out = FieldSet(fields.system, grid, new)
     total, counts, worst = _clamp_positivity(out)
@@ -327,8 +340,8 @@ def _step_diffusion(fields: FieldSet, config: StepperConfig) -> ModalDiffusion:
     """The diffusion substep of `step`: a full backward-Euler step (Lie)
     or a Crank-Nicolson half step (Strang)."""
     if config.splitting == "lie":
-        return ModalDiffusion(fields.system, fields.grid, config.dt)
-    return ModalDiffusion(fields.system, fields.grid, 0.5 * config.dt, 0.5)
+        return ModalDiffusion(fields.system.d, fields.grid, config.dt)
+    return ModalDiffusion(fields.system.d, fields.grid, 0.5 * config.dt, 0.5)
 
 
 def step(

@@ -143,6 +143,15 @@ class TestChains:
         assert chain.passed, chain.as_dict()
         assert chain.conclusion == "reached-Linf"
 
+    def test_a_failing_chain_names_the_exponent_it_stopped_at(self, monkeypatch):
+        from trdlab import bootstrap
+
+        # a threshold above every exponent: quad-N4's L^3 product no longer clears it
+        monkeypatch.setattr(bootstrap, "linf_threshold", lambda N, kind: Exponent.of(100))
+        chain = replay_chain("quad-N4")
+        assert not chain.passed
+        assert chain.conclusion == "stuck-at 3"
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             replay_chain("quad-N17")

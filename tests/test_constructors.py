@@ -35,3 +35,18 @@ CASES = [
 def test_rejects_non_finite_value_naming_the_field(field, make, bad):
     with pytest.raises(ValueError, match=rf"^{field}\b"):
         make(bad)
+
+
+# the two counts: a float, a bool or a count below 1 is refused
+@pytest.mark.parametrize(
+    "field, make, bad",
+    [
+        pytest.param("record_every", lambda v: StepperConfig(dt=0.1, record_every=v), 0, id="record_every=0"),
+        pytest.param("record_every", lambda v: StepperConfig(dt=0.1, record_every=v), -1, id="record_every=-1"),
+        pytest.param("truncation", lambda v: KernelSpec(d=1.0, truncation=v), 2.5, id="truncation=2.5"),
+        pytest.param("truncation", lambda v: KernelSpec(d=1.0, truncation=v), True, id="truncation=True"),
+    ],
+)
+def test_rejects_a_count_that_is_not_an_int_of_at_least_one(field, make, bad):
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        make(bad)

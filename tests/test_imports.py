@@ -73,3 +73,52 @@ def test_every_public_name_has_a_caller_in_src():
             ):
                 uncalled.add(f"{module}.{name}")
     assert uncalled == NO_CALLER_YET
+
+
+# perfbench reads these two defaults through inspect.signature to size its probe
+# job; they go when ROADMAP item 6 lets the benchmark pass them
+DEFAULTS_READ_BY_SIGNATURE = {"smoothing_probe.t_final", "smoothing_probe.dt"}
+
+
+def _defaults(tree: ast.Module):
+    """(name, params, defaulted) for every def of the tree: name is the class's
+    for __init__, params the positional parameters a call fills (self and cls
+    dropped), defaulted the parameters that have a default."""
+    classes = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        method = id(node) in classes and positional and positional[0].arg in ("self", "cls")
+        params = [a.arg for a in positional[1 if method else 0:]]
+        yield (classes[id(node)] if node.name == "__init__" else node.name), params, defaulted
+
+
+def test_every_parameter_default_is_set_by_a_caller():
+    root = Path(trdlab.__file__).resolve().parents[2]
+    src = sorted((root / "src").rglob("*.py"))
+    files = src + sorted((root / "tests").rglob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    set_by_calls: dict[str, set] = {}  # callee name -> positions and keywords some call passes
+    for path in files:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed = set_by_calls.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                passed.add("*")
+            passed.update(range(len(call.args)))
+            passed.update(k.arg for k in call.keywords)
+    unset = set()
+    for path in src:
+        for name, params, defaulted in _defaults(ast.parse(path.read_text())):
+            passed = set_by_calls.get(name, set())
+            for param in defaulted:
+                if "*" not in passed and param not in passed and not (
+                    param in params and params.index(param) in passed
+                ):
+                    unset.add(f"{name}.{param}")
+    assert unset == DEFAULTS_READ_BY_SIGNATURE

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import broadcast_pair_table, laplacian_matrix
 from trdlab import kernel
 from trdlab.kernel import (
@@ -17,6 +18,7 @@ from trdlab.kernel import (
     smoothing_probe,
     smoothing_threshold,
 )
+from trdlab.stepper import ModalDiffusion
 
 SPEC = KernelSpec(d=1.0, lengths=(1.0,), truncation=200)
 
@@ -92,7 +94,7 @@ class TestConservationAndSemigroup:
             return cosines(spec, L, x)
 
         monkeypatch.setattr(kernel, "_cosines", recording)
-        semigroup_check(SPEC, t=0.01, s=0.02, n_quad=512)
+        semigroup_check(SPEC, t=0.01, s=0.02)
         assert sizes.count(512) == 1
 
 
@@ -155,7 +157,7 @@ class TestSmoothing:
         from trdlab.kernel import _solve_sourced_heat
 
         grid = Grid((1.0,), (32,))
-        traj = _solve_sourced_heat(grid, 1.0, np.ones(grid.shape), dt=0.01, n_steps=50)
+        traj = _solve_sourced_heat(ModalDiffusion((1.0,), grid, 0.01), grid, np.ones(grid.shape), dt=0.01, n_steps=50)
         np.testing.assert_allclose(traj[-1], 0.5, atol=1e-10)
 
     @pytest.mark.parametrize("lengths, cells", [((1.0,), (40,)), ((1.0, 2.0), (12, 10))])
@@ -169,7 +171,7 @@ class TestSmoothing:
         grid = Grid(lengths, cells)
         source = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
         d, dt, n_steps = 0.7, 0.004, 60
-        traj = _solve_sourced_heat(grid, d, source, dt, n_steps)
+        traj = _solve_sourced_heat(ModalDiffusion((d,), grid, dt), grid, source, dt, n_steps)
         lap = laplacian_matrix(grid)
         lu = splu((sp.identity(lap.shape[0], format="csc") - dt * d * lap).tocsc())
         psi = np.zeros(lap.shape[0])
@@ -194,7 +196,7 @@ class TestSmoothing:
         grid.__dict__["laplacian_eigenvalues"] = tuple(lam)
         source = np.cos(k * math.pi * grid.centers()[0])
         with pytest.raises(InvariantBreach) as info:
-            _solve_sourced_heat(grid, 1.0, source, dt=dt, n_steps=5)
+            _solve_sourced_heat(ModalDiffusion((1.0,), grid, dt), grid, source, dt=dt, n_steps=5)
         assert info.value.kind == "linear-solver"
 
     def test_sourced_heat_nan_source_breaches(self):
@@ -206,10 +208,23 @@ class TestSmoothing:
         source = np.ones(grid.shape)
         source[4] = math.nan
         with pytest.raises(InvariantBreach):
-            _solve_sourced_heat(grid, 1.0, source, dt=0.01, n_steps=3)
+            _solve_sourced_heat(ModalDiffusion((1.0,), grid, 0.01), grid, source, dt=0.01, n_steps=3)
+
+    @pytest.mark.parametrize(
+        "lengths, cells, d, dt, n_steps",
+        [((1.0,), (40,), 0.7, 0.004, 60), ((1.0, 2.0), (12, 10), 1.0, 0.004, 60), ((1.0,), (128,), 1.0, 1e-3, 500)],
+    )
+    def test_sourced_heat_is_the_oracle_march_bit_for_bit(self, lengths, cells, d, dt, n_steps):
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid(lengths, cells)
+        source = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
+        traj = _solve_sourced_heat(ModalDiffusion((d,), grid, dt), grid, source, dt, n_steps)
+        assert np.array_equal(traj, oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
 
     def test_sourced_heat_reuses_its_work_arrays(self):
-        # the probe's trials share one work dict: a warmed march makes no
+        # the probe's trials share one modal per mesh: a warmed march makes no
         # trajectory-sized array, and its trajectory is the fresh one's; what
         # it allocates is numpy's buffers for the stencil's strided slices
         import tracemalloc
@@ -219,12 +234,12 @@ class TestSmoothing:
 
         grid = Grid((1.0,), (128,))
         source = np.random.default_rng(5).uniform(-1.0, 1.0, size=grid.shape)
-        fresh = _solve_sourced_heat(grid, 1.0, source, 1e-3, 500)
-        work = {}
-        _solve_sourced_heat(grid, 1.0, source, 1e-3, 500, work)
+        fresh = _solve_sourced_heat(ModalDiffusion((1.0,), grid, 1e-3), grid, source, 1e-3, 500)
+        modal = ModalDiffusion((1.0,), grid, 1e-3)
+        _solve_sourced_heat(modal, grid, source, 1e-3, 500)
         tracemalloc.start()
         try:
-            traj = _solve_sourced_heat(grid, 1.0, source, 1e-3, 500, work)
+            traj = _solve_sourced_heat(modal, grid, source, 1e-3, 500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -143,7 +143,7 @@ class TestGatesPerLevel:
         grid.__dict__["laplacian_eigenvalues"] = (lam,)
         u = 1.0 + 0.5 * np.cos(3 * math.pi * grid.axis_centers(0))
         vals = np.stack([np.stack([u, np.full(32, 1e8)])] * 3)
-        modal = ModalDiffusion(SYS3, grid, 0.01, 0.5)
+        modal = ModalDiffusion(SYS3.d, grid, 0.01, 0.5)
         with pytest.raises(InvariantBreach) as info:
             diffusion_substep(FieldSet(SYS3, grid, vals), modal)
         assert info.value.kind == "linear-solver"

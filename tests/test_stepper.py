@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import oracles
-from oracles import constant_state, integrate, laplacian_matrix, reaction_cell_solve, species
+from oracles import constant_state, integrate, laplacian_matrix, reaction_cell_solve
 from trdlab.diagnostics import DiagnosticsTracker, entropy
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
@@ -299,7 +299,7 @@ class TestDiffusionSubstep:
     def test_constant_fields_unchanged(self):
         grid = Grid((1.0,), (32,))
         fs = constant_state(SYS3, grid, (1.0, 2.0, 3.0))
-        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.1))
+        out = diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, 0.1))
         # exact up to the sparse solver's roundoff
         np.testing.assert_allclose(out.values, fs.values, rtol=0.0, atol=1e-13)
 
@@ -310,7 +310,7 @@ class TestDiffusionSubstep:
         u = 1.0 + 0.25 * np.cos(math.pi * x)
         fs = FieldSet(SYS3, grid, np.stack([u, np.ones(64), np.ones(64)]))
         dt = 0.01
-        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, dt))
+        out = diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, dt))
         lam = (2.0 - 2.0 * math.cos(math.pi * h)) / h**2  # discrete eigenvalue
         expected = 1.0 + 0.25 / (1.0 + dt * lam) * np.cos(math.pi * x)
         np.testing.assert_allclose(out.values[0], expected, atol=1e-10)
@@ -320,10 +320,10 @@ class TestDiffusionSubstep:
         rng = np.random.default_rng(2)
         vals = rng.uniform(0.5, 2.0, size=(3,) + grid.shape)
         fs = FieldSet(SYS3, grid, vals)
-        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.05))
+        out = diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, 0.05))
         for i in (1, 2):
-            before = integrate(species(fs, i))
-            after = integrate(species(out, i))
+            before = integrate(grid, fs.values[i - 1])
+            after = integrate(grid, out.values[i - 1])
             assert after == pytest.approx(before, rel=1e-10)
 
     def test_degenerate_species_untouched(self):
@@ -331,7 +331,7 @@ class TestDiffusionSubstep:
         rng = np.random.default_rng(9)
         vals = rng.uniform(0.0, 1.0, size=(3, 16))
         fs = FieldSet(SYS3, grid, vals.copy())
-        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 0.3))
+        out = diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, 0.3))
         np.testing.assert_array_equal(out.values[2], vals[2])  # d_3 = 0
 
     def test_positivity_preserved(self):
@@ -340,7 +340,7 @@ class TestDiffusionSubstep:
         vals[0, 32] = 100.0  # near-point mass
         vals[1] = 1.0
         vals[2] = 1.0
-        out = diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 1e-4))
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3.d, grid, 1e-4))
         assert out.values.min() >= 0.0
 
     def test_crank_nicolson_is_second_order_on_one_mode(self):
@@ -351,7 +351,7 @@ class TestDiffusionSubstep:
         fs = FieldSet(SYS3, grid, np.stack([u, np.ones(64), np.ones(64)]))
         lam = (2.0 - 2.0 * math.cos(math.pi * h)) / h**2
         dt = 0.01
-        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, dt, 0.5))
+        out = diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, dt, 0.5))
         factor = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
         expected = 1.0 + 0.25 * factor * np.cos(math.pi * x)
         np.testing.assert_allclose(out.values[0], expected, atol=1e-10)
@@ -382,7 +382,7 @@ class TestDiffusionOracle:
         # flips the sign of the rough modes, and a negative output would
         # (rightly) raise a positivity breach
         vals = np.random.default_rng(7).uniform(1.0, 3.0, size=(3,) + grid.shape)
-        out = diffusion_substep(FieldSet(system, grid, vals.copy()), ModalDiffusion(system, grid, dt, theta))
+        out = diffusion_substep(FieldSet(system, grid, vals.copy()), ModalDiffusion(system.d, grid, dt, theta))
         tol = 1e-12 * (1.0 + np.abs(vals).max())
         for i, d in enumerate(system.d):
             if d == 0.0:
@@ -395,7 +395,7 @@ class TestDiffusionOracle:
         frozen = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 0.0, 0.0))
         vals = np.random.default_rng(2).uniform(size=(3, 8))
         grid = Grid((1.0,), (8,))
-        out = diffusion_substep(FieldSet(frozen, grid, vals.copy()), ModalDiffusion(frozen, grid, 0.1))
+        out = diffusion_substep(FieldSet(frozen, grid, vals.copy()), ModalDiffusion(frozen.d, grid, 0.1))
         np.testing.assert_array_equal(out.values, vals)
 
     def test_2d_point_mass_stays_nonnegative(self):
@@ -404,16 +404,16 @@ class TestDiffusionOracle:
         vals[0] = 0.0
         vals[0, 16, 16] = 100.0
         fs = FieldSet(SYS3, grid, vals)
-        out = diffusion_substep(fs, ModalDiffusion(SYS3, grid, 1e-4))
+        out = diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, 1e-4))
         assert out.values.min() >= 0.0
-        assert integrate(species(out, 1)) == pytest.approx(integrate(species(fs, 1)), rel=1e-12)
+        assert integrate(grid, out.values[0]) == pytest.approx(integrate(grid, fs.values[0]), rel=1e-12)
 
     def test_roundoff_negatives_are_clamped_and_counted(self):
         grid = Grid((1.0,), (64,))
         vals = np.ones((3, 64))
         vals[0] = 0.0
         vals[0, 32] = 100.0
-        modal = ModalDiffusion(SYS3, grid, 1e-4)
+        modal = ModalDiffusion(SYS3.d, grid, 1e-4)
         out = diffusion_substep(FieldSet(SYS3, grid, vals), modal)
         assert out.values.min() >= 0.0
         assert modal.clamp_count == np.count_nonzero(out.values[0] == 0.0) > 0
@@ -434,7 +434,7 @@ class TestDiffusionOracle:
         vals[0] = 0.0
         vals[0, 3] = -1e-6
         with pytest.raises(InvariantBreach) as info:
-            diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 1e-4))
+            diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3.d, grid, 1e-4))
         assert info.value.kind == "positivity"
 
     # the last case is the grid-2d benchmark's Strang half step (dt = 0.01,
@@ -452,7 +452,7 @@ class TestDiffusionOracle:
         u = np.broadcast_to(1.0 + 0.5 * np.cos(3 * math.pi * x), grid.shape)
         fs = FieldSet(SYS3, grid, np.stack([u, u, u]))
         with pytest.raises(InvariantBreach) as info:
-            diffusion_substep(fs, ModalDiffusion(SYS3, grid, dt, 0.5))
+            diffusion_substep(fs, ModalDiffusion(SYS3.d, grid, dt, 0.5))
         assert info.value.kind == "linear-solver"
 
     def test_corrupted_mode_zero_trips_the_mass_guard(self):
@@ -461,7 +461,7 @@ class TestDiffusionOracle:
         lam[0] = -1e-9
         grid.__dict__["laplacian_eigenvalues"] = (lam,)
         with pytest.raises(InvariantBreach) as info:
-            ModalDiffusion(SYS3, grid, 0.01)
+            ModalDiffusion(SYS3.d, grid, 0.01)
         assert info.value.kind == "linear-solver"
 
     @pytest.mark.parametrize("cells", [2048, 8192])
@@ -471,7 +471,7 @@ class TestDiffusionOracle:
         grid = Grid((1.0,), (cells,))
         x = grid.axis_centers(0)
         vals = np.stack([1.0 + 0.3 * np.cos(math.pi * x), 0.5 + 0.2 * np.cos(2 * math.pi * x), x])
-        out = diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 0.01, 0.5))
+        out = diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3.d, grid, 0.01, 0.5))
         factor = (1.0 - 0.005 * math.pi**2) / (1.0 + 0.005 * math.pi**2)
         np.testing.assert_allclose(out.values[0], 1.0 + 0.3 * factor * np.cos(math.pi * x), atol=1e-5)
 
@@ -612,7 +612,7 @@ class TestStepAndRun:
         vals = np.ones((3, 16))
         vals[1, 7] = math.nan
         with pytest.raises(InvariantBreach) as info:
-            diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3, grid, 0.01))
+            diffusion_substep(FieldSet(SYS3, grid, vals), ModalDiffusion(SYS3.d, grid, 0.01))
         assert info.value.kind == "linear-solver"
 
     def test_entropy_of_split_step_never_increases(self):
@@ -668,7 +668,7 @@ class TestSteadyWorkArrays:
 
     def test_diffusion_substep_allocates_about_its_result(self):
         fs = frozen_state(2)
-        modal = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+        modal = ModalDiffusion(SYS_FROZEN.d, GRID_128, 0.5 * STRANG.dt, 0.5)
         for _ in range(2):
             diffusion_substep(fs, modal)
         assert traced_peak(lambda: diffusion_substep(fs, modal)) <= 1.5 * fs.values.nbytes
@@ -699,7 +699,7 @@ class TestSteadyWorkArrays:
 
     def test_returned_states_are_not_overwritten_by_later_steps(self):
         state = SimulationState(0.0, frozen_state(2))
-        modal = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+        modal = ModalDiffusion(SYS_FROZEN.d, GRID_128, 0.5 * STRANG.dt, 0.5)
         kept = []
         for _ in range(4):
             state = step(state, STRANG, level_rates(2), modal)
@@ -726,10 +726,10 @@ class TestSteadyWorkArrays:
             assert (rec.dissipation_gradient, rec.dissipation_reaction) == (grad, reac)
 
     def test_modal_reused_across_batch_sizes_matches_a_fresh_one(self):
-        reused = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+        reused = ModalDiffusion(SYS_FROZEN.d, GRID_128, 0.5 * STRANG.dt, 0.5)
         for levels in (2, 1, 2):
             fs = frozen_state(levels)
-            fresh = ModalDiffusion(SYS_FROZEN, GRID_128, 0.5 * STRANG.dt, 0.5)
+            fresh = ModalDiffusion(SYS_FROZEN.d, GRID_128, 0.5 * STRANG.dt, 0.5)
             assert diffusion_substep(fs, reused).values.tobytes() == diffusion_substep(fs, fresh).values.tobytes()
 
 
