@@ -226,7 +226,7 @@ def picard_iterate_mpf(inputs: PointwiseInputs, p_max: int, dps: int = 40):
         a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
         iterates = [list(a)]
         for _ in range(p_max):
-            a = _map(inputs, a, drivers, lambda W: (E := vexp(W), 1 / E))
+            a = _map(inputs, a, drivers, lambda W: (E := vexp(W), lambda s: 1 / E * s))
             iterates.append(list(a))
         return iterates
 

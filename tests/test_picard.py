@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 from oracles import picard_iterate_mpf
 
+from trdlab import picard
 from trdlab.errors import InvariantBreach
 from trdlab.picard import (
     _GUARD_BITS,
@@ -69,16 +71,24 @@ def node(f, x):
 MP_EXP = np.frompyfunc(mp.exp, 1, 1)
 
 
+def per_node(pair):
+    """exp_pairs(W) from pair(w) = (e^w, e^-w) on one node: e^-w s as the product e^-w * s."""
+    return lambda W: [(e, lambda s, d=d: d * s) for e, d in map(pair, W)]
+
+
+@per_node
 def float_pair(w):
     return node(np.exp, w), node(np.exp, -w)
 
 
+@per_node
 def mp_pair(w):
     """The mpf oracle's pair: e^-w as the reciprocal of e^w."""
     e = node(MP_EXP, w)
     return e, 1 / e
 
 
+@per_node
 def mp_pair_negated(w):
     """The order before the reciprocal: a second exp at -w."""
     return node(MP_EXP, w), node(MP_EXP, -w)
@@ -89,14 +99,16 @@ def powered(v, e):
     return node(lambda u: u**e, v)
 
 
-FLOATS = SimpleNamespace(lift=float, mul=operator.mul, halve=lambda x: x / 2, power=powered, exp_pair=float_pair)
-MPF = SimpleNamespace(lift=mp.mpf, mul=operator.mul, halve=lambda x: x / 2, power=powered, exp_pair=mp_pair)
-MPF_NEGATED = SimpleNamespace(**vars(MPF) | {"exp_pair": mp_pair_negated})
+FLOATS = SimpleNamespace(lift=float, mul=operator.mul, halve=lambda x: x / 2, power=powered, exp_pairs=float_pair)
+MPF = SimpleNamespace(lift=mp.mpf, mul=operator.mul, halve=lambda x: x / 2, power=powered, exp_pairs=mp_pair)
+MPF_NEGATED = SimpleNamespace(**vars(MPF) | {"exp_pairs": mp_pair_negated})
 
 
 def fixed_point(inputs, dps=80):
     """picard_iterate_mp's node arithmetic at `dps` digits: x stands for
-    x 2^-P, with 1/e times the bits where delta2 has a power e below 1."""
+    x 2^-P, with 1/e times the bits where delta2 has a power e below 1.
+    Its exp_pairs carries each node's (w, e^w) from one iterate to the next,
+    so one namespace serves one sequence of iterates."""
     root = min([1.0] + [e for e in (inputs.alpha_j - 1.0, *inputs.offset_alphas) if e > 0])
     P = math.ceil(dps * math.log2(10) / root) + _GUARD_BITS
 
@@ -106,16 +118,19 @@ def fixed_point(inputs, dps=80):
             return (v ** int(e) << P) >> (int(e) * P)
         return libmp.to_fixed(libmp.mpf_pow(libmp.from_man_exp(v, -P), libmp.from_float(e), P), P)
 
-    def exp_pair(w):
-        e = libmp.libelefun.exp_fixed(w, P)
-        return e, (1 << 2 * P) // e
+    carried = []  # the latest iterate's (w, e^w) per node; the zeroth's w is 0
+
+    def exp_pairs(W):
+        """e^w as the previous iterate's e^w times e^(w - w_prev); e^-w s as s / e^w."""
+        carried[:] = [(w, picard._times_exp(e, w - v, P)) for w, (v, e) in zip(W, carried or [(0, 1 << P)] * len(W))]
+        return [(e, lambda s, e=e: (s << P) // e) for _, e in carried]
 
     return P, SimpleNamespace(
         lift=lambda v: int(math.ldexp(v, P)),  # exact: a float times a power of two
         mul=lambda x, y: (x * y) >> P,
         halve=lambda x: x >> 1,
         power=power,
-        exp_pair=exp_pair,
+        exp_pairs=exp_pairs,
     )
 
 
@@ -124,8 +139,8 @@ def reference_map(inputs, a, ar):
     had before its loop invariants were hoisted: trapezoid sums (f_i + f_{i-1}) * dt / 2 accumulated
     from the left, am * d1 * e^W per node.  `ar` is the node arithmetic:
     lift (float, mp.mpf under mp.workdps, or `fixed_point`'s integers), mul,
-    halve, power(v, e) and exp_pair(w) = (e^w, e^-w); in fixed point a shift
-    follows every product."""
+    halve, power(v, e) and exp_pairs(W), a (e^w, s -> e^-w s) per node; in
+    fixed point a shift follows every product."""
     n = len(a)
     am, d1, d3 = ([ar.lift(v) for v in arr] for arr in (inputs.driver_am, inputs.delta1, inputs.delta3))
     dt, a0 = ar.lift(inputs.dt), ar.lift(inputs.a_j0)
@@ -142,9 +157,9 @@ def reference_map(inputs, a, ar):
         return [ar.lift(0.0)] + list(accumulate(ar.halve(ar.mul(f[i] + f[i - 1], dt)) for i in range(1, n)))
 
     W = cumtrapz([ar.mul(ar.mul(d1[i], delta2(a[i])), d3[i]) for i in range(n)])
-    pairs = [ar.exp_pair(w) for w in W]
+    pairs = ar.exp_pairs(W)
     J = cumtrapz([ar.mul(ar.mul(am[i], d1[i]), pairs[i][0]) for i in range(n)])
-    return [ar.mul(pairs[i][1], J[i] + a0) for i in range(n)]
+    return [pairs[i][1](J[i] + a0) for i in range(n)]
 
 
 def reference_iterates(inputs, p_max, ar):
@@ -221,17 +236,17 @@ class TestMapArithmetic:
         assert reports[0] == reports[1]
 
     def test_mp_map_takes_one_exp_per_node(self, monkeypatch):
-        exp_fixed, calls = libmp.libelefun.exp_fixed, []
+        calls = []
 
-        def counting_exp(x, prec):
-            calls.append(x)
-            return exp_fixed(x, prec)
+        def counting(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
 
-        monkeypatch.setattr(libmp.libelefun, "exp_fixed", counting_exp)
-        monkeypatch.setattr(mp, "exp", None)  # the mpf exp is not called at all
+        for owner, name in ((picard, "_times_exp"), (libmp.libelefun, "exp_fixed"), (mp, "exp")):
+            counting(owner, name)
         inp = offset_inputs()
         picard_iterate_mp(inp, p_max=3)
-        assert len(calls) == 3 * len(inp.times)
+        assert calls == ["_times_exp"] * (3 * len(inp.times))  # neither mpmath exp is called
 
     @pytest.mark.parametrize("p_max, dps", [(0, 40), (-1, 40), (2.5, 40), (True, 40), (3, 0), (3, -5), (3, 2.5), (3, None)])
     def test_rejects_a_p_max_or_dps_that_is_not_a_positive_int(self, p_max, dps):
@@ -268,18 +283,103 @@ def tiny_root_inputs(alpha_j, offsets, offset_alphas):
     return PointwiseInputs(t, 1e-100, alpha_j, offsets, offset_alphas, np.ones_like(t), 1.0 / (1.0 + t * t), np.exp(-t))
 
 
+def stiff_inputs(am, alpha_j, a_j0, delta3):
+    """Constant drivers on 51 nodes of [0, 1] and delta1 = 1: with alpha_j = 1,
+    delta2 = 1 and W = delta3 t."""
+    t = np.linspace(0.0, 1.0, 51)
+    return PointwiseInputs(t, a_j0, alpha_j, (), (), np.full_like(t, am), np.ones_like(t), np.full_like(t, delta3))
+
+
+def spy_on_exp_pairs(monkeypatch):
+    """The list that collects (W, e^W), the integers of each iterate that
+    picard_iterate_mp makes, where its map takes them."""
+    seen, real_map = [], picard._map
+
+    def spying_map(inputs, a, drivers, exp_pair, *arithmetic):
+        def spy(W):
+            pair = exp_pair(W)
+            seen.append((W, pair[0]))
+            return pair
+
+        return real_map(inputs, a, drivers, spy, *arithmetic)
+
+    monkeypatch.setattr(picard, "_map", spying_map)
+    return seen
+
+
+def assert_within_1e_76_of_the_oracle(inp, p_max):
+    got = picard_iterate_mp(inp, p_max=p_max, dps=80)
+    want = picard_iterate_mpf(inp, p_max=p_max, dps=80)
+    with mp.workdps(80):
+        for mine, ref in zip(got, want, strict=True):
+            scale = max(1, max(abs(y) for y in ref))
+            assert max(abs(x - y) for x, y in zip(mine, ref, strict=True)) <= mp.mpf("1e-76") * scale
+
+
 class TestFixedPointAgainstTheMpfOracle:
     @given(pointwise_inputs(), st.integers(1, 4))
     @example(tiny_root_inputs(1.5, (), ()), 3)
     @example(tiny_root_inputs(1.0, (0.0,), (0.5,)), 3)
     @settings(max_examples=100, deadline=None)
     def test_iterates_lie_within_1e_76_of_the_oracle(self, inp, p_max):
-        got = picard_iterate_mp(inp, p_max=p_max, dps=80)
-        want = picard_iterate_mpf(inp, p_max=p_max, dps=80)
-        with mp.workdps(80):
-            for mine, ref in zip(got, want, strict=True):
-                scale = max(1, max(abs(y) for y in ref))
-                assert max(abs(x - y) for x, y in zip(mine, ref, strict=True)) <= mp.mpf("1e-76") * scale
+        assert_within_1e_76_of_the_oracle(inp, p_max)
+
+    @pytest.mark.parametrize("k", [40.0, 80.0])
+    def test_iterates_lie_within_1e_76_of_the_oracle_where_w_reaches_k(self, k, monkeypatch):
+        """e^-W s with s of size e^W: one unit of a reciprocal e^-W would
+        have cost e^k units (1.3e-69 at k = 40, 1.0e-52 at k = 80)."""
+        inp = stiff_inputs(k, 1.0, 0.2, k)
+        seen = spy_on_exp_pairs(monkeypatch)
+        assert_within_1e_76_of_the_oracle(inp, p_max=2)
+        W, _ = seen[-1]
+        assert math.ldexp(W[-1], -fixed_point(inp)[0]) == pytest.approx(k)
+
+    def test_increments_of_w_that_change_sign_stay_within_1e_76_of_the_oracle(self, monkeypatch):
+        """alpha_j = 2: W follows the iterates, which overshoot and undershoot
+        in turn, so W - W_prev alternates in sign, by more than 40 at first:
+        a reciprocal e^-40 held to one unit would cost e^40 units."""
+        inp = stiff_inputs(40.0, 2.0, 0.5, 20.0)
+        seen = spy_on_exp_pairs(monkeypatch)
+        assert_within_1e_76_of_the_oracle(inp, p_max=12)
+        P = fixed_point(inp)[0]
+        steps = [int(W[-1] - V[-1]) for (V, _), (W, _) in zip(seen, seen[1:])]
+        assert all(x * y < 0 for x, y in zip(steps, steps[1:]))
+        assert min(steps[:2]) < -(40 << P) and max(steps[:2]) > 40 << P
+
+
+def units_off(got, scale, x, P):
+    """|got - scale e^(x 2^-P)| in units 2^-P of max(1, the exact value), the
+    exp taken by mpmath at P + 64 bits; got, scale and x stand for times 2^-P."""
+    wp = P + 64
+    exact = libmp.mpf_mul(libmp.from_man_exp(scale, -P), libmp.mpf_exp(libmp.from_man_exp(x, -P), wp), wp)
+    err = libmp.mpf_abs(libmp.mpf_sub(libmp.from_man_exp(got, -P), exact, wp))
+    return math.ldexp(libmp.to_float(libmp.mpf_div(err, max(exact, libmp.fone, key=libmp.to_float), 53)), P)
+
+
+class TestTimesExp:
+    """picard._times_exp, the 80-digit map's fixed-point exp, against mpmath's
+    exp.  P = 286 is the map's at 80 digits, P = 552 with a power 1/2 in
+    delta2; scale 2^P is the plain exp, and e^40 a carried e^W."""
+
+    @pytest.mark.parametrize("P, k", [(286, 16), (552, 20)])
+    def test_within_k_units_of_mpf_exp(self, P, k):
+        edge = 1 << (P - math.isqrt(P))  # x 2^-P = 2^-isqrt(P): the largest argument the series takes unhalved
+        xs = [0, 1, -1] + [sign * (edge + d) for sign in (1, -1) for d in (-1, 0, 1)]
+        rng = random.Random(P)
+        xs += [rng.randrange(-80 << P, (80 << P) + 1) for _ in range(400)]
+        for scale in (1 << P, libmp.to_fixed(libmp.mpf_exp(libmp.from_int(40), P), P)):
+            assert max(units_off(picard._times_exp(scale, x, P), scale, x, P) for x in xs) <= k
+
+    def test_e_w_after_40_iterates_is_within_40_k_units_of_mpf_exp(self, monkeypatch):
+        """Each iterate's e^W is the previous one's times _times_exp: k units
+        relative at most per iterate, as W >= 0 (measured: 39 units)."""
+        inp, _, _ = canonical_scenario(n_points=301)
+        seen = spy_on_exp_pairs(monkeypatch)
+        picard_iterate_mp(inp, p_max=40, dps=80)
+        P = fixed_point(inp)[0]
+        W, E = seen[-1]
+        assert len(seen) == 40
+        assert max(units_off(e, 1 << P, w, P) for w, e in zip(W, E)) <= 40 * 16
 
 
 class TestPointwiseInputs:
@@ -416,6 +516,15 @@ class TestEnvelope:
         assert rep["passed"], rep
         # the errors really are sub-float64 past p ~ 12
         assert rep["per_p"][15]["error"] < 1e-25
+
+    def test_errors_are_the_80_digit_mpf_differences_as_floats(self):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        iters = picard_iterate_mp(inp, p_max=30, dps=80)[:26] + picard_iterate(inp, p_max=2)
+        rep = convergence_envelope_check(iters, constants, iters[25])
+        with mp.workdps(80):  # mpf's -, abs() and float(): the roundings the tuples must keep
+            want = [max(float(abs(mp.mpf(x) - mp.mpf(y))) for x, y in zip(traj, iters[25])) for traj in iters]
+        assert [row["error"] for row in rep["per_p"]] == want
+        assert 0.0 < want[24] < 1e-30 and want[26] > 1e-3
 
     def test_constants_require_positive_values(self):
         with pytest.raises(ValueError):
