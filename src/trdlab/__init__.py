@@ -7,7 +7,6 @@ L^p bootstrap chains.
 from .errors import ConfigError, InvariantBreach
 from .fields import FieldSet
 from .grid import Grid
-from .kinetics import RegularizedRates
 from .model import DegeneracyClass, TriangularSystem, classify
 from .stepper import StepperConfig, run
 
@@ -19,7 +18,6 @@ __all__ = [
     "FieldSet",
     "Grid",
     "InvariantBreach",
-    "RegularizedRates",
     "StepperConfig",
     "TriangularSystem",
     "classify",

@@ -179,6 +179,11 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     if not isinstance(raw_n, list) or not raw_n:
         raise ConfigError("$.n_values", "expected a nonempty list")
     n_values = tuple(_parse_n(v, f"$.n_values[{i}]") for i, v in enumerate(raw_n))
+    labels = [f"{n:g}" for n in n_values]  # each level's artifacts are keyed by its label
+    for i, tag in enumerate(labels):
+        if tag in labels[:i]:
+            first = f"$.n_values[{labels.index(tag)}]"
+            raise ConfigError(f"$.n_values[{i}]", f"artifact label {tag!r} is also that of {first}: each n needs its own")
 
     t_final = _number(_require(data, "t_final", "$"), "$.t_final", low=0.0)
     p_values = _numbers(data.get("p_values", [4.0]), "$.p_values", low=1.0)

@@ -1,6 +1,10 @@
 """Run monitors: entropy, dissipation, norms, masses, invariant residuals,
 and the entropy-balance check.
 
+The reaction terms are those of regularization level n, which is a
+number (or an array of one per level or per cell): the system whose
+rate law they evaluate is the one the FieldSet carries.
+
 Constants that the underlying theory leaves non-constructive (duality and
 integrability constants) are not fitted here: the records carry the
 space-time L^p norms and the running L^1 product integrals (the CSV's
@@ -16,7 +20,7 @@ import numpy as np
 
 from .fields import FieldSet
 from .grid import gradient_energy, per_level, work_array
-from .kinetics import RegularizedRates, entropy_kernel, phi, reactant_product
+from .kinetics import entropy_kernel, phi, reactant_product
 from .model import DegeneracyClassification, classify
 
 __all__ = [
@@ -40,9 +44,9 @@ def entropy(fields: FieldSet, work: dict | None = None):
     return per_level(fields.grid.cell_sum(weighted.reshape(fields.values.shape[1:])) * fields.grid.cell_measure)
 
 
-def dissipation(fields: FieldSet, rates: RegularizedRates, work: dict | None = None):
-    """Returns (total, gradient_part, reaction_part): floats for one
-    state, one value per n-level for a batch.
+def dissipation(fields: FieldSet, n, work: dict | None = None):
+    """Returns (total, gradient_part, reaction_part) at level n: floats
+    for one state, one value per n-level for a batch.
 
     Gradient part: sum_i alpha_i d_i * 4 |grad sqrt(a_i)|^2 (the
     vacuum-safe form of |grad a_i|^2 / a_i).  Reaction part:
@@ -57,9 +61,9 @@ def dissipation(fields: FieldSet, rates: RegularizedRates, work: dict | None = N
     gathered = np.take(fields.values, rows, axis=0, out=work_array(work, "rows", rows.shape + y.shape), mode="clip")
     energies = gradient_energy(fields.grid, gathered, weighted=True, work=work) if rows.size else ()
     grad_part = per_level(sum(w[i] * e for i, e in zip(rows, energies)))
-    x = reactant_product(rates.system.reactant_alpha, fields.values[:-1], work)
+    x = reactant_product(system.reactant_alpha, fields.values[:-1], work)
     total = np.sum(fields.values, axis=0, out=work_array(work, "total", y.shape))
-    phi_x = phi(rates.system.Q, rates.n, total, work)
+    phi_x = phi(system.Q, n, total, work)
     log = np.maximum(y, _LOG_FLOOR, out=work_array(work, "log", y.shape))
     log /= np.maximum(x, _LOG_FLOOR, out=work_array(work, "term", y.shape))
     term = np.subtract(y, x, out=work_array(work, "term", y.shape))
@@ -176,12 +180,12 @@ class DiagnosticsRecord:
 class DiagnosticsTracker:
     """Holds, per n-level, the entropy, dissipation and space-time
     integrals of the latest state passed to `accumulate`, and produces one
-    DiagnosticsRecord per observation; rates.n has a leading axis over the B
+    DiagnosticsRecord per observation; n has a leading axis over the B
     n-levels, which share the initial data.  Temporaries go in `work`."""
 
-    def __init__(self, rates: RegularizedRates, initial: FieldSet, p_values=(4.0,)):
-        self.rates = rates
-        self.system = rates.system
+    def __init__(self, n: np.ndarray, initial: FieldSet, p_values=(4.0,)):
+        self.n = n
+        self.system = initial.system
         self.p_values = tuple(p_values)
         self.classification: DegeneracyClassification = classify(self.system)
         self.e0 = entropy(initial)
@@ -198,7 +202,7 @@ class DiagnosticsTracker:
             if m in self.classification.lambda1
             else []
         )
-        levels = np.shape(rates.n)[:1]
+        levels = np.shape(n)[:1]
         self._st_accum = {p: np.zeros((m,) + levels) for p in self.p_values}
         self._l1prod_accum = np.zeros((m - 1,) + levels)
         self.diss_integral = np.zeros(levels)
@@ -214,13 +218,13 @@ class DiagnosticsTracker:
         every step's entropies.  Each k has a work dict, with n tiled k times."""
         grid = fields.grid
         meas = grid.cell_measure
-        k = fields.values.shape[1] // len(self.rates.n)
+        k = fields.values.shape[1] // len(self.n)
         work = self.work.get(k)
         if work is None:
-            n = self.rates.n if k == 1 else np.tile(self.rates.n, (k,) + (1,) * grid.dimension)
-            work = self.work[k] = {"rates": RegularizedRates(self.system, n)}
+            n = self.n if k == 1 else np.tile(self.n, (k,) + (1,) * grid.dimension)
+            work = self.work[k] = {"n": n}
         entropies = entropy(fields, work).reshape(k, -1)
-        diss = np.array(np.broadcast_arrays(*dissipation(fields, work["rates"], work)))
+        diss = np.array(np.broadcast_arrays(*dissipation(fields, work["n"], work)))
         powers = work_array(work, "kernel", fields.values.shape)  # the entropy kernel's, free again here
         st_sums = []
         for p in self.p_values:

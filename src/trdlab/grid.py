@@ -29,6 +29,8 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in self.cells):
+            raise ValueError(f"cells must be integers, got {tuple(self.cells)!r}")
         object.__setattr__(self, "cells", tuple(int(v) for v in self.cells))
         if not self.lengths or len(self.lengths) != len(self.cells):
             raise ValueError("need one length and one cell count per axis, and at least one axis")

@@ -3,21 +3,19 @@ scalar entropy kernel.
 
 All evaluators accept either a single state vector of shape (m,) or a
 batch of cell states of shape (m, ...); the species axis is always the
-first one.  For B n-levels advanced together, n is an array of shape
-(B, 1, ...) and the states have shape (m, B, *grid).
+first one.  A regularization level is its n alone: the system that
+fixes the exponents travels with the state.  For B n-levels advanced
+together, n is an array of shape (B, 1, ...) or (B, *grid), and the
+states have shape (m, B, *grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import work_array
-from .model import TriangularSystem
 
 __all__ = [
-    "RegularizedRates",
     "reactant_product",
     "phi",
     "entropy_kernel",
@@ -61,18 +59,6 @@ def phi(Q: float, n, total, work: dict | None = None):
     out /= n
     out += 1.0
     return out
-
-
-@dataclass(frozen=True)
-class RegularizedRates:
-    """The approximate system at level n, whose rates are the raw rates divided by phi^n."""
-
-    system: TriangularSystem
-    n: float | np.ndarray  # positive; +inf selects the limit system phi == 1
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.n) > 0):
-            raise ValueError("n must be positive (or +inf)")
 
 
 def entropy_kernel(a, work: dict | None = None) -> np.ndarray | float:

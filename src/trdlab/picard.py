@@ -72,6 +72,10 @@ class PointwiseInputs:
         names = ("times", "a_j0", "alpha_j", "offsets", "offset_alphas", "driver_am", "delta1", "delta3")
         if bad := [name for name in names if not np.isfinite(getattr(self, name)).all()]:
             raise ValueError(f"{', '.join(bad)} must be finite")
+        # the model's drivers are >= 0 (1/phi^n, a product of reactant powers): with W < 0 the
+        # fixed-point map, whose iterates are quotients by e^W, would lose e^|W| units
+        if bad := [name for name in ("delta1", "delta3") if (getattr(self, name) < 0.0).any()]:
+            raise ValueError(f"{', '.join(bad)} must be >= 0")
         if len(times) < 2 or times[0] != 0.0:
             raise ValueError("time mesh must start at 0 with at least two nodes")
         dts = np.diff(times)

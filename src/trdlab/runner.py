@@ -15,12 +15,10 @@ import numpy as np
 
 from .config import ExperimentConfig, build_initial
 from .diagnostics import DiagnosticsRecord, entropy_balance_check
-from .kinetics import RegularizedRates
 from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
 
 __all__ = [
     "run_levels",
-    "run_single",
     "run_scenario",
     "study_n",
     "study_mesh",
@@ -34,13 +32,7 @@ SUMMARY_SCHEMA_VERSION = 1
 def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
     """One stepper run that advances the scenario at every n in n_values
     as one batched state; one RunResult per n, in order."""
-    levels = [RegularizedRates(config.system, n) for n in n_values]
-    return run(build_initial(config), config.stepper, levels, config.t_final, observers, config.p_values)
-
-
-def run_single(config: ExperimentConfig, n: float):
-    """The scenario at regularization level n alone: a batch of one."""
-    return run_levels(config, [n])[0]
+    return run(build_initial(config), config.stepper, n_values, config.t_final, observers, config.p_values)
 
 
 def _write_csv(path: Path, records: list[DiagnosticsRecord], m: int, p_values):
@@ -167,7 +159,7 @@ def _restrict(values: np.ndarray) -> np.ndarray:
 
 def _final_fields(config: ExperimentConfig, pure_diffusion: bool) -> np.ndarray:
     if not pure_diffusion:
-        return run_single(config, config.n_values[-1]).final_state.fields.values
+        return run_levels(config, [config.n_values[-1]])[0].final_state.fields.values
     initial = build_initial(config)
     n_steps = max(1, round(config.t_final / config.stepper.dt))
     dt = config.t_final / n_steps
@@ -213,7 +205,7 @@ def dt_order_study(config: ExperimentConfig, splitting: str, levels: int = 3) ->
     for level in range(levels):
         stepper = replace(config.stepper, dt=config.stepper.dt / 2**level, splitting=splitting)
         cfg = replace(config, stepper=stepper)
-        finals.append(run_single(cfg, cfg.n_values[-1]).final_state.fields.values)
+        finals.append(run_levels(cfg, [cfg.n_values[-1]])[0].final_state.fields.values)
     errors = [
         float(np.abs(a - b).max()) for a, b in zip(finals[:-1], finals[1:])
     ]

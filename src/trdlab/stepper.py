@@ -14,10 +14,11 @@ c = dt d_i.  The multipliers are built once per run (`ModalDiffusion`,
 which the kernel's smoothing probe marches with too); each substep is
 checked a posteriori against the finite-volume stencil by its gate.
 
-`run` advances every regularization level n of a scenario as one state
-of shape (m, B, *grid).  The substeps act cell by cell or along the grid
-axes, so each level computes exactly what a run of its own would; every
-gate holds per level, and a breach names its n.
+A regularization level is its n: the system comes with the state.
+`run` takes the list of n and advances every level as one state of
+shape (m, B, *grid), with n repeated per cell.  The substeps act cell by
+cell or along the grid axes, so each level computes exactly what a run
+of its own would; every gate holds per level, and a breach names its n.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .diagnostics import DiagnosticsRecord, DiagnosticsTracker
 from .errors import InvariantBreach
 from .fields import FieldSet
 from .grid import work_array
-from .kinetics import RegularizedRates, phi, reactant_product
+from .kinetics import phi, reactant_product
 
 __all__ = [
     "StepperConfig",
@@ -90,7 +91,7 @@ class RunResult:
     @property
     def equilibrium_residual(self) -> float:
         fs = self.final_state.fields
-        prod = reactant_product(self.tracker.rates.system.reactant_alpha, fs.values[:-1])
+        prod = reactant_product(fs.system.reactant_alpha, fs.values[:-1])
         return float(np.abs(fs.values[-1] - prod).max())
 
 
@@ -219,12 +220,13 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
 _REACTION_BLOCK = 4096
 
 
-def _reaction_substep(fields: FieldSet, rates: RegularizedRates, dt: float, theta: float = 1.0, work: dict | None = None):
-    """The reaction solve over the flattened cells of every n-level, in blocks of _REACTION_BLOCK, with each
-    block size's temporaries in a dict of `work` (fresh ones without it)."""
+def _reaction_substep(fields: FieldSet, n, dt: float, theta: float = 1.0, work: dict | None = None):
+    """The reaction solve at level n (a scalar, or an array that broadcasts over the cells of every n-level) over
+    the flattened cells, in blocks of _REACTION_BLOCK, with each block size's temporaries in a dict of `work`
+    (fresh ones without it)."""
     system = fields.system
     vals = fields.values.reshape(system.m, -1)
-    n = np.broadcast_to(rates.n, fields.values.shape[1:]).reshape(-1)  # a view if rates.n is per cell, as in `run`
+    n = np.broadcast_to(n, fields.values.shape[1:]).reshape(-1)  # a view if n is per cell, as in `run`
     new = np.empty_like(vals)
     sigma = np.add(vals[:-1], vals[-1], out=new[:-1])  # a block's sigma_j - x overwrites it once solved
     for start in range(0, vals.shape[1], _REACTION_BLOCK):
@@ -336,30 +338,18 @@ def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     return out
 
 
-def _step_diffusion(fields: FieldSet, config: StepperConfig) -> ModalDiffusion:
-    """The diffusion substep of `step`: a full backward-Euler step (Lie)
-    or a Crank-Nicolson half step (Strang)."""
-    if config.splitting == "lie":
-        return ModalDiffusion(fields.system.d, fields.grid, config.dt)
-    return ModalDiffusion(fields.system.d, fields.grid, 0.5 * config.dt, 0.5)
-
-
-def step(
-    state: SimulationState, config: StepperConfig, rates: RegularizedRates, modal: ModalDiffusion | None = None,
-    work: dict | None = None,
-) -> SimulationState:
-    """One splitting step of length config.dt (Lie: diffusion then
-    reaction; Strang: half diffusion, reaction, half diffusion).  `run`
-    passes its `ModalDiffusion` so the multipliers are built once, and
-    the `work` dict that keeps the reaction solve's temporaries."""
+def step(state: SimulationState, config: StepperConfig, n, modal: ModalDiffusion, work: dict | None) -> SimulationState:
+    """One splitting step of length config.dt at level n (Lie: diffusion
+    then reaction; Strang: half diffusion, reaction, half diffusion).
+    `modal` is the diffusion substep: a full backward-Euler step (Lie) or
+    a Crank-Nicolson half step (Strang), built once per run; `work` keeps
+    the reaction solve's temporaries (fresh ones for None)."""
     dt = config.dt
     f = state.fields
-    if modal is None:
-        modal = _step_diffusion(f, config)
     # Strang takes second-order substeps (Crank-Nicolson / trapezoidal) so
     # that the composition is genuinely O(dt^2)
     strang = config.splitting == "strang"
-    f = _reaction_substep(diffusion_substep(f, modal), rates, dt, 0.5 if strang else 1.0, work)
+    f = _reaction_substep(diffusion_substep(f, modal), n, dt, 0.5 if strang else 1.0, work)
     if strang:
         f = diffusion_substep(f, modal)
     return SimulationState(state.time + dt, f, state.step_count + 1)
@@ -387,23 +377,24 @@ def _clamp_positivity(fields: FieldSet):
 def run(
     initial: FieldSet,
     config: StepperConfig,
-    rates: RegularizedRates | list[RegularizedRates],
+    n_values,
     t_final: float,
     observers=(),
     p_values=(4.0,),
-) -> RunResult | list[RunResult]:
-    """Advance `initial` to t_final at every level in `rates` (one
-    RegularizedRates, or a list over one system) as one state of shape
-    (m, B, *grid), recording each level's diagnostics every `record_every`
-    steps and at both ends; a hard tolerance violated at any level raises
-    InvariantBreach naming its n.  Observers get the batched state at each
-    record.  Returns a RunResult per level, or one for a single rates."""
+) -> list[RunResult]:
+    """Advance `initial` to t_final at every level n in the nonempty
+    sequence `n_values` (each positive, or +inf for the limit system) as
+    one state of shape (m, B, *grid), recording each level's diagnostics
+    every `record_every` steps and at both ends; a hard tolerance violated
+    at any level raises InvariantBreach naming its n.  Observers get the
+    batched state at each record.  Returns one RunResult per n, in order."""
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    levels = [rates] if isinstance(rates, RegularizedRates) else list(rates)
-    n = np.repeat([float(r.n) for r in levels], initial.values[0].size).reshape((-1,) + initial.grid.shape)
-    rates_b = RegularizedRates(initial.system, n)  # n per cell, so the reaction substep copies none
-    tracker = DiagnosticsTracker(rates_b, initial, p_values=p_values)
+    levels = [float(n) for n in n_values]
+    if not levels or not all(n > 0.0 for n in levels):  # a NaN fails n > 0
+        raise ValueError(f"n_values must be a nonempty list of positive numbers or inf, got {levels!r}")
+    n = np.repeat(levels, initial.values[0].size).reshape((-1,) + initial.grid.shape)  # per cell: no copy per substep
+    tracker = DiagnosticsTracker(n, initial, p_values=p_values)
     values = np.repeat(initial.values[:, None], len(levels), axis=1)
     state = SimulationState(0.0, FieldSet(initial.system, initial.grid, values))
     records: list[list[DiagnosticsRecord]] = [[] for _ in levels]
@@ -446,13 +437,14 @@ def run(
 
     try:
         _, clamp_count, clamp_worst = _clamp_positivity(state.fields)
-        modal, reaction_work = _step_diffusion(state.fields, cfg), {}
+        theta = 0.5 if cfg.splitting == "strang" else 1.0  # Strang's diffusion takes half steps
+        modal, reaction_work = ModalDiffusion(initial.system.d, initial.grid, theta * dt, theta), {}
         tracker.accumulate(state.fields, 0.0)
         if n_steps:
             emit(state)
         for k in range(n_steps):
             try:
-                state = step(state, cfg, rates_b, modal, reaction_work)
+                state = step(state, cfg, n, modal, reaction_work)
                 _, c, w = _clamp_positivity(state.fields)
             except InvariantBreach:
                 close()  # an earlier step's entropy rise breached first
@@ -470,15 +462,14 @@ def run(
     except InvariantBreach as exc:
         if "level" not in exc.details:
             raise
-        raise exc.at_n(levels[exc.details["level"]].n) from exc
+        raise exc.at_n(levels[exc.details["level"]]) from exc
     clamp_count = clamp_count + modal.clamp_count
     clamp_worst = _running_min(clamp_worst, modal.clamp_worst)
-    results = [
+    return [
         RunResult(SimulationState(state.time, state.fields.level(b), state.step_count), records[b],
                   int(clamp_count[b]), float(clamp_worst[b]), entropy_tol, tracker)
         for b in range(len(levels))
     ]
-    return results[0] if isinstance(rates, RegularizedRates) else results
 
 
 def _check_record(rec: DiagnosticsRecord, cfg: StepperConfig, level: int):

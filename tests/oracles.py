@@ -17,7 +17,6 @@ from trdlab.fields import FieldSet
 from trdlab.errors import InvariantBreach
 from trdlab.grid import Grid, work_array
 from trdlab.kernel import KernelSpec
-from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 from trdlab.picard import PointwiseInputs, _drivers, _map
 from trdlab.stepper import StepperConfig
@@ -58,20 +57,19 @@ def broadcast_pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) ->
     return 1.0 / L + (2.0 / L) * np.sum(decay * c[:, None, :] * c[None, :, :], axis=-1)
 
 
-def reaction_cell_solve(state_cell, rates: RegularizedRates, dt: float):
-    """Integrate the reaction-only system over dt in one cell with the
-    stepper's reaction solve.
+def reaction_cell_solve(system: TriangularSystem, n: float, state_cell, dt: float):
+    """Integrate the reaction-only system at level n over dt in one cell
+    with the stepper's reaction solve.
 
     Exactly conserves sigma_j = a_j + a_m and keeps the output in the
     nonnegative orthant with a_m in [0, min_j sigma_j].
     """
     a = np.asarray(state_cell, dtype=float)
-    system = rates.system
     m = system.m
     if a.shape != (m,) or np.any(a < 0):
         raise ValueError("cell state must be a nonnegative m-vector")
     sigma = a[:-1] + a[-1]
-    x = stepper._solve_reaction_newton(a[-1:], sigma[:, None], system.reactant_alpha, m, system.Q, rates.n, dt)[0][0]
+    x = stepper._solve_reaction_newton(a[-1:], sigma[:, None], system.reactant_alpha, m, system.Q, n, dt)[0][0]
     return np.append(sigma - x, x)
 
 
@@ -82,11 +80,12 @@ def phi_n(system: TriangularSystem, n: float, state: np.ndarray) -> np.ndarray |
     return kinetics.phi(system.Q, n, np.asarray(state, dtype=float).sum(axis=0))
 
 
-def rate_g(rates: RegularizedRates, state) -> np.ndarray | float:
-    """Scalar regularized production g^n = (a_m - prod a_j^alpha_j)/phi^n."""
+def rate_g(system: TriangularSystem, n, state) -> np.ndarray | float:
+    """Scalar regularized production g^n = (a_m - prod_{j<m} a_j^alpha_j)/phi^n,
+    with this module's own product (0^0 = 1, as numpy's power)."""
     a = np.asarray(state, dtype=float)
-    prod = kinetics.reactant_product(rates.system.reactant_alpha, a[:-1])
-    return (a[-1] - prod) / phi(rates.system.Q, rates.n, a.sum(axis=0))
+    prod = reactant_product(system.reactant_alpha, a[:-1])
+    return (a[-1] - prod) / phi(system.Q, n, a.sum(axis=0))
 
 
 def log_inequality_slack(x: float, y: float, kappa: float) -> float:

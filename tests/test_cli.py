@@ -12,7 +12,7 @@ from trdlab.cli import (
     build_parser,
     main,
 )
-from trdlab.config import parse_config
+from trdlab.config import load_config, parse_config
 from trdlab.presets import preset_names
 
 FAST_CONFIG = {
@@ -73,6 +73,17 @@ class TestRunCommand:
         assert summary["ok"] is True
         assert summary["label"] == "cli-fast"
 
+    def test_a_config_without_a_label_is_labelled_run(self, tmp_path, capsys):
+        unlabelled = {k: v for k, v in FAST_CONFIG.items() if k != "label"}
+        unlabelled["n_values"] = [1, 10, 100, "inf"]
+        assert parse_config(unlabelled).label == "run"
+        cfg = write_config(tmp_path, unlabelled)
+        assert load_config(cfg).label == "run"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["label"] == "run"
+        assert "run 'run'" in capsys.readouterr().out
+
     def test_unknown_field_rejected(self, tmp_path):
         bad = dict(FAST_CONFIG)
         bad["bad"] = 1
@@ -97,6 +108,7 @@ class TestRunCommand:
             ("stepper.dt_safety", 0.5),
             ("stepper.positivity_tol", 1e-12),
             ("n_values", [None]),
+            ("n_values", [1000000, 1000001, "inf"]),  # both labelled "1e+06": one level's artifacts would be lost
             ("p_values", ["x"]),
             ("seed", "abc"),
             ("initial[1].value", "abc"),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from trdlab.grid import Grid
 from trdlab.kernel import KernelSpec
 from trdlab.model import TriangularSystem
 from trdlab.picard import PointwiseInputs
@@ -37,7 +38,7 @@ def test_rejects_non_finite_value_naming_the_field(field, make, bad):
         make(bad)
 
 
-# the two counts: a float, a bool or a count below 1 is refused
+# the counts: a float (16.7 cells made 16), a NaN, a bool, a string or a count below 1 is refused
 @pytest.mark.parametrize(
     "field, make, bad",
     [
@@ -45,8 +46,17 @@ def test_rejects_non_finite_value_naming_the_field(field, make, bad):
         pytest.param("record_every", lambda v: StepperConfig(dt=0.1, record_every=v), -1, id="record_every=-1"),
         pytest.param("truncation", lambda v: KernelSpec(d=1.0, truncation=v), 2.5, id="truncation=2.5"),
         pytest.param("truncation", lambda v: KernelSpec(d=1.0, truncation=v), True, id="truncation=True"),
+        pytest.param("cells", lambda v: Grid((1.0, 1.0), (8, v)), 16.7, id="cells=16.7"),
+        pytest.param("cells", lambda v: Grid((1.0, 1.0), (8, v)), 16.0, id="cells=16.0"),
+        pytest.param("cells", lambda v: Grid((1.0, 1.0), (8, v)), math.nan, id="cells=nan"),
+        pytest.param("cells", lambda v: Grid((1.0, 1.0), (8, v)), True, id="cells=True"),
+        pytest.param("cells", lambda v: Grid((1.0, 1.0), (8, v)), "16", id="cells=str"),
     ],
 )
 def test_rejects_a_count_that_is_not_an_int_of_at_least_one(field, make, bad):
     with pytest.raises(ValueError, match=rf"^{field}\b"):
         make(bad)
+
+
+def test_grid_takes_numpy_integer_counts():
+    assert Grid((1.0, 1.0), (np.int64(4), 5)).cells == (4, 5)

@@ -17,12 +17,10 @@ from trdlab.diagnostics import (
 )
 from trdlab.fields import FieldSet
 from trdlab.grid import Grid
-from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 from trdlab.stepper import StepperConfig, run
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
-LIMIT3 = RegularizedRates(SYS3, math.inf)
 GRID = Grid((1.0,), (32,))
 
 
@@ -56,13 +54,13 @@ class TestEntropy:
 class TestDissipation:
     def test_equilibrium_state_dissipates_nothing(self):
         fs = constant_state(SYS3, GRID, (2.0, 3.0, 6.0))
-        total, grad, reac = dissipation(fs, LIMIT3)
+        total, grad, reac = dissipation(fs, math.inf)
         assert total == pytest.approx(0.0, abs=1e-12)
         assert grad == 0.0
 
     def test_reaction_term_positive_off_equilibrium(self):
         fs = constant_state(SYS3, GRID, (2.0, 2.0, 1.0))
-        total, grad, reac = dissipation(fs, LIMIT3)
+        total, grad, reac = dissipation(fs, math.inf)
         # x = 4, y = 1: (y - x) ln(y/x) = 3 ln 4 > 0
         assert reac == pytest.approx(3.0 * math.log(4.0))
         assert grad == 0.0
@@ -70,19 +68,19 @@ class TestDissipation:
     def test_gradient_term_positive_for_nonuniform_diffusers(self):
         x = GRID.axis_centers(0)
         vals = np.stack([1.0 + 0.5 * np.cos(math.pi * x), np.ones(32), np.ones(32)])
-        total, grad, reac = dissipation(FieldSet(SYS3, GRID, vals), LIMIT3)
+        total, grad, reac = dissipation(FieldSet(SYS3, GRID, vals), math.inf)
         assert grad > 0.0
 
     def test_finite_at_vacuum(self):
         fs = constant_state(SYS3, GRID, (2.0, 2.0, 0.0))
-        total, grad, reac = dissipation(fs, LIMIT3)
+        total, grad, reac = dissipation(fs, math.inf)
         assert math.isfinite(total)
         assert reac > 0.0
 
     def test_regularization_scales_the_reaction_term(self):
         fs = constant_state(SYS3, GRID, (2.0, 2.0, 1.0))
-        _, _, reac_limit = dissipation(fs, LIMIT3)
-        _, _, reac_reg = dissipation(fs, RegularizedRates(SYS3, 1.0))
+        _, _, reac_limit = dissipation(fs, math.inf)
+        _, _, reac_reg = dissipation(fs, 1.0)
         phi = 1.0 + 5.0**5.0  # (2+2+1)^(Q+2)
         assert reac_reg == pytest.approx(reac_limit / phi)
 
@@ -93,14 +91,14 @@ class TestDissipation:
         system = TriangularSystem(m=4, alpha=(0.5, 2.0, 1.3, 1.0), d=(1.0, 0.5, 0.0, 1.0))
         vals = np.random.default_rng(12).uniform(0.0, 3.0, size=(4, 2, 32))
         fs = FieldSet(system, GRID, vals)
-        rates = RegularizedRates(system, np.array([10.0, math.inf]).reshape(2, 1))
+        n = np.array([10.0, math.inf]).reshape(2, 1)
         x = oracles.reactant_product(system.reactant_alpha, vals[:-1])
         y = vals[-1]
-        term = (y - x) * np.log(np.maximum(y, 1e-30) / np.maximum(x, 1e-30)) / oracles.phi(system.Q, rates.n, vals.sum(axis=0))
+        term = (y - x) * np.log(np.maximum(y, 1e-30) / np.maximum(x, 1e-30)) / oracles.phi(system.Q, n, vals.sum(axis=0))
         expected = GRID.cell_sum(term) * GRID.cell_measure
         work = {}
         for _ in range(2):
-            assert dissipation(fs, rates, work)[2].tobytes() == expected.tobytes()
+            assert dissipation(fs, n, work)[2].tobytes() == expected.tobytes()
 
 
 class TestNorms:
@@ -137,7 +135,7 @@ class TestM2Bound:
         vals = np.stack(
             [1.0 + 0.5 * np.cos(math.pi * x), 1.0 - 0.5 * np.cos(math.pi * x), 0.3 + 0 * x]
         )
-        result = run(FieldSet(SYS3, GRID, vals), StepperConfig(dt=0.02), LIMIT3, t_final=3.0)
+        result = run(FieldSet(SYS3, GRID, vals), StepperConfig(dt=0.02), [math.inf], t_final=3.0)[0]
         assert not any(r.m2_flag for r in result.records)
         for rec in result.records:
             assert rec.l1.max() <= rec.m2
@@ -152,10 +150,10 @@ class TestTrackerAndBalance:
         return run(
             FieldSet(SYS3, GRID, vals),
             StepperConfig(dt=0.01, record_every=20),
-            LIMIT3,
+            [math.inf],
             t_final=t_final,
             p_values=(4.0,),
-        )
+        )[0]
 
     def test_entropy_balance_holds(self):
         result = self._run()
@@ -201,7 +199,7 @@ class TestTrackerAndBalance:
         # is within the same 1e-12 floor as the monotonicity term
         system = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 1.0, 1.0))
         fs = constant_state(system, Grid((1.0,), (8,)), (1.0, 1.0, 1.0))
-        levels = [RegularizedRates(system, n) for n in (1.0, 10.0, math.inf)]
+        levels = [1.0, 10.0, math.inf]
         for result in run(fs, StepperConfig(dt=0.1), levels, t_final=0.2):
             assert result.tracker.e0 == 0.0
             assert entropy_balance_check(result.records, result.entropy_tol)["ok"]
@@ -225,9 +223,9 @@ class TestWindowedPass:
         B, m = len(WINDOW_LEVELS), SYS_SPECTATOR.m
         states = rng.uniform(0.0, 2.0, size=(7, m, B) + grid.shape)
         states[2, 1, 0].flat[0] = states[4, 3, 2].flat[-1] = 0.0  # vacuum cells
-        rates = RegularizedRates(SYS_SPECTATOR, np.repeat(WINDOW_LEVELS, math.prod(grid.shape)).reshape((B,) + grid.shape))
+        n = np.repeat(WINDOW_LEVELS, math.prod(grid.shape)).reshape((B,) + grid.shape)
         initial = FieldSet(SYS_SPECTATOR, grid, states[0, :, 0])
-        single, windowed = (DiagnosticsTracker(rates, initial, p_values=(2.0, 3.5)) for _ in range(2))
+        single, windowed = (DiagnosticsTracker(n, initial, p_values=(2.0, 3.5)) for _ in range(2))
         rows, dt = [], 0.03
         for s in states:
             rows.append(single.accumulate(FieldSet(SYS_SPECTATOR, grid, s), dt))

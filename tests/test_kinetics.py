@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import log_inequality_slack, phi_n
-from trdlab.kinetics import RegularizedRates, entropy_kernel, phi, reactant_product
+from trdlab.kinetics import entropy_kernel, phi, reactant_product
 from trdlab.model import TriangularSystem
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
@@ -92,20 +92,16 @@ class TestWorkArrays:
         assert reactant_product(np.array([2.0, 0.5]), reactants, work)[0] == 4.0 * math.sqrt(2.0)
 
 
-class TestRegularizedRates:
+class TestRateLaw:
     def test_g_is_net_rate_over_phi(self):
         # a_m - a_1 a_2 = 3 - 1, phi = 1 + 5.5^5 / 5; phi = 1 in the limit system
         a = np.array([2.0, 0.5, 3.0])
-        assert oracles.rate_g(RegularizedRates(SYS3, 5.0), a) == pytest.approx(2.0 / (1.0 + 5.5**5 / 5.0))
-        assert oracles.rate_g(RegularizedRates(SYS3, math.inf), np.array([2.0, 3.0, 1.0])) == 1.0 - 6.0
+        assert oracles.rate_g(SYS3, 5.0, a) == pytest.approx(2.0 / (1.0 + 5.5**5 / 5.0))
+        assert oracles.rate_g(SYS3, math.inf, np.array([2.0, 3.0, 1.0])) == 1.0 - 6.0
 
     def test_equilibrium_state_has_zero_rate(self):
         for n in (1.0, math.inf):
-            assert oracles.rate_g(RegularizedRates(SYS3, n), np.array([2.0, 3.0, 6.0])) == 0.0
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            RegularizedRates(SYS3, -1.0)
+            assert oracles.rate_g(SYS3, n, np.array([2.0, 3.0, 6.0])) == 0.0
 
 
 class TestEntropyKernel:

@@ -13,10 +13,9 @@ from trdlab.config import parse_config
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
 from trdlab.grid import Grid
-from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 from trdlab.presets import PRESETS, preset_config
-from trdlab.runner import run_levels, run_single
+from trdlab.runner import run_levels
 from trdlab.stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
@@ -73,7 +72,7 @@ class TestBatchedEqualsAlone:
         batched = run_levels(config, config.n_values)
         assert len(batched) == len(config.n_values) == 5
         for n, got in zip(config.n_values, batched):
-            assert_same_run(got, run_single(config, n))
+            assert_same_run(got, run_levels(config, [n])[0])
 
     @pytest.mark.parametrize("raw", [GRID_2D, GRID_3D], ids=["2d", "3d"])
     def test_strang_two_levels(self, raw):
@@ -81,7 +80,7 @@ class TestBatchedEqualsAlone:
         batched = run_levels(config, config.n_values)
         assert batched[0].final_state.fields.values.shape == (3,) + config.grid.shape
         for n, got in zip(config.n_values, batched):
-            assert_same_run(got, run_single(config, n))
+            assert_same_run(got, run_levels(config, [n])[0])
         # the levels really differ: the regularization slows n = 10
         assert not np.array_equal(batched[0].final_state.fields.values, batched[1].final_state.fields.values)
 
@@ -94,9 +93,9 @@ class TestBatchedEqualsAlone:
         vals = np.stack([1.0 + 0.3 * np.cos(math.pi * x), np.full(2500, 0.8), 0.5 + 0.2 * np.cos(2 * math.pi * x)])
         fs = FieldSet(system, grid, vals)
         cfg = StepperConfig(dt=0.01, record_every=2)
-        levels = [RegularizedRates(system, n) for n in (10.0, math.inf)]
-        for rates, got in zip(levels, run(fs, cfg, levels, t_final=0.04)):
-            assert_same_run(got, run(fs, cfg, rates, t_final=0.04))
+        levels = [10.0, math.inf]
+        for n, got in zip(levels, run(fs, cfg, levels, t_final=0.04)):
+            assert_same_run(got, run(fs, cfg, [n], t_final=0.04)[0])
 
     def test_clamp_counts_are_per_level(self):
         # the 64-cell point mass: the transform leaves roundoff negatives
@@ -106,10 +105,10 @@ class TestBatchedEqualsAlone:
         vals[0, 32] = 100.0
         fs = FieldSet(SYS3, grid, vals)
         cfg = StepperConfig(dt=1e-4, record_every=1)
-        levels = [RegularizedRates(SYS3, n) for n in (1.0, math.inf)]
+        levels = [1.0, math.inf]
         batched = run(fs, cfg, levels, t_final=3e-4)
-        for rates, got in zip(levels, batched):
-            alone = run(fs, cfg, rates, t_final=3e-4)
+        for n, got in zip(levels, batched):
+            alone = run(fs, cfg, [n], t_final=3e-4)[0]
             assert alone.clamp_count > 0
             assert_same_run(got, alone)
 
@@ -118,9 +117,9 @@ class TestGatesPerLevel:
     def test_a_breach_at_one_level_names_its_n(self, monkeypatch):
         real = stepper_module._reaction_substep
 
-        def corrupt_n10(fields, rates, dt, theta=1.0, work=None):
-            out = real(fields, rates, dt, theta, work)
-            out.values[0, rates.n[:, 0] == 10.0, 3] = -1e-6
+        def corrupt_n10(fields, n, dt, theta=1.0, work=None):
+            out = real(fields, n, dt, theta, work)
+            out.values[0, n[:, 0] == 10.0, 3] = -1e-6
             return out
 
         monkeypatch.setattr(stepper_module, "_reaction_substep", corrupt_n10)

@@ -417,6 +417,21 @@ class TestPointwiseInputs:
         with pytest.raises(ValueError, match="finite"):
             PointwiseInputs(**data)
 
+    @pytest.mark.parametrize("field", ["delta1", "delta3"])
+    @pytest.mark.parametrize("k", [-5.0, -40.0])
+    def test_rejects_a_negative_driver_naming_it(self, field, k):
+        # the model's drivers are >= 0; with W < 0 the fixed-point map, whose
+        # iterates are quotients by e^W, would lose e^|W| units (1.3e-69 at -40)
+        t = np.linspace(0.0, 1.0, 51)
+        drivers = {name: np.ones_like(t) for name in ("driver_am", "delta1", "delta3")} | {field: np.full_like(t, k)}
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 0"):
+            PointwiseInputs(t, 0.2, 1.0, (), (), **drivers)
+
+    def test_zero_drivers_are_accepted(self):
+        t = np.linspace(0.0, 1.0, 5)
+        inp = PointwiseInputs(t, 0.2, 1.0, (), (), np.ones(5), np.zeros(5), np.full(5, -0.0))
+        assert_within_1e_76_of_the_oracle(inp, p_max=2)
+
     def test_delta2_offsets_and_exponents(self):
         t = np.linspace(0, 1, 3)
         inp = PointwiseInputs(t, 0.2, 2.0, (0.5,), (1.5,), np.ones(3), np.ones(3), np.ones(3))

@@ -16,7 +16,6 @@ from trdlab.diagnostics import DiagnosticsTracker, entropy
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
 from trdlab.grid import Grid
-from trdlab.kinetics import RegularizedRates
 from trdlab.model import TriangularSystem
 from trdlab.stepper import (
     ModalDiffusion,
@@ -33,22 +32,20 @@ from trdlab.stepper import (
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
 SYS2 = TriangularSystem(m=2, alpha=(1.0, 1.0), d=(1.0, 1.0))
-LIMIT3 = RegularizedRates(SYS3, math.inf)
 
 
 class TestReactionCellSolve:
     def test_equilibrium_cell_is_a_fixed_point(self):
-        out = reaction_cell_solve(np.array([2.0, 3.0, 6.0]), LIMIT3, dt=10.0)
+        out = reaction_cell_solve(SYS3, math.inf, np.array([2.0, 3.0, 6.0]), dt=10.0)
         np.testing.assert_allclose(out, [2.0, 3.0, 6.0], atol=1e-10)
 
     def test_two_species_linear_closed_form(self):
         # m=2, cell (1,1): x' = (2 - x) - x, so x(t) = 1 and stays there;
         # from (1.5, 0.5): sigma = 2, x(t) = 1 - 0.5 e^{-2t}
-        rates = RegularizedRates(SYS2, math.inf)
         state = np.array([1.5, 0.5])
         dt, t_final = 1e-4, 1.0
         for _ in range(round(t_final / dt)):
-            state = reaction_cell_solve(state, rates, dt)
+            state = reaction_cell_solve(SYS2, math.inf, state, dt)
         expected = 1.0 - 0.5 * math.exp(-2.0 * t_final)
         assert state[1] == pytest.approx(expected, abs=5e-4)
 
@@ -56,7 +53,7 @@ class TestReactionCellSolve:
         rng = np.random.default_rng(11)
         for _ in range(20):
             cell = rng.uniform(0.0, 5.0, size=3)
-            out = reaction_cell_solve(cell, LIMIT3, dt=0.37)
+            out = reaction_cell_solve(SYS3, math.inf, cell, dt=0.37)
             sigma = cell[:2] + cell[2]
             # the solve stores fl(sigma - a_m); adding a_m back lands within one ulp
             np.testing.assert_array_equal(out[:2], sigma - out[2])
@@ -67,7 +64,7 @@ class TestReactionCellSolve:
         for dt in (1e-3, 0.1, 10.0):
             for _ in range(20):
                 cell = rng.uniform(0.0, 8.0, size=3)
-                out = reaction_cell_solve(cell, LIMIT3, dt)
+                out = reaction_cell_solve(SYS3, math.inf, cell, dt)
                 assert np.all(out >= 0.0)
                 assert out[2] <= min(cell[0] + cell[2], cell[1] + cell[2]) + 1e-12
 
@@ -75,18 +72,18 @@ class TestReactionCellSolve:
         # sigma = (2, 2): long-time limit of a_m is the root of (2-x)^2 = x
         state = np.array([2.0, 2.0, 0.0])
         for _ in range(300):
-            state = reaction_cell_solve(state, LIMIT3, dt=0.1)
+            state = reaction_cell_solve(SYS3, math.inf, state, dt=0.1)
         assert state[2] == pytest.approx(1.0, abs=1e-8)
 
     def test_regularized_rates_slow_the_dynamics(self):
         cell = np.array([2.0, 2.0, 0.0])
-        fast = reaction_cell_solve(cell, LIMIT3, dt=0.1)
-        slow = reaction_cell_solve(cell, RegularizedRates(SYS3, 1.0), dt=0.1)
+        fast = reaction_cell_solve(SYS3, math.inf, cell, dt=0.1)
+        slow = reaction_cell_solve(SYS3, 1.0, cell, dt=0.1)
         assert 0.0 < slow[2] < fast[2]
 
     def test_rejects_negative_cell(self):
         with pytest.raises(ValueError):
-            reaction_cell_solve(np.array([-0.1, 1.0, 1.0]), LIMIT3, 0.1)
+            reaction_cell_solve(SYS3, math.inf, np.array([-0.1, 1.0, 1.0]), 0.1)
 
 
 CELLS = 4
@@ -122,7 +119,7 @@ class TestReactionSolveProperties:
         # the substep keeps sigma and moves only x: its reactant rows are
         # sigma - x and its product row is x, bit for bit, so a pair sum
         # a_j + a_m is sigma_j up to the rounding of that one subtraction
-        out = _reaction_substep(FieldSet(system, Grid((1.0,), (CELLS,)), vals), RegularizedRates(system, n), dt, theta)
+        out = _reaction_substep(FieldSet(system, Grid((1.0,), (CELLS,)), vals), n, dt, theta)
         np.testing.assert_array_equal(out.values[-1], x)
         np.testing.assert_array_equal(out.values[:-1], sigma - x)
         assert np.all(np.abs(out.values[:-1] + out.values[-1] - sigma) <= np.spacing(sigma))
@@ -140,7 +137,7 @@ class TestReactionSolveProperties:
         assert np.all(clamped | converged | sign_change)
 
         # the merged rate law: the orbit form is -g of kinetics at (sigma - x, x)
-        g = oracles.rate_g(RegularizedRates(system, n), np.concatenate([sigma - x, x[None]]))
+        g = oracles.rate_g(system, n, np.concatenate([sigma - x, x[None]]))
         np.testing.assert_allclose(_rate_at(x, sigma, alpha, m, Q, n)[0], -g, rtol=1e-12, atol=1e-12)
 
 
@@ -245,7 +242,7 @@ class TestReactionSolveOracle:
         grid = Grid((1.0,), (64,))
         x = grid.centers()[0]
         initial = FieldSet(system, grid, np.stack([1.0 + 0.5 * np.cos(math.pi * x), np.full_like(x, 0.5), 0.2 + x]))
-        levels = [RegularizedRates(system, n) for n in (1.0, math.inf)]
+        levels = [1.0, math.inf]
         for splitting in ("lie", "strang"):
             config = StepperConfig(dt=0.05, splitting=splitting)
             fast = run(initial, config, levels, t_final=0.5)
@@ -278,7 +275,7 @@ class TestBlockedReactionSubstep:
         blocks = []
         real = stepper_module._solve_reaction_newton
         monkeypatch.setattr(stepper_module, "_solve_reaction_newton", lambda *a: blocks.append(real(*a)) or blocks[-1])
-        out = _reaction_substep(FieldSet(system, grid, vals), RegularizedRates(system, n), dt, theta)
+        out = _reaction_substep(FieldSet(system, grid, vals), n, dt, theta)
         sizes = [b[0].size for b in blocks]
         assert len(sizes) >= 3 and sum(sizes) == x.size and sizes[-1] < sizes[0]
         assert out.values[-1].tobytes() == x.tobytes()
@@ -424,7 +421,7 @@ class TestDiffusionOracle:
         vals = np.ones((3, 64))
         vals[0] = 0.0
         vals[0, 32] = 100.0
-        result = run(FieldSet(SYS3, grid, vals), StepperConfig(dt=1e-4), LIMIT3, t_final=1e-4)
+        result = run(FieldSet(SYS3, grid, vals), StepperConfig(dt=1e-4), [math.inf], t_final=1e-4)[0]
         assert result.clamp_count > 0
         assert -1e-12 <= result.clamp_worst < 0.0
 
@@ -484,12 +481,12 @@ class TestStepAndRun:
     def test_zero_data_is_a_fixed_point(self):
         grid = Grid((1.0,), (16,))
         fs = constant_state(SYS3, grid, (0.0, 0.0, 0.0))
-        result = run(fs, StepperConfig(dt=0.05), LIMIT3, t_final=1.0)
+        result = run(fs, StepperConfig(dt=0.05), [math.inf], t_final=1.0)[0]
         np.testing.assert_array_equal(result.final_state.fields.values, 0.0)
 
     def test_t_final_zero_returns_initial(self):
         fs = self._constant_setup()
-        result = run(fs, StepperConfig(dt=0.05), LIMIT3, t_final=0.0)
+        result = run(fs, StepperConfig(dt=0.05), [math.inf], t_final=0.0)[0]
         assert result.final_state.time == 0.0
         np.testing.assert_array_equal(result.final_state.fields.values, fs.values)
 
@@ -497,7 +494,7 @@ class TestStepAndRun:
         # spatially constant data: the full scheme reduces to the cell ODE
         fs = self._constant_setup((1.0, 2.0, 0.5))
         dt = 0.005
-        result = run(fs, StepperConfig(dt=dt), LIMIT3, t_final=2.0)
+        result = run(fs, StepperConfig(dt=dt), [math.inf], t_final=2.0)[0]
 
         def rhs(t, y):
             g = y[2] * 0 + (y[2] - y[0] * y[1])
@@ -514,7 +511,7 @@ class TestStepAndRun:
             [1.0 + 0.5 * np.cos(math.pi * x), 1.0 - 0.5 * np.cos(math.pi * x), 0.2 + 0 * x]
         )
         fs = FieldSet(SYS3, grid, vals)
-        result = run(fs, StepperConfig(dt=0.01, record_every=5), LIMIT3, t_final=2.0)
+        result = run(fs, StepperConfig(dt=0.01, record_every=5), [math.inf], t_final=2.0)[0]
         entropies = [r.entropy for r in result.records]
         assert all(b <= a + 1e-10 for a, b in zip(entropies[:-1], entropies[1:]))
         assert entropies[-1] < entropies[0]
@@ -523,7 +520,7 @@ class TestStepAndRun:
         grid = Grid((1.0,), (16,))
         fs = constant_state(SYS3, grid, (2.0, 3.0, 6.0))
         state = SimulationState(0.0, fs)
-        out = step(state, StepperConfig(dt=0.1), LIMIT3)
+        out = step(state, StepperConfig(dt=0.1), math.inf, ModalDiffusion(SYS3.d, grid, 0.1), {})
         np.testing.assert_allclose(out.fields.values, fs.values, atol=1e-9)
 
     def test_a2_pointwise_sum_invariant(self):
@@ -534,7 +531,7 @@ class TestStepAndRun:
         vals = np.stack([1.0 + 0 * x, 1.0 + 0.3 * np.cos(math.pi * x), 0.5 + 0 * x])
         fs = FieldSet(sys_a2, grid, vals)
         ref = vals[0] + vals[2]
-        result = run(fs, StepperConfig(dt=0.02), RegularizedRates(sys_a2, math.inf), t_final=5.0)
+        result = run(fs, StepperConfig(dt=0.02), [math.inf], t_final=5.0)[0]
         final = result.final_state.fields.values
         np.testing.assert_allclose(final[0] + final[2], ref, atol=1e-12)
         assert max(r.a2_sum_dev for r in result.records) <= 1e-12
@@ -545,7 +542,7 @@ class TestStepAndRun:
         x = grid.axis_centers(0)
         vals = np.stack([1.2 + 0 * x, 0.8 + 0 * x, 0.5 + 0.2 * np.cos(math.pi * x)])
         fs = FieldSet(sys_pair, grid, vals)
-        result = run(fs, StepperConfig(dt=0.02), RegularizedRates(sys_pair, math.inf), t_final=5.0)
+        result = run(fs, StepperConfig(dt=0.02), [math.inf], t_final=5.0)[0]
         assert max(r.degenerate_pair_dev for r in result.records) <= 1e-10
 
     def test_pair_mass_conserved_over_run(self):
@@ -555,7 +552,7 @@ class TestStepAndRun:
             [1.0 + 0.3 * np.cos(math.pi * x), 1.0 + 0 * x, 0.5 - 0.2 * np.cos(math.pi * x)]
         )
         fs = FieldSet(SYS3, grid, vals)
-        result = run(fs, StepperConfig(dt=0.02), LIMIT3, t_final=5.0)
+        result = run(fs, StepperConfig(dt=0.02), [math.inf], t_final=5.0)[0]
         assert max(r.pair_mass_drift_rel for r in result.records) <= 1e-8
 
     def test_strang_beats_lie_on_smooth_run(self):
@@ -563,23 +560,28 @@ class TestStepAndRun:
 
         def final_error(splitting, dt):
             cfg = StepperConfig(dt=dt, splitting=splitting)
-            coarse = run(fs, cfg, LIMIT3, t_final=1.0).final_state.fields.values
+            coarse = run(fs, cfg, [math.inf], t_final=1.0)[0].final_state.fields.values
             ref_cfg = StepperConfig(dt=dt / 16, splitting=splitting)
-            ref = run(fs, ref_cfg, LIMIT3, t_final=1.0).final_state.fields.values
+            ref = run(fs, ref_cfg, [math.inf], t_final=1.0)[0].final_state.fields.values
             return np.abs(coarse - ref).max()
 
         assert final_error("strang", 0.02) < final_error("lie", 0.02)
 
     def test_halving_dt_halves_lie_error(self):
         fs = self._constant_setup((1.0, 2.0, 0.5))
-        ref = run(fs, StepperConfig(dt=0.02 / 16), LIMIT3, t_final=1.0).final_state.fields.values
+        ref = run(fs, StepperConfig(dt=0.02 / 16), [math.inf], t_final=1.0)[0].final_state.fields.values
 
         def err(dt):
-            out = run(fs, StepperConfig(dt=dt), LIMIT3, t_final=1.0).final_state.fields.values
+            out = run(fs, StepperConfig(dt=dt), [math.inf], t_final=1.0)[0].final_state.fields.values
             return np.abs(out - ref).max()
 
         ratio = err(0.02) / err(0.01)
         assert 1.7 <= ratio <= 2.4
+
+    @pytest.mark.parametrize("n_values", [[], [0.0], [-1.0], [math.nan], [10.0, -1.0]])
+    def test_rejects_n_values_that_are_empty_or_not_positive(self, n_values):
+        with pytest.raises(ValueError, match="^n_values"):
+            run(self._constant_setup(), StepperConfig(dt=0.05), n_values, t_final=0.1)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -593,7 +595,7 @@ class TestStepAndRun:
         vals[0, 0] = -1e-6  # well below the clamp tolerance
         fs = FieldSet(SYS3, grid, vals)
         with pytest.raises(InvariantBreach):
-            run(fs, StepperConfig(dt=0.1), LIMIT3, t_final=1.0)
+            run(fs, StepperConfig(dt=0.1), [math.inf], t_final=1.0)
 
     @pytest.mark.parametrize("species, bad", [(0, math.inf), (2, math.nan), (2, math.inf)])
     def test_non_finite_cell_breaches_within_one_step(self, species, bad):
@@ -603,9 +605,8 @@ class TestStepAndRun:
         grid = Grid((1.0,), (16,))
         vals = np.ones((3, 16))
         vals[species, 5] = bad
-        rates = [RegularizedRates(SYS3, 10.0), LIMIT3]
         with pytest.raises(InvariantBreach, match="at n=10: "):
-            run(FieldSet(SYS3, grid, vals), StepperConfig(dt=0.05), rates, t_final=0.05)
+            run(FieldSet(SYS3, grid, vals), StepperConfig(dt=0.05), [10.0, math.inf], t_final=0.05)
 
     def test_nan_diffusion_residual_breaches(self):
         grid = Grid((1.0,), (16,))
@@ -623,9 +624,10 @@ class TestStepAndRun:
         )
         state = SimulationState(0.0, FieldSet(SYS3, grid, vals))
         cfg = StepperConfig(dt=0.05)
+        modal, work = ModalDiffusion(SYS3.d, grid, cfg.dt), {}
         prev = entropy(state.fields)
         for _ in range(40):
-            state = step(state, cfg, LIMIT3)
+            state = step(state, cfg, math.inf, modal, work)
             now = entropy(state.fields)
             assert now <= prev + 1e-10
             prev = now
@@ -634,7 +636,7 @@ class TestStepAndRun:
 # the grid-2d benchmark's shape: a frozen reactant, two n-levels, 128 x 128
 SYS_FROZEN = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(0.0, 1.0, 1.0))
 GRID_128 = Grid((1.0, 1.0), (128, 128))
-LEVELS = [RegularizedRates(SYS_FROZEN, 10.0), RegularizedRates(SYS_FROZEN, math.inf)]
+LEVELS = [10.0, math.inf]
 STRANG = StepperConfig(dt=0.01, splitting="strang")
 
 
@@ -646,9 +648,8 @@ def frozen_state(levels: int) -> FieldSet:
     return FieldSet(SYS_FROZEN, GRID_128, np.stack([base * (1.0 + 0.1 * b) for b in range(levels)], axis=1))
 
 
-def level_rates(levels: int) -> RegularizedRates:
-    n = [r.n for r in LEVELS[:levels]]
-    return RegularizedRates(SYS_FROZEN, np.reshape(n, (-1, 1, 1)))
+def level_n(levels: int) -> np.ndarray:
+    return np.reshape(LEVELS[:levels], (-1, 1, 1))
 
 
 def traced_peak(call) -> int:
@@ -684,25 +685,25 @@ class TestSteadyWorkArrays:
             vals = np.random.default_rng(4).uniform(0.0, 2.0, size=(3, 5, 128))
             fs, levels, theta, limit = FieldSet(system, Grid((1.0,), (128,)), vals), [1.0, 10.0, 100.0, 1e3, math.inf], 1.0, 6.0
         cells = fs.values[0, 0].size
-        rates = RegularizedRates(fs.system, np.repeat(levels, cells).reshape(fs.values.shape[1:]))
+        n = np.repeat(levels, cells).reshape(fs.values.shape[1:])
         work = {}
         for _ in range(2):
-            _reaction_substep(fs, rates, STRANG.dt, theta, work)
-        assert traced_peak(lambda: _reaction_substep(fs, rates, STRANG.dt, theta, work)) <= limit * fs.values.nbytes
+            _reaction_substep(fs, n, STRANG.dt, theta, work)
+        assert traced_peak(lambda: _reaction_substep(fs, n, STRANG.dt, theta, work)) <= limit * fs.values.nbytes
 
     def test_accumulate_allocates_under_one_and_a_half_states(self):
         fs = frozen_state(2)
-        tracker = DiagnosticsTracker(level_rates(2), FieldSet(SYS_FROZEN, GRID_128, fs.values[:, 0]))
+        tracker = DiagnosticsTracker(level_n(2), FieldSet(SYS_FROZEN, GRID_128, fs.values[:, 0]))
         for _ in range(2):
             tracker.accumulate(fs, STRANG.dt)
         assert traced_peak(lambda: tracker.accumulate(fs, STRANG.dt)) <= 1.5 * fs.values.nbytes
 
     def test_returned_states_are_not_overwritten_by_later_steps(self):
         state = SimulationState(0.0, frozen_state(2))
-        modal = ModalDiffusion(SYS_FROZEN.d, GRID_128, 0.5 * STRANG.dt, 0.5)
+        modal, work = ModalDiffusion(SYS_FROZEN.d, GRID_128, 0.5 * STRANG.dt, 0.5), {}
         kept = []
         for _ in range(4):
-            state = step(state, STRANG, level_rates(2), modal)
+            state = step(state, STRANG, level_n(2), modal, work)
             kept.append((state.fields, state.fields.values.copy()))
         for fields, snapshot in kept:
             assert fields.values.tobytes() == snapshot.tobytes()
@@ -736,7 +737,7 @@ class TestSteadyWorkArrays:
 # the presets' shape: five n-levels of 128 cells, 640 cells per species, so
 # the diagnostics take windows of six states (4096 // 640)
 PRESET_GRID = Grid((1.0,), (128,))
-PRESET_LEVELS = [RegularizedRates(SYS3, n) for n in (1.0, 10.0, 100.0, 1e3, math.inf)]
+PRESET_LEVELS = [1.0, 10.0, 100.0, 1e3, math.inf]
 PRESET_LIE = StepperConfig(dt=0.02, record_every=25)
 
 
