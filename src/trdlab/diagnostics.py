@@ -237,12 +237,11 @@ class DiagnosticsTracker:
         products += np.multiply(a, fields.values[-1], out=work_array(work, "products", a.shape))
         l1prod = grid.cell_sum(products) * meas
         # every sum above is per level, so each step's block of levels is what a pass over it alone gives
-        for d, l1, *st in zip(*(np.split(v, k, axis=-1) for v in (diss, l1prod, *st_sums))):
-            self.diss_integral = self.diss_integral + d[0] * dt
-            for p, s in zip(self.p_values, st):
-                self._st_accum[p] += s * dt
-            self._l1prod_accum += l1 * dt
-        self.dissipation, self.entropy = d, entropies[-1]
+        self.diss_integral = _fold(self.diss_integral, diss[0], k, dt)
+        for p, s in zip(self.p_values, st_sums):
+            self._st_accum[p] = _fold(self._st_accum[p], s, k, dt)
+        self._l1prod_accum = _fold(self._l1prod_accum, l1prod, k, dt)
+        self.dissipation, self.entropy = diss[:, -len(self.n) :], entropies[-1]
         return entropies
 
     def observe(self, time: float, fields: FieldSet, level: int) -> DiagnosticsRecord:
@@ -282,6 +281,13 @@ class DiagnosticsTracker:
             m2_flag=mass_total > self.m2 * (1.0 + 1e-9),
             e0=self.e0,
         )
+
+
+def _fold(total: np.ndarray, steps: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """total + block_1 dt + ... + block_k dt, added left to right, for the k
+    step blocks of levels that lie in order along the last axis of `steps`."""
+    blocks = steps.reshape(steps.shape[:-1] + (k, -1)) * dt
+    return np.add.accumulate(np.concatenate([total[..., None, :], blocks], axis=-2), axis=-2)[..., -1, :]
 
 
 def entropy_balance_check(records, tol: float) -> dict:

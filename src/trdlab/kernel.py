@@ -11,7 +11,9 @@ which is the exact Green function truncated at mode K.  The smoothing
 probe marches the discrete sourced heat equation in the grid's DCT-II
 modes, the discrete counterpart of the same cosine eigenpairs, with the
 stepper's diffusion solve: a `stepper.ModalDiffusion` per mesh supplies the
-multipliers, the work arrays and the stencil residual gate.
+multipliers, the work arrays and the stencil residual gate.  The trials of
+a mesh march together in one steps-first trajectory buffer, of about
+3.1 MB at the 1D probe's fine mesh, and the gate checks each on its own.
 """
 
 from __future__ import annotations
@@ -123,20 +125,16 @@ def mass_conservation_check(spec: KernelSpec, t_values, x_values) -> dict:
 
 def semigroup_check(spec: KernelSpec, t: float, s: float) -> dict:
     """Compare G(t+s, x, y) with int G(t, x, z) G(s, z, y) dz on a coarse
-    (x, y) grid of 9 x 9 points."""
+    (x, y) grid of 9 x 9 points, every pair in one broadcast."""
     L = spec.lengths[0]
     cz = _cosines(spec, L, _midpoints(L))
     pts = np.linspace(0.0, L, 9)
-    # heat_kernel_eval's own products, on the quadrature table built once
-    rights = [_kernel_1d(spec, L, s, cz, _cosines(spec, L, float(y))) for y in pts]
-    worst = 0.0
-    for x in pts:
-        left = _kernel_1d(spec, L, t, _cosines(spec, L, float(x)), cz)
-        for y, right in zip(pts, rights):
-            composed = float(np.sum(left * right) * (L / _N_QUAD))
-            direct = float(heat_kernel_eval(spec, t + s, float(x), float(y)))
-            worst = max(worst, abs(composed - direct))
-    return {"max_defect": worst, "t": t, "s": s}
+    # heat_kernel_eval's own products, per point on the quadrature table built once
+    lefts = np.array([_kernel_1d(spec, L, t, _cosines(spec, L, float(x)), cz) for x in pts])
+    rights = np.array([_kernel_1d(spec, L, s, cz, _cosines(spec, L, float(y))) for y in pts])
+    composed = np.sum(lefts[:, None] * rights[None], axis=-1) * (L / _N_QUAD)
+    direct = heat_kernel_eval(spec, t + s, pts[:, None], pts[None])
+    return {"max_defect": float(np.abs(composed - direct).max()), "t": t, "s": s}
 
 
 def gaussian_bound_fit(spec: KernelSpec) -> dict:
@@ -196,18 +194,24 @@ def smoothing_threshold(p: float, dimension: int) -> float:
 def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, dt: float, n_steps: int):
     """Backward-Euler march of d/dt psi - d Lap psi = source from zero
     data, exact per DCT-II mode with the multipliers of `modal`, a
-    ModalDiffusion of step dt for the one diffusivity d; returns the
-    trajectory including the initial state, the steps checked by the
-    modal's stencil residual gate.  The trajectory and the gate's
-    temporaries are arrays of the modal's `work`."""
+    ModalDiffusion of step dt for the one diffusivity d.  `source` has
+    shape (*batch, *grid), and every trajectory marches at once: the
+    result, of shape (n_steps + 1, *batch, *grid), holds each step's
+    states contiguously, the initial state first.  The modal's stencil
+    residual gate checks each trajectory on its own, against its own
+    max|u|.  The trajectories and the gate's temporaries are arrays of the
+    modal's `work`."""
+    batch = source.shape[: source.ndim - grid.dimension]
     forcing = dt * grid.to_modes(source)
-    traj = work_array(modal.work, "traj", (n_steps + 1,) + grid.shape)
+    traj = work_array(modal.work, "traj", (n_steps + 1,) + source.shape)
     traj[0] = 0.0
     for k in range(n_steps):
         np.multiply(np.add(traj[k], forcing, out=traj[k + 1]), modal.multipliers[0], out=traj[k + 1])
     traj = grid.from_modes(traj, overwrite_x=True)
-    rhs = np.add(traj[:-1], dt * source, out=work_array(modal.work, "rhs", traj[1:].shape))
-    modal.gate(grid, traj[None, 1:], rhs[None])
+    for b in np.ndindex(batch):
+        one = traj[(slice(None),) + b]
+        rhs = np.add(one[:-1], dt * source[b], out=work_array(modal.work, "rhs", one[1:].shape))
+        modal.gate(grid, one[None, 1:], rhs[None])
     return traj
 
 
@@ -222,6 +226,7 @@ def _spacetime_norm(traj: np.ndarray, exponent: float, dt: float, cell_measure: 
 
 
 _SOURCE_MODES = 6  # a probe source sums cosine modes 0.._SOURCE_MODES along each axis
+_MARCH_VALUES = 2**19  # a probe march takes as many trials as keep its trajectories within this many values
 
 
 def smoothing_probe(
@@ -241,9 +246,17 @@ def smoothing_probe(
     refinement, verdict = ratios finite and stable within 20%."""
     if dimension not in (1, 2):
         raise ValueError("probe supports dimension 1 or 2")
+    if not s > 0:
+        raise ValueError(f"s must be positive (inf allowed), got {s}")
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     lengths = spec.lengths * dimension
     n_steps = max(1, round(t_final / dt))
+    step = t_final / n_steps
 
     def random_source(grid: Grid, coeffs) -> np.ndarray:
         field = np.full(grid.shape, coeffs[0])
@@ -259,17 +272,20 @@ def smoothing_probe(
 
     def ratios(n_cells: int):
         grid = Grid(lengths=lengths, cells=(n_cells,) * dimension)
-        modal = ModalDiffusion((spec.d,), grid, t_final / n_steps)  # its work holds the trials' arrays
+        modal = ModalDiffusion((spec.d,), grid, step)  # its work holds the marches' arrays
+        thetas = np.array([random_source(grid, coeffs) for coeffs in coeff_sets])
+        per_march = max(1, _MARCH_VALUES // ((n_steps + 1) * math.prod(grid.shape)))
         out = []
-        for coeffs in coeff_sets:
-            theta = random_source(grid, coeffs)
-            traj = _solve_sourced_heat(modal, grid, theta, t_final / n_steps, n_steps)
-            theta_traj = np.broadcast_to(theta, traj.shape)
-            num = _spacetime_norm(traj, s, t_final / n_steps, grid.cell_measure, modal.work)
-            den = _spacetime_norm(theta_traj, p, t_final / n_steps, grid.cell_measure, modal.work)
-            if den == 0.0:
-                continue  # zero source: nothing to certify
-            out.append(num / den)
+        for first in range(0, trials, per_march):
+            batch = thetas[first : first + per_march]
+            trajs = _solve_sourced_heat(modal, grid, batch, step, n_steps)
+            for b, theta in enumerate(batch):
+                traj = trajs[:, b]
+                num = _spacetime_norm(traj, s, step, grid.cell_measure, modal.work)
+                den = _spacetime_norm(np.broadcast_to(theta, traj.shape), p, step, grid.cell_measure, modal.work)
+                if den == 0.0:
+                    continue  # zero source: nothing to certify
+                out.append(num / den)
         return out
 
     coarse = ratios(cells)

@@ -75,11 +75,6 @@ def test_every_public_name_has_a_caller_in_src():
     assert uncalled == NO_CALLER_YET
 
 
-# perfbench reads these two defaults through inspect.signature to size its probe
-# job; they go when ROADMAP item 6 lets the benchmark pass them
-DEFAULTS_READ_BY_SIGNATURE = {"smoothing_probe.t_final", "smoothing_probe.dt"}
-
-
 def _defaults(tree: ast.Module):
     """(name, params, defaulted) for every def of the tree: name is the class's
     for __init__, params the positional parameters a call fills (self and cls
@@ -121,4 +116,4 @@ def test_every_parameter_default_is_set_by_a_caller():
                     param in params and params.index(param) in passed
                 ):
                     unset.add(f"{name}.{param}")
-    assert unset == DEFAULTS_READ_BY_SIGNATURE
+    assert unset == set()

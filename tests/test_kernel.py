@@ -86,6 +86,10 @@ class TestConservationAndSemigroup:
                 worst = max(worst, abs(composed - float(heat_kernel_eval(spec, t + s, float(x), float(y)))))
         assert semigroup_check(spec, t, s)["max_defect"] == worst
 
+    def test_a_nan_time_gives_a_nan_semigroup_defect(self):
+        # a NaN defect fails every `<= tol` verdict; a running max that skips NaN would report 0
+        assert math.isnan(semigroup_check(SPEC, t=math.nan, s=0.02)["max_defect"])
+
     def test_semigroup_builds_its_quadrature_table_once(self, monkeypatch):
         cosines, sizes = kernel._cosines, []
 
@@ -245,6 +249,84 @@ class TestSmoothing:
             tracemalloc.stop()
         assert traj.tobytes() == fresh.tobytes()
         assert peak <= 0.5 * traj.nbytes
+
+    @pytest.mark.parametrize("lengths, cells", [((1.0,), (40,)), ((1.0, 2.0), (12, 10))])
+    def test_a_batched_march_is_the_oracle_march_of_each_trial_bit_for_bit(self, lengths, cells):
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid(lengths, cells)
+        sources = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3,) + grid.shape)
+        d, dt, n_steps = 0.7, 0.004, 60
+        trajs = _solve_sourced_heat(ModalDiffusion((d,), grid, dt), grid, sources, dt, n_steps)
+        assert trajs.shape == (n_steps + 1, 3) + grid.shape
+        for b, source in enumerate(sources):
+            assert np.array_equal(trajs[:, b], oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
+
+    def test_each_trial_of_a_batch_has_its_own_gate_limit(self):
+        # the perturbed trial's residual lies above its own limit, 1e-10 (1 + max|u|), but below
+        # the limit a gate shared with a large trial would allow, scaled by that trial's max|u|
+        from trdlab.errors import InvariantBreach
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid((1.0, 1.0), (128, 128))
+        lam = [v.copy() for v in grid.laplacian_eigenvalues]
+        lam[0][1] *= 1.0 + 1e-5
+        grid.__dict__["laplacian_eigenvalues"] = tuple(lam)
+        perturbed = np.cos(math.pi * grid.centers()[0])
+        sources = np.stack([perturbed, np.full(grid.shape, 1e4)])
+        with pytest.raises(InvariantBreach) as info:
+            _solve_sourced_heat(ModalDiffusion((1.0,), grid, 0.005), grid, sources, dt=0.005, n_steps=5)
+        assert info.value.kind == "linear-solver"
+
+    def test_a_warmed_batched_march_allocates_nothing_trajectory_sized(self):
+        import tracemalloc
+
+        from trdlab.grid import Grid
+        from trdlab.kernel import _solve_sourced_heat
+
+        grid = Grid((1.0,), (128,))
+        sources = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3,) + grid.shape)
+        modal = ModalDiffusion((1.0,), grid, 1e-3)
+        fresh = _solve_sourced_heat(modal, grid, sources, 1e-3, 500).copy()
+        tracemalloc.start()
+        try:
+            trajs = _solve_sourced_heat(modal, grid, sources, 1e-3, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trajs.tobytes() == fresh.tobytes()
+        assert peak <= 0.5 * trajs[:, 0].nbytes
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("s", 0.0),
+            ("s", -2.0),
+            ("s", math.nan),
+            ("s", -math.inf),
+            ("t_final", -1.0),
+            ("t_final", 0.0),
+            ("t_final", math.nan),
+            ("t_final", math.inf),
+            ("dt", 0.0),
+            ("dt", -1e-3),
+            ("dt", math.nan),
+            ("dt", math.inf),
+            ("trials", 0),
+            ("trials", 2.0),
+            ("trials", True),
+        ],
+    )
+    def test_probe_rejects_malformed_input_naming_the_field(self, field, value):
+        # keyword by keyword, so that test_imports' scan of the calls still sees which defaults are set
+        args = {"s": 4.0, "t_final": 0.5, "dt": 1e-3, "trials": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            smoothing_probe(
+                SPEC, p=2.0, s=args["s"], dimension=1, trials=args["trials"], cells=16,
+                t_final=args["t_final"], dt=args["dt"],
+            )
 
     def test_probe_ratios_stable_below_threshold(self):
         report = smoothing_probe(SPEC, p=2.0, s=4.0, dimension=1, trials=4, cells=32)
