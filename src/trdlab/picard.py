@@ -11,7 +11,7 @@ other degenerate reactants (their values are pinned to a_j by the
 constant pointwise differences offset_i = a_{i,0} - a_{j,0}).
 
 Beyond p ~ 20 the factorial envelope drops below float64 roundoff, so it is
-certified on iterates in binary fixed point on Python integers: x stands for
+certified on iterates kept in binary fixed point on Python ints: x stands for
 x 2^-P, P = ceil(dps log2 10 / e) + _GUARD_BITS, e the least power in delta2
 below 1 (else 1), as r^e turns an error d in r into about d^e.  Sums are
 exact; a product (x y) >> P, an integer power and e^-W s as (s << P) // e^W
@@ -20,7 +20,7 @@ to a few units of their value's last place.  e^W is the previous iterate's
 times _times_exp of the increment W - W_prev, good to k = 16 units relative
 at P = 286 and 20 at P = 552 (measured against mpmath's exp at P + 64 bits),
 so where W >= 0 it is within p k units relative after p iterates (39 units
-at p = 40 on the canonical 301-node call).  Only the iterates become mp.mpf.
+at p = 40 on the canonical 301-node call).  Errors are exact, rounded once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "PicardBoundConstants",
     "integrating_factor_eval",
     "picard_iterate",
+    "FixedIterate",
     "picard_iterate_mp",
     "convergence_envelope_check",
     "ode_oracle",
@@ -188,14 +189,22 @@ def _times_exp(scale: int, x: int, P: int) -> int:
     return (scale << wp) // s if x < 0 else (scale * s) >> wp
 
 
+@dataclass(frozen=True)
+class FixedIterate:
+    mantissas: tuple[int, ...]  # node i is mantissas[i] 2^-P exactly: picard_iterate_mp's fixed point
+    P: int
+    def __len__(self) -> int:
+        return len(self.mantissas)
+
+
 def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     """picard_iterate's map to `dps` digits in the module docstring's fixed
-    point (same mesh and trapezoidal rule), one list of mp.mpf per iterate,
-    for the envelope certification.  One exp per node, of W's increment."""
+    point (same mesh and trapezoidal rule), one FixedIterate per iterate, for
+    the envelope certification.  One exp per node, of W's increment."""
     if bad := [name for name, v in (("p_max", p_max), ("dps", dps)) if type(v) is not int or v < 1]:
         raise ValueError(f"{' and '.join(bad)} must be positive ints; got p_max={p_max!r}, dps={dps!r}")
     root = min([1.0] + [e for e in (inputs.alpha_j - 1.0, *inputs.offset_alphas) if e > 0])  # see the module docstring
-    P, prec = math.ceil(dps * math.log2(10) / root) + _GUARD_BITS, libmp.dps_to_prec(dps)
+    P = math.ceil(dps * math.log2(10) / root) + _GUARD_BITS
     lift = np.frompyfunc(lambda v: libmp.to_fixed(libmp.from_float(float(v)), P), 1, 1)
     mul = lambda x, y: (x * y) >> P
     def power(x, e):  # integer powers in integers, rounded once; the others through mpmath at P bits
@@ -209,12 +218,10 @@ def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
         nonlocal W_prev, E_prev
         W_prev, E_prev = W, vexp(E_prev, W - W_prev)
         return E_prev, lambda s, E=E_prev: (s << P) // E
-    to_mpf = np.frompyfunc(lambda x: mp.make_mpf(libmp.from_man_exp(x, -P, prec, "n")), 1, 1)
-    a = np.full(len(inputs.times), lift(inputs.a_j0), dtype=object)
-    drivers, iterates = _drivers(inputs, lift, mul), [list(to_mpf(a))]
-    for _ in range(p_max):  # only the latest iterate stays in integers
-        iterates.append(list(to_mpf(a := _map(inputs, a, drivers, exp_pair, lift, mul, power))))
-    return iterates
+    iterates, drivers = [np.full(len(inputs.times), lift(inputs.a_j0), dtype=object)], _drivers(inputs, lift, mul)
+    for _ in range(p_max):
+        iterates.append(_map(inputs, iterates[-1], drivers, exp_pair, lift, mul, power))
+    return [FixedIterate(tuple(a), P) for a in iterates]
 
 
 def constants_for(inputs: PointwiseInputs, c_tilde: float) -> PicardBoundConstants:
@@ -235,34 +242,45 @@ def constants_for(inputs: PointwiseInputs, c_tilde: float) -> PicardBoundConstan
     return PicardBoundConstants(C4=c4, C5=max(c5, 1e-300), T=T)
 
 
+def _exact(traj) -> tuple[np.ndarray, int] | None:
+    """traj as (ints, e), node i exactly ints[i] 2^e; None if an entry is not finite."""
+    if isinstance(traj, FixedIterate):
+        return np.array(traj.mantissas, dtype=object), -traj.P
+    raws = [x._mpf_ if type(x) is mp.mpf else libmp.from_float(float(x)) for x in traj]
+    if any(raw in (libmp.finf, libmp.fninf, libmp.fnan) for raw in raws):
+        return None
+    e = min(exp for _, _, exp, _ in raws)
+    return np.array([(-man if sign else man) << (exp - e) for sign, man, exp, _ in raws], dtype=object), e
+
+
 def convergence_envelope_check(
     iterates,
     constants: PicardBoundConstants,
     reference,
     safety: float = 1.1,
 ) -> dict:
-    """Verify sup_t |a_{j,p} - reference| <= safety * 2 T C4 (C5 T)^p / p!
-    for every iterate; works on float or mpmath trajectories.  The
-    differences are taken at 80 digits so sub-float64 errors (the
-    factorial envelope drops below 1e-16 near p = 20) stay resolvable;
-    an mpf enters as it is, so a difference rounds once."""
+    """Verify sup_t |a_{j,p} - reference| <= safety * 2 T C4 (C5 T)^p / p! for
+    FixedIterate, mp.mpf or float trajectories: an error is the exact sup in
+    integers, rounded once to a float (NaN if an entry is not finite)."""
     results = []
     worst_p, worst_margin = None, math.inf
     if not iterates or any(len(traj) != len(reference) for traj in iterates):
         raise ValueError("need at least one iterate, each on the reference's mesh")
-    prec, raw = libmp.dps_to_prec(80), lambda x: x._mpf_ if type(x) is mp.mpf else mp.mpf(x)._mpf_
-    with mp.workdps(80):
-        reference = [raw(y) for y in reference]
-        for p, traj in enumerate(iterates):
-            # _mpf_ tuples, rounded as mpf's -, abs() and float(); a float array's max keeps a NaN, which max() over mpf can drop
-            diffs = (libmp.mpf_abs(libmp.mpf_sub(raw(x), y, prec, "n")) for x, y in zip(traj, reference))
-            err = float(np.array([libmp.to_float(d, rnd="n") for d in diffs], dtype=float).max())
-            env = constants.envelope(p, safety)
-            ok = err <= env
-            margin = math.inf if err == 0.0 else env / err
-            results.append({"p": p, "error": err, "envelope": env, "ok": ok})
-            if margin < worst_margin:
-                worst_margin, worst_p = margin, p
+    ref = _exact(reference)
+    for p, traj in enumerate(iterates):
+        err, lifted = math.nan, _exact(traj)
+        if lifted is not None and ref is not None:
+            (xs, ex), (ys, ey), e = lifted, ref, min(lifted[1], ref[1], 0)
+            try:  # int / int rounds once, to nearest
+                err = np.abs((xs << (ex - e)) - (ys << (ey - e))).max() / (1 << -e)
+            except OverflowError:  # beyond the largest float
+                err = math.inf
+        env = constants.envelope(p, safety)
+        ok = err <= env
+        margin = math.inf if err == 0.0 else env / err
+        results.append({"p": p, "error": err, "envelope": env, "ok": ok})
+        if margin < worst_margin:
+            worst_margin, worst_p = margin, p
     return {
         "passed": all(r["ok"] for r in results),
         "per_p": results,

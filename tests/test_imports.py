@@ -22,7 +22,7 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     assert done.stdout.split() == []
 
 
-# no command runs these yet: ROADMAP item 3 (the rigorous Picard certificate)
+# no command runs these yet: ROADMAP item 5 (the rigorous Picard certificate)
 # gives them a caller in picard-demo
 NO_CALLER_YET = {"picard.picard_iterate_mp", "picard.convergence_envelope_check"}
 

@@ -68,6 +68,20 @@ class TestConservationAndSemigroup:
         )
         assert out["max_defect"] <= 1e-8
 
+    def test_mass_defect_equals_a_running_max_over_every_pair(self):
+        ts, xs, n_quad = [1e-3, 1e-2, 0.5], [0.0, 0.3, 1.0], 512
+        z = (np.arange(n_quad) + 0.5) / n_quad
+        worst = 0.0
+        for t in ts:
+            for x in xs:
+                worst = max(worst, abs(float(np.sum(heat_kernel_eval(SPEC, t, x, z)) * (1.0 / n_quad)) - 1.0))
+        assert mass_conservation_check(SPEC, ts, xs)["max_defect"] == worst
+
+    @pytest.mark.parametrize("t_values", [[math.nan], [1e-3, math.nan, 1e-2]])
+    def test_a_nan_time_gives_a_nan_mass_defect(self, t_values):
+        # a running max(worst, defect) from 0 skips NaN and reported 0.0, which passes `<= tol`
+        assert math.isnan(mass_conservation_check(SPEC, t_values, [0.0, 0.5])["max_defect"])
+
     def test_semigroup_composition(self):
         out = semigroup_check(SPEC, t=0.01, s=0.02)
         assert out["max_defect"] <= 1e-6

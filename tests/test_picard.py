@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from trdlab import picard
 from trdlab.errors import InvariantBreach
 from trdlab.picard import (
     _GUARD_BITS,
+    FixedIterate,
     PicardBoundConstants,
     PointwiseInputs,
     canonical_scenario,
@@ -162,6 +164,18 @@ def reference_map(inputs, a, ar):
     return [pairs[i][1](J[i] + a0) for i in range(n)]
 
 
+def as_mpf(iterate):
+    """A FixedIterate's nodes as mp.mpf, each rounded to nearest at the working precision."""
+    return [mp.ldexp(x, -iterate.P) for x in iterate.mantissas]
+
+
+def exact(traj):
+    """A trajectory's nodes as Fractions, exactly: FixedIterate, mp.mpf or float."""
+    if isinstance(traj, FixedIterate):
+        return [Fraction(x, 1 << traj.P) for x in traj.mantissas]
+    return [Fraction(x.man_exp[0]) * Fraction(2) ** x.man_exp[1] if type(x) is mp.mpf else Fraction(x) for x in traj]
+
+
 def reference_iterates(inputs, p_max, ar):
     iterates = [[ar.lift(inputs.a_j0)] * len(inputs.times)]
     for _ in range(p_max):
@@ -182,23 +196,15 @@ class TestMapArithmetic:
             assert got.tobytes() == np.array(want).tobytes(), p
 
     @POWERS
-    def test_fixed_point_iterates_equal_the_integer_reference_bit_for_bit(self, alpha_j, offset_alphas, monkeypatch):
-        raw, from_man_exp = [], libmp.from_man_exp
-
-        def recording(man, exp, *rounding):  # the iterates' conversion to mpf is the call that rounds
-            if rounding:
-                raw.append((man, exp))
-            return from_man_exp(man, exp, *rounding)
-
-        monkeypatch.setattr(libmp, "from_man_exp", recording)
+    def test_fixed_point_iterates_equal_the_integer_reference_bit_for_bit(self, alpha_j, offset_alphas):
         inp = offset_inputs(alpha_j=alpha_j, offset_alphas=offset_alphas)
         got = picard_iterate_mp(inp, p_max=6, dps=80)
         P, fixed = fixed_point(inp)
         expected = reference_iterates(inp, 6, fixed)
-        assert raw == [(y, -P) for want in expected for y in want]  # every integer, guard bits included
-        with mp.workdps(80):  # mpf(int) rounds the P-bit integer to nearest at 80 digits
-            for p, (mine, want) in enumerate(zip(got, expected, strict=True)):
-                assert [x._mpf_ for x in mine] == [mp.ldexp(mp.mpf(y), -P)._mpf_ for y in want], p
+        assert all(type(x) is int for mine in got for x in mine.mantissas)
+        # every integer, guard bits included, at the map's own P
+        assert got == [FixedIterate(tuple(want), P) for want in expected]
+        assert [len(mine) for mine in got] == [len(inp.times)] * 7
 
     def test_mpf_oracle_equals_the_reference_at_80_digits(self):
         inp = offset_inputs()
@@ -213,7 +219,8 @@ class TestMapArithmetic:
         got = picard_iterate_mp(inp, p_max=6, dps=80)
         with mp.workdps(80):
             negated = reference_iterates(inp, 6, MPF_NEGATED)
-            worst = max(abs(x - y) / abs(y) for mine, want in zip(got, negated, strict=True) for x, y in zip(mine, want))
+            pairs = [(x, y) for mine, want in zip(got, negated, strict=True) for x, y in zip(as_mpf(mine), want)]
+            worst = max(abs(x - y) / abs(y) for x, y in pairs)
         assert worst <= mp.mpf("1e-76")
 
     def test_envelope_report_is_the_same_under_both_orders(self):
@@ -313,7 +320,7 @@ def assert_within_1e_76_of_the_oracle(inp, p_max):
     with mp.workdps(80):
         for mine, ref in zip(got, want, strict=True):
             scale = max(1, max(abs(y) for y in ref))
-            assert max(abs(x - y) for x, y in zip(mine, ref, strict=True)) <= mp.mpf("1e-76") * scale
+            assert max(abs(x - y) for x, y in zip(as_mpf(mine), ref, strict=True)) <= mp.mpf("1e-76") * scale
 
 
 class TestFixedPointAgainstTheMpfOracle:
@@ -532,14 +539,30 @@ class TestEnvelope:
         # the errors really are sub-float64 past p ~ 12
         assert rep["per_p"][15]["error"] < 1e-25
 
-    def test_errors_are_the_80_digit_mpf_differences_as_floats(self):
+    def test_errors_are_the_exact_differences_rounded_once(self):
+        """Fixed and float iterates against a fixed reference; float(Fraction) is int / int, rounded once."""
         inp, constants, _ = canonical_scenario(n_points=301)
         iters = picard_iterate_mp(inp, p_max=30, dps=80)[:26] + picard_iterate(inp, p_max=2)
         rep = convergence_envelope_check(iters, constants, iters[25])
-        with mp.workdps(80):  # mpf's -, abs() and float(): the roundings the tuples must keep
-            want = [max(float(abs(mp.mpf(x) - mp.mpf(y))) for x, y in zip(traj, iters[25])) for traj in iters]
+        ref = exact(iters[25])
+        want = [float(max(abs(x - y) for x, y in zip(exact(traj), ref))) for traj in iters]
         assert [row["error"] for row in rep["per_p"]] == want
         assert 0.0 < want[24] < 1e-30 and want[26] > 1e-3
+
+    @pytest.mark.parametrize("case", ["fixed at dps 40", "mpf at dps 80"])
+    def test_errors_against_a_dps_80_reference_are_exact_differences_rounded_once(self, case):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        reference = picard_iterate_mp(inp, p_max=30, dps=80)[-1]
+        if case == "fixed at dps 40":  # P = 153 against the reference's 286: one shift aligns them
+            iters = picard_iterate_mp(inp, p_max=25, dps=40)
+            assert (iters[0].P, reference.P) == (153, 286)
+        else:
+            iters = picard_iterate_mpf(inp, p_max=25, dps=80)
+        rep = convergence_envelope_check(iters, constants, reference)
+        ref = exact(reference)
+        want = [float(max(abs(x - y) for x, y in zip(exact(traj), ref))) for traj in iters]
+        assert [row["error"] for row in rep["per_p"]] == want
+        assert rep["passed"] and 0.0 < want[-1] < 1e-30
 
     def test_constants_require_positive_values(self):
         with pytest.raises(ValueError):
@@ -574,6 +597,24 @@ class TestEnvelope:
         assert math.isnan(rep["per_p"][1]["error"])
         assert rep["per_p"][1]["ok"] is False
         assert rep["passed"] is False
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, mp.mpf("nan"), mp.mpf("inf")], ids=repr)
+    @pytest.mark.parametrize("where", ["iterate", "reference"])
+    def test_a_non_finite_entry_gives_a_nan_error_that_fails(self, bad, where):
+        inp, constants, _ = canonical_scenario(n_points=301)
+        iters = picard_iterate_mp(inp, p_max=3, dps=40)
+        nodes = as_mpf(iters[1])
+        nodes[150] = bad
+        checked, reference = {"iterate": ([iters[0], nodes, iters[2]], iters[3]), "reference": (iters[:3], nodes)}[where]
+        rep = convergence_envelope_check(checked, constants, reference)
+        errors = [row["error"] for row in rep["per_p"]]
+        assert [math.isnan(err) for err in errors] == ([False, True, False] if where == "iterate" else [True] * 3)
+        assert rep["passed"] is False
+
+    def test_an_error_beyond_the_floats_reads_inf_and_fails(self):
+        _, constants, _ = canonical_scenario(n_points=301)
+        rep = convergence_envelope_check([np.array([0.0, 1.7e308])], constants, np.array([0.0, -1.7e308]))
+        assert rep["per_p"][0]["error"] == math.inf and rep["passed"] is False
 
 
 class TestCanonicalScenario:
