@@ -92,6 +92,17 @@ def _numbers(values, path: str, kind=float, low: float = -math.inf) -> tuple:
     return tuple(_number(v, f"{path}[{i}]", kind, low) for i, v in enumerate(values))
 
 
+def _distinct_labels(values: tuple, path: str) -> tuple:
+    """`values`, whose f"{v:g}" labels key their artifacts (an n's files, a
+    p's CSV columns): an entry whose label repeats an earlier one's is
+    rejected at its index."""
+    labels = [f"{v:g}" for v in values]
+    for i, tag in enumerate(labels):
+        if tag in labels[:i]:
+            raise ConfigError(f"{path}[{i}]", f"label {tag!r} is also that of {path}[{labels.index(tag)}]")
+    return values
+
+
 def _parse_n(value, path: str) -> float:
     if isinstance(value, str) and value.lower() in ("inf", "+inf", "infinity"):
         return math.inf
@@ -178,15 +189,9 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
     raw_n = _require(data, "n_values", "$")
     if not isinstance(raw_n, list) or not raw_n:
         raise ConfigError("$.n_values", "expected a nonempty list")
-    n_values = tuple(_parse_n(v, f"$.n_values[{i}]") for i, v in enumerate(raw_n))
-    labels = [f"{n:g}" for n in n_values]  # each level's artifacts are keyed by its label
-    for i, tag in enumerate(labels):
-        if tag in labels[:i]:
-            first = f"$.n_values[{labels.index(tag)}]"
-            raise ConfigError(f"$.n_values[{i}]", f"artifact label {tag!r} is also that of {first}: each n needs its own")
-
+    n_values = _distinct_labels(tuple(_parse_n(v, f"$.n_values[{i}]") for i, v in enumerate(raw_n)), "$.n_values")
     t_final = _number(_require(data, "t_final", "$"), "$.t_final", low=0.0)
-    p_values = _numbers(data.get("p_values", [4.0]), "$.p_values", low=1.0)
+    p_values = _distinct_labels(_numbers(data.get("p_values", [4.0]), "$.p_values", low=1.0), "$.p_values")
 
     return ExperimentConfig(
         system=system,

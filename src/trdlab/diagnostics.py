@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -30,8 +32,11 @@ __all__ = [
     "dissipation",
     "entropy_balance_check",
     "lp_norms",
+    "ENTROPY_FLOOR",
 ]
 
+# the entropy gate's and the balance check's absolute floor: E(0) = 0 at an equilibrium, and roundoff is not a rise
+ENTROPY_FLOOR = 1e-12
 _LOG_FLOOR = 1e-30  # keeps reported dissipation finite at vacuum states
 
 
@@ -121,60 +126,34 @@ class DiagnosticsRecord:
     e0: float
 
     def csv_row(self) -> list[float]:
-        row = [
-            self.time,
-            self.entropy,
-            self.dissipation,
-            self.diss_integral,
-            self.min_value,
-        ]
-        m = len(self.l1)
-        for i in range(m):
-            row.extend([self.l1[i], self.l2[i]])
-            for p in sorted(self.lp):
-                row.append(self.lp[p][i])
-            row.append(self.sup[i])
-            for p in sorted(self.st_lp):
-                row.append(self.st_lp[p][i])
-        row.extend(self.pair_mass.tolist())
-        row.extend(self.l1_product.tolist())
-        row.extend(
-            [
-                self.pair_mass_drift_rel,
-                self.degenerate_pair_dev,
-                self.a2_sum_dev,
-                self.mass_total,
-                self.m2,
-                float(self.m2_flag),
-                self.e0,
-            ]
-        )
-        return row
+        return [float(read(self)) for _, read in _csv_columns(len(self.l1), self.lp)]
 
     @staticmethod
     def csv_header(m: int, p_values) -> list[str]:
-        cols = ["time", "entropy", "dissipation", "diss_integral", "min_value"]
-        for i in range(1, m + 1):
-            cols.extend([f"l1_{i}", f"l2_{i}"])
-            for p in sorted(p_values):
-                cols.append(f"l{p:g}_{i}")
-            cols.append(f"sup_{i}")
-            for p in sorted(p_values):
-                cols.append(f"stl{p:g}_{i}")
-        cols.extend([f"pairmass_{i}" for i in range(1, m)])
-        cols.extend([f"l1prod_{i}" for i in range(1, m)])
-        cols.extend(
-            [
-                "pair_mass_drift_rel",
-                "degenerate_pair_dev",
-                "a2_sum_dev",
-                "mass_total",
-                "m2_bound",
-                "m2_flag",
-                "e0",
-            ]
-        )
-        return cols
+        return [name for name, _ in _csv_columns(m, p_values)]
+
+
+def _item(attr: str, *keys):
+    """A reader of record.attr[keys[0]][keys[1]]..."""
+    return lambda record: reduce(getitem, keys, getattr(record, attr))
+
+
+def _csv_columns(m: int, p_values) -> list[tuple[str, object]]:
+    """The diagnostics CSV's columns in order, as (name, reader of a
+    DiagnosticsRecord) pairs, over the sorted distinct p: a p labelled 1 or
+    2 adds only its stl<p>_i column, as l1_i and l2_i are always there."""
+    ps = sorted(set(p_values))
+    cols = [(name, _item(name)) for name in ("time", "entropy", "dissipation", "diss_integral", "min_value")]
+    for i in range(m):
+        per_species = [("l1", _item("l1", i)), ("l2", _item("l2", i))]
+        per_species += [(f"l{p:g}", _item("lp", p, i)) for p in ps if f"{p:g}" not in ("1", "2")]
+        per_species += [("sup", _item("sup", i))]
+        per_species += [(f"stl{p:g}", _item("st_lp", p, i)) for p in ps]
+        cols += [(f"{name}_{i + 1}", read) for name, read in per_species]
+    cols += [(f"pairmass_{i + 1}", _item("pair_mass", i)) for i in range(m - 1)]
+    cols += [(f"l1prod_{i + 1}", _item("l1_product", i)) for i in range(m - 1)]
+    tail = ("pair_mass_drift_rel", "degenerate_pair_dev", "a2_sum_dev", "mass_total", "m2_bound", "m2_flag", "e0")
+    return cols + [(name, _item("m2" if name == "m2_bound" else name)) for name in tail]
 
 
 class DiagnosticsTracker:
@@ -186,7 +165,7 @@ class DiagnosticsTracker:
     def __init__(self, n: np.ndarray, initial: FieldSet, p_values=(4.0,)):
         self.n = n
         self.system = initial.system
-        self.p_values = tuple(p_values)
+        self.p_values = tuple(dict.fromkeys(p_values))  # a repeat would fold its space-time sums twice
         self.classification: DegeneracyClassification = classify(self.system)
         self.e0 = entropy(initial)
         self.m2 = m2_bound(self.system, self.e0, initial.grid.measure)
@@ -293,8 +272,8 @@ def _fold(total: np.ndarray, steps: np.ndarray, k: int, dt: float) -> np.ndarray
 def entropy_balance_check(records, tol: float) -> dict:
     """Verify E(t_k) + sum_{steps<=k} D dt <= E(0)(1 + tol) for all k,
     and that E is nonincreasing within the same tolerance, each up to the
-    stepper gate's 1e-12 absolute floor (E(0) = 0 at an equilibrium).  The
-    dissipation sum is the run's right-endpoint accumulation, the
+    stepper gate's absolute floor ENTROPY_FLOOR.  The dissipation sum is
+    the run's right-endpoint accumulation, the
     conservative discrete analogue for a decaying dissipation (the
     left-endpoint sum over-counts when the initial state has a vacuum
     species, where the pointwise dissipation diverges)."""
@@ -305,8 +284,8 @@ def entropy_balance_check(records, tol: float) -> dict:
     worst_mono = -math.inf
     prev_e = e0
     for rec in records:
-        worst = max(worst, rec.entropy + rec.diss_integral - e0 * (1.0 + tol) - 1e-12)
-        worst_mono = max(worst_mono, rec.entropy - prev_e - tol * abs(e0) - 1e-12)
+        worst = max(worst, rec.entropy + rec.diss_integral - e0 * (1.0 + tol) - ENTROPY_FLOOR)
+        worst_mono = max(worst_mono, rec.entropy - prev_e - tol * abs(e0) - ENTROPY_FLOOR)
         prev_e = rec.entropy
     return {
         "ok": worst <= 0.0 and worst_mono <= 0.0,

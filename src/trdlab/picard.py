@@ -279,7 +279,7 @@ def convergence_envelope_check(
         ok = err <= env
         margin = math.inf if err == 0.0 else env / err
         results.append({"p": p, "error": err, "envelope": env, "ok": ok})
-        if margin < worst_margin:
+        if not math.isnan(worst_margin) and not margin >= worst_margin:  # a NaN error is the worst
             worst_margin, worst_p = margin, p
     return {
         "passed": all(r["ok"] for r in results),

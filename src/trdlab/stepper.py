@@ -30,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, DiagnosticsTracker
+from .diagnostics import ENTROPY_FLOOR, DiagnosticsRecord, DiagnosticsTracker
 from .errors import InvariantBreach
 from .fields import FieldSet
 from .grid import work_array
@@ -243,9 +243,8 @@ def _reaction_substep(fields: FieldSet, n, dt: float, theta: float = 1.0, work: 
 class ModalDiffusion:
     """The theta-scheme diffusion step of length dt, with diffusivities `d`
     on one grid, as per-mode multipliers, with its `work` arrays and the
-    stencil residual gate.  It also counts, per n-level, the roundoff
-    negatives `diffusion_substep`'s positivity clamp zeroed and keeps the
-    most negative."""
+    stencil residual gate.  It also keeps the run's positivity tally per
+    n-level, which `_clamp_positivity` updates."""
 
     def __init__(self, d, grid, dt: float, theta: float = 1.0):
         self.theta = theta
@@ -302,11 +301,6 @@ def _first_level(bad: np.ndarray, value: np.ndarray) -> tuple[int, float] | None
     return (int(idx[0]), float(np.ravel(value)[idx[0]])) if idx.size else None
 
 
-def _running_min(current, new):
-    """Elementwise min(current, new) with Python's tie rule."""
-    return np.where(new < current, new, current)
-
-
 def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     """Implicit theta-scheme diffusion (theta = 1 backward Euler, the
     entropy-safe default; theta = 1/2 Crank-Nicolson for second-order
@@ -331,10 +325,7 @@ def diffusion_substep(fields: FieldSet, modal: ModalDiffusion) -> FieldSet:
     modal.gate(grid, sol, u, _level_axes(u, grid))
     new[modal.rows] = sol
     out = FieldSet(fields.system, grid, new)
-    total, counts, worst = _clamp_positivity(out)
-    if total:
-        modal.clamp_count = modal.clamp_count + counts
-        modal.clamp_worst = _running_min(modal.clamp_worst, np.where(counts > 0, worst, math.inf))
+    _clamp_positivity(out, modal)
     return out
 
 
@@ -355,10 +346,12 @@ def step(state: SimulationState, config: StepperConfig, n, modal: ModalDiffusion
     return SimulationState(state.time + dt, f, state.step_count + 1)
 
 
-def _clamp_positivity(fields: FieldSet):
-    """Zero each n-level's roundoff negatives.  Returns the total count,
-    then per level the count and the minimum before the clamp; a level
-    whose minimum lies below -positivity_tol breaches."""
+def _clamp_positivity(fields: FieldSet, modal: ModalDiffusion):
+    """Zero each n-level's roundoff negatives, and add to the tally on
+    `modal` each level's count and minimum before the clamp: its
+    clamp_worst is the lowest value any check saw (the first of equal
+    ones).  Returns the total count, then per level the count and the
+    minimum; a level whose minimum lies below -positivity_tol breaches."""
     tol = StepperConfig.positivity_tol
     axes = _level_axes(fields.values, fields.grid)
     worst = fields.values.min(axis=axes)
@@ -371,6 +364,8 @@ def _clamp_positivity(fields: FieldSet):
         mask = fields.values < 0.0
         counts = mask.sum(axis=axes)
         fields.values[mask] = 0.0
+    modal.clamp_count = modal.clamp_count + counts
+    modal.clamp_worst = np.where(worst < modal.clamp_worst, worst, modal.clamp_worst)
     return int(counts.sum()), counts, worst
 
 
@@ -403,7 +398,7 @@ def run(
     dt = cfg.dt
     # relative to E(0): the entropy gate's tolerance, also the summary's balance tolerance
     entropy_tol = cfg.entropy_tolerance_factor * (dt * dt + sum(h * h for h in initial.grid.h))
-    e_tol = entropy_tol * abs(tracker.e0) + 1e-12
+    e_tol = entropy_tol * abs(tracker.e0) + ENTROPY_FLOOR
 
     def emit(rec_state):
         for b, level_records in enumerate(records):
@@ -436,21 +431,19 @@ def run(
         times.clear()
 
     try:
-        _, clamp_count, clamp_worst = _clamp_positivity(state.fields)
         theta = 0.5 if cfg.splitting == "strang" else 1.0  # Strang's diffusion takes half steps
         modal, reaction_work = ModalDiffusion(initial.system.d, initial.grid, theta * dt, theta), {}
+        _clamp_positivity(state.fields, modal)
         tracker.accumulate(state.fields, 0.0)
         if n_steps:
             emit(state)
         for k in range(n_steps):
             try:
                 state = step(state, cfg, n, modal, reaction_work)
-                _, c, w = _clamp_positivity(state.fields)
+                _clamp_positivity(state.fields, modal)
             except InvariantBreach:
                 close()  # an earlier step's entropy rise breached first
                 raise
-            clamp_count = clamp_count + c
-            clamp_worst = _running_min(clamp_worst, w)
             if stack is not None:
                 stack[:, len(times) * B : (len(times) + 1) * B] = state.fields.values
             times.append(state.time)
@@ -463,32 +456,19 @@ def run(
         if "level" not in exc.details:
             raise
         raise exc.at_n(levels[exc.details["level"]]) from exc
-    clamp_count = clamp_count + modal.clamp_count
-    clamp_worst = _running_min(clamp_worst, modal.clamp_worst)
     return [
         RunResult(SimulationState(state.time, state.fields.level(b), state.step_count), records[b],
-                  int(clamp_count[b]), float(clamp_worst[b]), entropy_tol, tracker)
+                  int(modal.clamp_count[b]), float(modal.clamp_worst[b]), entropy_tol, tracker)
         for b in range(len(levels))
     ]
 
 
 def _check_record(rec: DiagnosticsRecord, cfg: StepperConfig, level: int):
-    where = {"level": level}
-    if not rec.pair_mass_drift_rel <= cfg.mass_tol_rel:
-        raise InvariantBreach(
-            "pair-mass",
-            f"relative pair-mass drift {rec.pair_mass_drift_rel:.3e} at t={rec.time:.6g}",
-            where,
-        )
-    if not rec.degenerate_pair_dev <= cfg.degenerate_pair_tol:
-        raise InvariantBreach(
-            "degenerate-pair",
-            f"pointwise pair difference drifted {rec.degenerate_pair_dev:.3e}",
-            where,
-        )
-    if not rec.a2_sum_dev <= cfg.a2_sum_tol:
-        raise InvariantBreach(
-            "a2-pointwise-sum",
-            f"pointwise a_i + a_m drifted {rec.a2_sum_dev:.3e}",
-            where,
-        )
+    """The record gates, in order; a breach names `level`."""
+    for kind, value, tol, message in (
+        ("pair-mass", rec.pair_mass_drift_rel, cfg.mass_tol_rel, "relative pair-mass drift {:.3e} at t={:.6g}"),
+        ("degenerate-pair", rec.degenerate_pair_dev, cfg.degenerate_pair_tol, "pointwise pair difference drifted {:.3e}"),
+        ("a2-pointwise-sum", rec.a2_sum_dev, cfg.a2_sum_tol, "pointwise a_i + a_m drifted {:.3e}"),
+    ):
+        if not value <= tol:
+            raise InvariantBreach(kind, message.format(value, rec.time), {"level": level})

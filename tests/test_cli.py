@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour: exit codes, artifacts, determinism."""
 
+import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ from trdlab.cli import (
     main,
 )
 from trdlab.config import load_config, parse_config
-from trdlab.presets import preset_names
+from trdlab.diagnostics import DiagnosticsRecord
+from trdlab.presets import preset_config, preset_names
+from trdlab.runner import run_scenario
 
 FAST_CONFIG = {
     "label": "cli-fast",
@@ -110,6 +114,9 @@ class TestRunCommand:
             ("n_values", [None]),
             ("n_values", [1000000, 1000001, "inf"]),  # both labelled "1e+06": one level's artifacts would be lost
             ("p_values", ["x"]),
+            ("p_values", [4.0, 4.0]),  # a repeat's CSV columns would repeat its first's
+            ("p_values", [3.5, 2, 3.5]),
+            ("p_values", [4.0, 4.0000001]),  # both labelled "4"
             ("seed", "abc"),
             ("initial[1].value", "abc"),
             ("initial[0].modes[0]", "a"),
@@ -162,6 +169,26 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert (out / "summary.json").exists()
+
+    def test_every_diagnostics_csv_cell_is_a_float_under_unique_names(self, tmp_path):
+        # a preset cut to T = 1, and a short run whose p list holds 2 (which has its l2_i already) and a non-integer p
+        preset = replace(preset_config("df15-a1"), t_final=1.0)
+        run_scenario(preset, tmp_path / "preset")
+        cfg = write_config(tmp_path, {**FAST_CONFIG, "p_values": [2.0, 3.5]})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "short")]) == EXIT_OK
+        paths = sorted(tmp_path.glob("*/diagnostics_*.csv"))
+        assert len(paths) == len(preset.n_values) + len(FAST_CONFIG["n_values"])
+        for path in paths:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(set(header)) == len(header)
+            assert rows
+            for row in rows:
+                assert len(row) == len(header)
+                for cell in row:
+                    float(cell)
+        with open(tmp_path / "short" / "diagnostics_1.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == DiagnosticsRecord.csv_header(3, (2.0, 3.5))
 
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -281,6 +308,12 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     config = parse_config(json.loads(blocks[0]))
     assert config.label == "demo"
+
+
+def test_readme_csv_header_is_the_preset_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```csv\n(.*?)\n```", readme, flags=re.S)
+    assert blocks == [",".join(DiagnosticsRecord.csv_header(3, (4.0,)))]
 
 
 def test_readme_cli_usage_flags_parse():

@@ -597,6 +597,7 @@ class TestEnvelope:
         assert math.isnan(rep["per_p"][1]["error"])
         assert rep["per_p"][1]["ok"] is False
         assert rep["passed"] is False
+        assert rep["worst_p"] == 1 and math.isnan(rep["worst_margin"])  # not the passing iterate 0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, mp.mpf("nan"), mp.mpf("inf")], ids=repr)
     @pytest.mark.parametrize("where", ["iterate", "reference"])
@@ -610,6 +611,7 @@ class TestEnvelope:
         errors = [row["error"] for row in rep["per_p"]]
         assert [math.isnan(err) for err in errors] == ([False, True, False] if where == "iterate" else [True] * 3)
         assert rep["passed"] is False
+        assert rep["worst_p"] == (1 if where == "iterate" else 0) and math.isnan(rep["worst_margin"])
 
     def test_an_error_beyond_the_floats_reads_inf_and_fails(self):
         _, constants, _ = canonical_scenario(n_points=301)

@@ -425,6 +425,30 @@ class TestDiffusionOracle:
         assert result.clamp_count > 0
         assert -1e-12 <= result.clamp_worst < 0.0
 
+    def test_the_clamp_tally_is_what_every_positivity_check_saw(self, monkeypatch):
+        import trdlab.stepper as stepper_module
+
+        real, seen = stepper_module._clamp_positivity, []
+
+        def spy(fields, modal):
+            total, counts, worst = real(fields, modal)
+            seen.append((counts.copy(), worst.copy()))
+            return total, counts, worst
+
+        monkeypatch.setattr(stepper_module, "_clamp_positivity", spy)
+        grid = Grid((1.0,), (64,))
+        vals = np.ones((3, 64))
+        vals[0] = 0.0
+        vals[0, 32] = 100.0
+        levels = [1.0, math.inf]
+        cfg = StepperConfig(dt=1e-4, splitting="strang")
+        results = run(FieldSet(SYS3, grid, vals), cfg, levels, t_final=3e-4)
+        assert len(seen) == 1 + 3 * 3  # the initial state, then two half diffusions and the step's end per step
+        for b, result in enumerate(results):
+            assert result.clamp_count == sum(int(counts[b]) for counts, _ in seen) > 0
+            assert repr(result.clamp_worst) == repr(min(float(worst[b]) for _, worst in seen))
+            assert result.clamp_worst < 0.0
+
     def test_large_negative_input_still_breaches(self):
         grid = Grid((1.0,), (16,))
         vals = np.ones((3, 16))
