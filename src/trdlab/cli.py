@@ -143,9 +143,13 @@ def _cmd_picard_demo(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
+    spec = kernel.KernelSpec(d=args.d, lengths=(args.length,), truncation=args.modes)
+    try:  # the probe's cells, from --length alone, must have a finite positive h^2 and 1/h^2
+        kernel.probe_grids(spec)
+    except ValueError as exc:
+        raise ConfigError("--length", str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = kernel.KernelSpec(d=args.d, lengths=(args.length,), truncation=args.modes)
     tau = spec.diffusive_time
     mass = kernel.mass_conservation_check(
         spec, t_values=np.geomspace(1e-4, 1e-1, 5) * tau, x_values=np.linspace(0, args.length, 5)

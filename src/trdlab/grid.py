@@ -98,20 +98,33 @@ class Grid:
             coeffs = idct(coeffs, norm="ortho", axis=axis, overwrite_x=overwrite_x)
         return coeffs
 
+    @cached_property
+    def cell_strides(self) -> tuple[int, ...]:
+        """Each axis's stride in cells over the flattened grid axes."""
+        return tuple(reduce(int.__mul__, self.cells[k + 1 :], 1) for k in range(self.dimension))
+
     def laplacian(self, values: np.ndarray, out: np.ndarray | None = None, flux: np.ndarray | None = None):
         """Neumann Laplacian of `values` over its trailing grid axes, as
         zero-flux face differences; leading axes are batch axes.  `out`
-        and `flux`, arrays of values' shape (fresh ones if not given),
-        receive the result and each axis's face fluxes."""
+        (C-contiguous) receives it, and `flux` is a work array holding offset
+        faces: each axis's faces are one difference over the flattened grid axes,
+        at an offset of its stride in cells, with those that wrap past its
+        last cell zeroed, which adds a +0.0 that changes no bit of `out`."""
         out = np.empty_like(values) if out is None else out
-        out.fill(0.0)
-        for k, h in enumerate(self.h):
-            trailing = (slice(None),) * (self.dimension - 1 - k)
-            lo, hi = (..., slice(None, -1)) + trailing, (..., slice(1, None)) + trailing
-            f = np.subtract(values[hi], values[lo], out=None if flux is None else flux[lo])
+        lap, flux = out, np.empty_like(values) if flux is None else flux
+        if self.dimension > 1:
+            if not out.flags.c_contiguous:
+                raise ValueError("the Laplacian's out must be C-contiguous")
+            flat = values.shape[: values.ndim - self.dimension] + (-1,)
+            values, lap, flux = values.reshape(flat), out.reshape(flat), flux.reshape(flat)
+        lap.fill(0.0)
+        for k, (h, s) in enumerate(zip(self.h, self.cell_strides)):
+            f = np.subtract(values[..., s:], values[..., :-s], out=flux[..., :-s])
             f *= 1.0 / h**2
-            out[lo] += f
-            out[hi] -= f
+            if k:
+                flux.reshape(flux.shape[:-1] + (-1, self.cells[k], s))[..., -1, :] = 0.0
+            lap[..., :-s] += f
+            lap[..., s:] -= f
         return out
 
     def cell_sum(self, values: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "mass_conservation_check",
     "semigroup_check",
     "gaussian_bound_fit",
+    "probe_grids",
     "smoothing_probe",
 ]
 
@@ -92,7 +93,7 @@ def heat_kernel_eval(spec: KernelSpec, t, x, y):
 def kernel_tail_bound(spec: KernelSpec, t: float) -> float:
     """Upper bound on the dropped modes: sum_{k>K} (2/L) e^{-d(k pi/L)^2 t}
     bounded by the geometric tail."""
-    if t <= 0:
+    if not t > 0:  # a NaN time fails too
         raise ValueError("kernel requires t > 0")
     K, L = spec.truncation, spec.lengths[0]
     rate = spec.d * (math.pi / L) ** 2 * t
@@ -226,6 +227,11 @@ _SOURCE_MODES = 6  # a probe source sums cosine modes 0.._SOURCE_MODES along eac
 _MARCH_VALUES = 2**19  # a probe march takes as many trials as keep its trajectories within this many values
 
 
+def probe_grids(spec: KernelSpec, dimension: int = 1, cells: int = 64) -> list[Grid]:
+    """The smoothing probe's working mesh and its refinement, both made (and checked) before any march."""
+    return [Grid(spec.lengths * dimension, (c,) * dimension) for c in (cells, 2 * cells)]
+
+
 def smoothing_probe(
     spec: KernelSpec,
     p: float,
@@ -251,7 +257,6 @@ def smoothing_probe(
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
-    lengths = spec.lengths * dimension
     n_steps = max(1, round(t_final / dt))
     step = t_final / n_steps
 
@@ -267,8 +272,7 @@ def smoothing_probe(
 
     coeff_sets = [rng.uniform(-1.0, 1.0, size=1 + _SOURCE_MODES * dimension) for _ in range(trials)]
 
-    def ratios(n_cells: int):
-        grid = Grid(lengths=lengths, cells=(n_cells,) * dimension)
+    def ratios(grid: Grid):
         modal = ModalDiffusion((spec.d,), grid, step)  # its work holds the marches' arrays
         thetas = np.array([random_source(grid, coeffs) for coeffs in coeff_sets])
         per_march = max(1, _MARCH_VALUES // ((n_steps + 1) * math.prod(grid.shape)))
@@ -285,8 +289,7 @@ def smoothing_probe(
                 out.append(num / den)
         return out
 
-    coarse = ratios(cells)
-    fine = ratios(2 * cells)
+    coarse, fine = map(ratios, probe_grids(spec, dimension, cells))
     rel = [abs(b - a) / a for a, b in zip(coarse, fine) if a > 0]
     stable = bool(rel) and max(rel) <= 0.2
     return {

@@ -131,11 +131,13 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     vectorized over cells.  The root is bracketed in [0, min_j sigma_j];
     where the residual has no sign change inside the bracket (spectator
     exponents, or trapezoidal overshoot at large dt) the cell clamps at
-    the offending end.  Only there are the ends evaluated; this, and
-    skipping phi where every n is inf, changes no bit for x0 >= 0 and
-    sigma_j >= x0 (see the README).  A done cell is frozen, so each cell's
-    result is independent of the others.  The temporaries, and the x and
-    mask returned, are arrays of `work`, overwritten by its next call."""
+    the offending end.  The ends are evaluated only on the cells that the
+    start's bound on their residuals leaves open (all with a spectator,
+    none under backward Euler); this, and skipping phi where every n is
+    inf, changes no bit for x0 >= 0 and sigma_j >= x0 (see the README).  A
+    done cell is frozen, so each cell's result is independent of the
+    others.  The temporaries, and the x and mask returned, are arrays of
+    `work`, overwritten by its next call."""
     work = {} if work is None else work
     buf = partial(work_array, work, shape=x0.shape)
     n = n if np.count_nonzero(np.not_equal(n, math.inf)) else math.inf
@@ -146,26 +148,24 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     inv, vanished = work_array(work, "inv", sigma.shape), work_array(work, "vanished", sigma.shape, bool)
     lo.fill(0.0)
     x = np.clip(x0, lo, smin, out=buf("x"))
-    if theta == 1.0 and alpha.min() > 0.0:  # r(0) <= 0 <= r(min sigma): no clamp
-        args = (x0, sigma, alpha, m, Q, n, dt, theta, 0.0, total, work)
-        r, prod, phi_x, S, net, reactants = _residual(x, *args)
-        clamped.fill(False)
-    else:
-        start = work.setdefault("start", {})
-        xs = work_array(start, "x", (3,) + x.shape)
-        xs[0], xs[1], xs[2] = smin, 0.0, x
-        rates = _rate_at(xs, sigma[:, None], alpha, m, Q, n, total, start)
-        g0 = rates[0][2] if theta < 1.0 else 0.0  # g(x0), as x = x0
-        args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, work)
-        r, *rest = _residual(xs, x0, sigma[:, None], *args[2:-1], start, rates)
-        for name, a in start.items():  # the loop works in the x rows, but for g's and net's: one holds g0
-            if a.shape[-2:] == xs.shape and name not in ("g", "net"):
-                work[name] = a[..., 2, :]
-        np.putmask(x, np.less(r[0], 0.0, out=flag), smin)
-        np.putmask(x, np.greater(r[1], 0.0, out=other), 0.0)
-        np.logical_or(flag, other, out=clamped)
-        r, prod, phi_x, S, net = (None if v is None else v[2] for v in (r, *rest[:-1]))
-        reactants = rest[-1][:, 2]
+    rates = _rate_at(x, sigma, alpha, m, Q, n, total, work)
+    g0 = np.positive(rates[0], out=buf("g0")) if theta < 1.0 else 0.0  # g(x0), as x = x0, kept from the loop
+    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, work)
+    r, prod, phi_x, S, net, reactants = _residual(x, *args, rates)
+    clamped.fill(False)
+    if theta < 1.0 or alpha.min() == 0.0:
+        # with every exponent > 0, monotone rounding bounds r(min sigma) >= (min sigma - x0) - lag and r(0) <= (0 - x0) - lag,
+        # lag = (1 - theta) g0 dt rounded as in `_residual` (README); the ends run where a bound fails or is NaN (spectators)
+        lag = np.multiply(np.multiply(g0, 1.0 - theta, out=t), dt if alpha.min() > 0.0 else math.nan, out=t)
+        cand = np.greater_equal(np.subtract(np.subtract(smin, x0, out=dg), lag, out=dg), 0.0, out=other)
+        cand &= np.less_equal(np.subtract(np.subtract(0.0, x0, out=dg), lag, out=dg), 0.0, out=flag)
+        if np.logical_not(cand, out=cand).any():
+            n_c, g0_c = (a if np.ndim(a) == 0 else np.broadcast_to(a, x0.shape)[cand] for a in (n, g0))
+            ends = np.stack([smin[cand], np.zeros(np.count_nonzero(cand))])
+            r_end = _residual(ends, x0[cand], sigma[:, cand][:, None], alpha, m, Q, n_c, dt, theta, g0_c, total[cand],
+                              work.setdefault("ends", {}))[0]
+            clamped[cand] = (r_end[0] < 0.0) | (r_end[1] > 0.0)
+            x[cand] = np.where(r_end[1] > 0.0, 0.0, np.where(r_end[0] < 0.0, ends[0], x[cand]))
     np.copyto(done, clamped)  # a clamped cell is done at its bracket end
     np.abs(x0, out=stop)
     stop += 1.0

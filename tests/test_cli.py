@@ -280,6 +280,8 @@ class TestAnalysisCommands:
             ["kernel-check", "--d", "nan"],
             ["kernel-check", "--length", "0"],
             ["kernel-check", "--length", "inf"],
+            ["kernel-check", "--length", "1e300"],
+            ["kernel-check", "--length", "1e-300"],
             ["study-mesh", "--preset", "df15-a1", "--levels", "0"],
             ["study-mesh", "--preset", "df15-a1", "--levels", "-1"],
             ["study-mesh", "--preset", "df15-a1", "--levels", "1"],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import integrate, laplacian_matrix
+from oracles import integrate, laplacian_matrix, slice_laplacian
 from trdlab.grid import Grid, gradient_energy
 
 
@@ -126,6 +126,57 @@ class TestDctDiagonalisation:
         out, flux = np.full_like(u, np.nan), np.full_like(u, np.nan)
         assert g.laplacian(u, out=out, flux=flux) is out
         assert out.tobytes() == g.laplacian(u).tobytes()
+
+
+class TestStencilOracle:
+    """`Grid.laplacian`, on contiguous offset faces over the flattened grid
+    axes, against the per-axis slice stencil it replaced, bit for bit."""
+
+    GRIDS = [
+        Grid((1.0,), (2,)),
+        Grid((2.0,), (33,)),
+        Grid((1.0, 0.7), (2, 2)),
+        Grid((1.0, 3.0), (7, 2)),
+        Grid((0.3, 1.0), (2, 9)),
+        Grid((1.0, 1.0), (128, 128)),
+        Grid((1.0, 1.0, 1.0), (2, 2, 2)),
+        Grid((0.5, 1.0, 2.0), (3, 5, 2)),
+        Grid((1.0, 2.0, 3.0), (4, 9, 7)),
+    ]
+
+    @staticmethod
+    def field(g, batch, seed):
+        """Normal values at scales from 1e-300 to 1e300, with signed zeros, infinities and NaNs sprinkled in."""
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(batch + g.shape) * 10.0 ** rng.choice([-300, -5, 0, 5, 300], size=batch + g.shape)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        at = rng.random(u.shape) < 0.1
+        u[at] = rng.choice(specials, size=np.count_nonzero(at))
+        return u
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 1)], ids=str)
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+    def test_matches_the_slice_stencil_bit_for_bit(self, g, batch):
+        u = self.field(g, batch, sum(g.cells) + len(batch))
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = slice_laplacian(g, u).tobytes()
+            assert g.laplacian(u).tobytes() == expected
+            for stale in (np.nan, -0.0, np.inf):  # over stale out and flux contents
+                out, flux = np.full_like(u, stale), np.full_like(u, -stale)
+                assert g.laplacian(u, out=out, flux=flux) is out
+                assert out.tobytes() == expected
+            # strided values are read as they are; only out must be contiguous
+            wide = np.repeat(u, 2, axis=-1)[..., ::2]
+            assert g.laplacian(wide).tobytes() == expected
+
+    def test_a_strided_out_is_refused_on_a_multi_axis_grid(self):
+        g = Grid((1.0, 1.0), (4, 6))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            g.laplacian(np.ones(g.shape), out=np.empty((4, 12))[:, ::2])
+
+    def test_cell_strides_are_the_flattened_axis_strides(self):
+        g = Grid((1.0, 1.0, 1.0), (3, 5, 2))
+        assert g.cell_strides == tuple(s // 8 for s in np.empty(g.shape).strides) == (10, 2, 1)
 
 
 class TestQuadratures:

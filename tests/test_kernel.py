@@ -48,6 +48,11 @@ class TestKernelSeries:
         assert bounds[0] > bounds[1] > bounds[2]
         assert bounds[0] < 1e-10  # K = 200 resolves t = 1e-4 easily
 
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan])
+    def test_tail_bound_refuses_a_time_that_is_not_positive(self, t):
+        with pytest.raises(ValueError, match="t > 0"):
+            kernel_tail_bound(KernelSpec(d=1.0), t)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(d=0.0)

@@ -253,6 +253,87 @@ class TestReactionSolveOracle:
                 assert a.final_state.fields.values.tobytes() == b.final_state.fields.values.tobytes()
 
 
+@st.composite
+def start_bound_edges(draw):
+    """Trapezoidal problems at the edges of the start's bound on ORACLE_CELLS
+    cells: theta = 1/2, every exponent in (0, 3], n in {1, 10, inf} (scalar
+    or per cell), near-vacuum reactants, and dt up to 10, drawn to put one
+    cell's upper or lower end residual within a few ulps of 0 where such a
+    dt exists."""
+    m = draw(st.integers(2, 4))
+    alpha = np.array([draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.05, 3.0))) for _ in range(m - 1)])
+    x0 = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=ORACLE_CELLS, max_size=ORACLE_CELLS)))
+    reactants = draw(st.lists(st.lists(st.one_of(st.floats(0.0, 5.0), st.integers(1, 300).map(lambda k: 10.0**-k)),
+                                       min_size=ORACLE_CELLS, max_size=ORACLE_CELLS), min_size=m - 1, max_size=m - 1))
+    sigma = np.array(reactants) + x0
+    levels = st.sampled_from([1.0, 10.0, math.inf])
+    n = draw(st.one_of(levels, st.lists(levels, min_size=ORACLE_CELLS, max_size=ORACLE_CELLS).map(np.array)))
+    # the dt that zeroes r = (end - x0) - dt (g(end) + g0) / 2 in cell c, nudged by a few ulps
+    c, upper = draw(st.integers(0, ORACLE_CELLS - 1)), draw(st.booleans())
+    n_c = n if np.ndim(n) == 0 else n[c : c + 1]
+    end = sigma[:, c].min() if upper else 0.0
+    Q = 1.0 + float(alpha.sum())  # as TriangularSystem.Q
+    g_end, g0 = (_rate_at(np.array([v]), sigma[:, c : c + 1], alpha, m, Q, n_c)[0][0] for v in (end, x0[c]))
+    dt = (end - x0[c]) / (0.5 * g_end + 0.5 * g0) if 0.5 * g_end + 0.5 * g0 != 0.0 else math.nan
+    if 0.0 < dt <= 10.0:
+        for _ in range(abs(ulps := draw(st.integers(-4, 4)))):
+            dt = float(np.nextafter(dt, math.copysign(math.inf, ulps)))
+    else:
+        dt = draw(st.floats(1e-4, 10.0))
+    return x0, sigma, alpha, m, Q, n, dt
+
+
+class TestReactionStartBound:
+    """Under the trapezoidal rule the ends are evaluated only on the cells
+    that the start's own numbers cannot clear."""
+
+    @given(start_bound_edges())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_unshortcut_solve_at_the_bound_edges(self, problem):
+        x0, sigma, alpha, m, Q, n, dt = problem
+        args = (x0, sigma, alpha, m, Q, n, dt, 0.5)
+        with np.errstate(all="ignore"):
+            x_ref, clamped_ref = oracles._solve_reaction_newton(*args)
+        x, clamped = _solve_reaction_newton(*args)
+        assert x.tobytes() == x_ref.tobytes()
+        assert clamped.tobytes() == clamped_ref.tobytes()
+
+    @staticmethod
+    def stacked_calls(monkeypatch, *args):
+        """The solve of `args`, with the shapes of x in every residual call that evaluates a stack of bracket ends."""
+        import trdlab.stepper as stepper_module
+
+        shapes, real = [], stepper_module._residual
+        monkeypatch.setattr(stepper_module, "_residual", lambda x, *a: shapes.append(x.shape) or real(x, *a))
+        result = _solve_reaction_newton(*args)
+        return result, [shape for shape in shapes if shape != args[0].shape]
+
+    def test_a_block_with_no_candidate_evaluates_no_end(self, monkeypatch):
+        # a grid-2d-like block: unit exponents, no vacuum, a short trapezoidal step
+        grid = Grid((1.0, 1.0), (32, 32))
+        x, y = grid.centers()
+        a1, a2 = 1.0 + 0.2 * np.cos(math.pi * x), 1.0 + 0.1 * np.cos(2 * math.pi * y)
+        x0 = (0.5 + 0.3 * np.cos(math.pi * x) * np.cos(2 * math.pi * y)).ravel()
+        sigma = np.stack([a1.ravel(), a2.ravel()]) + x0
+        for n in (10.0, math.inf):
+            (x_new, clamped), stacked = self.stacked_calls(monkeypatch, x0, sigma, np.ones(2), 3, 3.0, n, 0.01, 0.5)
+            assert stacked == [] and not clamped.any()
+            x_ref, _ = oracles._solve_reaction_newton(x0, sigma, np.ones(2), 3, 3.0, n, 0.01, 0.5)
+            assert x_new.tobytes() == x_ref.tobytes()
+
+    def test_only_the_open_cells_evaluate_their_ends(self, monkeypatch):
+        # the middle cell's trapezoidal overshoot clamps it at min sigma; the outer ones, at equilibrium (g0 = 0),
+        # are cleared
+        x0, sigma = np.array([1.0, 0.0, 1.0]), np.array([[2.0, 1e-4, 3.0], [2.0, 2.0, 1.5]])
+        (x, clamped), stacked = self.stacked_calls(monkeypatch, x0, sigma, np.ones(2), 3, 3.0, math.inf, 5.0, 0.5)
+        assert stacked == [(2, 1)] and clamped.tolist() == [False, True, False] and x[1] == 1e-4
+
+    def test_a_spectator_evaluates_every_end(self, monkeypatch):
+        x0, sigma = np.array([0.5, 0.0, 1.0]), np.array([[1.5, 1e-4, 2.0], [1.5, 2.0, 2.0]])
+        _, stacked = self.stacked_calls(monkeypatch, x0, sigma, np.array([0.0, 1.0]), 3, 2.0, math.inf, 0.1, 1.0)
+        assert stacked == [(2, 3)]
+
+
 class TestBlockedReactionSubstep:
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_blocks_equal_one_whole_array_solve(self, monkeypatch, theta):
