@@ -28,8 +28,10 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
 
-# each numeric flag must lie above its floor and be finite (NaN fails too)
+# each numeric flag must lie above its floor and be finite (NaN fails too), and at most its ceiling: the
+# envelope divides by p! as a float, which 171! overflows, and a mode costs a few 512-entry table rows (README)
 FLAG_FLOORS = {"--p-max": 0, "--levels": 2, "--modes": 0, "--d": 0.0, "--length": 0.0}
+FLAG_CEILINGS = {"--p-max": 170, "--modes": 10_000}
 
 
 def _add_common(sub):
@@ -169,7 +171,7 @@ def _cmd_kernel_check(args) -> int:
         writer.writerow(["smoothing_max_rel_change", repr(probe["max_rel_change"])])
     ok = (
         mass["max_defect"] <= 1e-8
-        and semigroup["max_defect"] <= 1e-6
+        and args.length * semigroup["max_defect"] <= 1e-6  # the kernel scales as 1/L: a defect relative to it
         and fit["passed"]
         and probe["passed"]
     )
@@ -226,8 +228,9 @@ def main(argv=None) -> int:
     try:
         for flag, floor in FLAG_FLOORS.items():
             value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and not floor < value < math.inf:
-                raise ConfigError(flag, f"must be finite and above {floor}, got {value}")
+            ceiling = FLAG_CEILINGS.get(flag, math.inf)
+            if value is not None and not (floor < value < math.inf and value <= ceiling):
+                raise ConfigError(flag, f"must be finite and in ({floor}, {ceiling}], got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -125,12 +125,13 @@ class DiagnosticsRecord:
     m2_flag: bool
     e0: float
 
-    def csv_row(self) -> list[float]:
-        return [float(read(self)) for _, read in _csv_columns(len(self.l1), self.lp)]
+    def csv_row(self, columns=None) -> list[float]:
+        """The cells, read by `columns`, a table of `csv_columns` (this record's own without it)."""
+        return [float(read(self)) for _, read in columns or csv_columns(len(self.l1), self.lp)]
 
     @staticmethod
     def csv_header(m: int, p_values) -> list[str]:
-        return [name for name, _ in _csv_columns(m, p_values)]
+        return [name for name, _ in csv_columns(m, p_values)]
 
 
 def _item(attr: str, *keys):
@@ -138,7 +139,7 @@ def _item(attr: str, *keys):
     return lambda record: reduce(getitem, keys, getattr(record, attr))
 
 
-def _csv_columns(m: int, p_values) -> list[tuple[str, object]]:
+def csv_columns(m: int, p_values) -> list[tuple[str, object]]:
     """The diagnostics CSV's columns in order, as (name, reader of a
     DiagnosticsRecord) pairs, over the sorted distinct p: a p labelled 1 or
     2 adds only its stl<p>_i column, as l1_i and l2_i are always there."""

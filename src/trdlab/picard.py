@@ -29,9 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from mpmath import libmp
 
 from .errors import InvariantBreach
 
@@ -201,6 +199,7 @@ def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     """picard_iterate's map to `dps` digits in the module docstring's fixed
     point (same mesh and trapezoidal rule), one FixedIterate per iterate, for
     the envelope certification.  One exp per node, of W's increment."""
+    from mpmath import libmp  # here and in _exact, the certificate's only uses: no other command loads mpmath
     if bad := [name for name, v in (("p_max", p_max), ("dps", dps)) if type(v) is not int or v < 1]:
         raise ValueError(f"{' and '.join(bad)} must be positive ints; got p_max={p_max!r}, dps={dps!r}")
     root = min([1.0] + [e for e in (inputs.alpha_j - 1.0, *inputs.offset_alphas) if e > 0])  # see the module docstring
@@ -244,6 +243,8 @@ def constants_for(inputs: PointwiseInputs, c_tilde: float) -> PicardBoundConstan
 
 def _exact(traj) -> tuple[np.ndarray, int] | None:
     """traj as (ints, e), node i exactly ints[i] 2^e; None if an entry is not finite."""
+    import mpmath as mp
+    from mpmath import libmp
     if isinstance(traj, FixedIterate):
         return np.array(traj.mantissas, dtype=object), -traj.P
     raws = [x._mpf_ if type(x) is mp.mpf else libmp.from_float(float(x)) for x in traj]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, build_initial
-from .diagnostics import DiagnosticsRecord, entropy_balance_check
+from .diagnostics import DiagnosticsRecord, csv_columns, entropy_balance_check
 from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
 
 __all__ = [
@@ -36,11 +36,12 @@ def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
 
 
 def _write_csv(path: Path, records: list[DiagnosticsRecord], m: int, p_values):
+    columns = csv_columns(m, p_values)  # one table per file
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DiagnosticsRecord.csv_header(m, p_values))
+        writer.writerow([name for name, _ in columns])
         for rec in records:
-            writer.writerow([repr(v) for v in rec.csv_row()])
+            writer.writerow([repr(v) for v in rec.csv_row(columns)])
 
 
 def _per_run_summary(result) -> dict:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -95,31 +94,60 @@ class RunResult:
         return float(np.abs(fs.values[-1] - prod).max())
 
 
+class _ReactionWork:
+    """Every array the reaction solve writes, for x of one shape and k
+    reactants: the Newton loop's, the rate evaluation's, and in `kinetics`
+    what reactant_product and phi fill.  A run keeps one per block size in
+    its reaction `work`, so a solve binds its arrays once, not at every
+    evaluation."""
+
+    def __init__(self, shape: tuple[int, ...], k: int):
+        self.key = shape, k
+        for names, rows, dtype in (("lo hi mid dg t stop x g0 total net S g r dx lagged", (), float),
+                                   ("done flag other clamped", (), bool), ("reactants inv", (k,), float),
+                                   ("positive", (k,), bool)):
+            self.__dict__.update((name, np.empty(rows + shape, dtype)) for name in names.split())
+        self.kinetics = {}
+
+
+def _workspace(work: dict | None, key, shape: tuple[int, ...], k: int) -> _ReactionWork:
+    """The workspace `key` of `work`, made anew when x's shape or k changes (or when `work` is None)."""
+    ws = None if work is None else work.get(key)
+    if ws is None or ws.key != (shape, k):
+        ws = _ReactionWork(shape, k)
+        if work is not None:
+            work[key] = ws
+    return ws
+
+
 def _rate_at(x, sigma, alpha, m, Q, n, total=None, work=None):
     """The regularized rate along the reaction orbit a_j = sigma_j - x,
     a_m = x, whose species sum is S = sum sigma - (m-2) x (`total` is sum
     sigma, if known); then, for the Newton slope, prod, phi, S, prod - x
-    and the reactants max(sigma - x, 0), all arrays of `work`.  For the
-    scalar n = inf, phi is exactly 1 and the rate prod - x: phi, S are None."""
-    reactants = work_array(work, "reactants", sigma.shape[:1] + x.shape)
-    prod = reactant_product(alpha, np.maximum(np.subtract(sigma, x, out=reactants), 0.0, out=reactants), work)
-    net = np.subtract(prod, x, out=work_array(work, "net", prod.shape))
-    if np.ndim(n) == 0 and n == math.inf:
+    and the reactants max(sigma - x, 0), all arrays of the workspace `work`
+    (a fresh one for None).  For the scalar n = inf, phi is exactly 1 and
+    the rate prod - x: phi, S are None."""
+    ws = _ReactionWork(x.shape, len(sigma)) if work is None else work
+    reactants = np.maximum(np.subtract(sigma, x, out=ws.reactants), 0.0, out=ws.reactants)
+    prod = reactant_product(alpha, reactants, ws.kinetics)
+    net = np.subtract(prod, x, out=ws.net)
+    if getattr(n, "ndim", 0) == 0 and n == math.inf:
         return net, prod, None, None, net, reactants
-    S = work_array(work, "S", net.shape)
-    np.subtract(sigma.sum(axis=0) if total is None else total, np.multiply(x, m - 2, out=S), out=S)
-    phi_x = phi(Q, n, S, work)
-    return np.divide(net, phi_x, out=work_array(work, "g", net.shape)), prod, phi_x, S, net, reactants
+    S = np.multiply(x, m - 2, out=ws.S)
+    np.subtract(np.add.reduce(sigma, axis=0) if total is None else total, S, out=S)
+    phi_x = phi(Q, n, S, ws.kinetics)
+    return np.divide(net, phi_x, out=ws.g), prod, phi_x, S, net, reactants
 
 
 def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None, work=None, rates=None):
     """Theta-scheme residual: x - x0 - dt ((1-theta) g(x0) + theta g(x)),
     then the rest of `_rate_at`'s tuple, `rates` if it was evaluated;
     theta = 1 is backward Euler, theta = 1/2 the trapezoidal rule."""
-    g, *rest = _rate_at(x, sigma, alpha, m, Q, n, total, work) if rates is None else rates
-    r = np.multiply(g, theta, out=work_array(work, "r", g.shape))
-    r += (1.0 - theta) * g0 if np.ndim(g0) == 0 else np.multiply(g0, 1.0 - theta, out=work_array(work, "lagged", g0.shape))
-    return (np.subtract(np.subtract(x, x0, out=work_array(work, "dx", r.shape)), np.multiply(r, dt, out=r), out=r), *rest)
+    ws = _ReactionWork(x.shape, len(sigma)) if work is None else work
+    rates = _rate_at(x, sigma, alpha, m, Q, n, total, ws) if rates is None else rates
+    r = np.multiply(rates[0], theta, out=ws.r)
+    r += (1.0 - theta) * g0 if getattr(g0, "ndim", 0) == 0 else np.multiply(g0, 1.0 - theta, out=ws.lagged)
+    return (np.subtract(np.subtract(x, x0, out=ws.dx), np.multiply(r, dt, out=r), out=r),) + rates[1:]
 
 
 # the reaction solve's iteration cap, and its stop rule |r| <= _NEWTON_TOL (1 + |x0| + dt)
@@ -136,34 +164,35 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     none under backward Euler); this, and skipping phi where every n is
     inf, changes no bit for x0 >= 0 and sigma_j >= x0 (see the README).  A
     done cell is frozen, so each cell's result is independent of the
-    others.  The temporaries, and the x and mask returned, are arrays of
-    `work`, overwritten by its next call."""
-    work = {} if work is None else work
-    buf = partial(work_array, work, shape=x0.shape)
+    others.  Every array it writes, the x and mask returned included, is
+    one of the workspace that the dict `work` keeps for x0's size, made on
+    first use (fresh for None) and overwritten by its next solve of that
+    size; the ends have a workspace of their own in `work`."""
+    ws = _workspace(work, x0.size, x0.shape, len(sigma))
+    lo, hi, mid, dg, t, stop, x, total = ws.lo, ws.hi, ws.mid, ws.dg, ws.t, ws.stop, ws.x, ws.total
+    done, flag, other, clamped, inv, positive = ws.done, ws.flag, ws.other, ws.clamped, ws.inv, ws.positive
     n = n if np.count_nonzero(np.not_equal(n, math.inf)) else math.inf
-    smin = hi = sigma.min(axis=0, out=buf("hi"))  # smin is needed only before the loop narrows hi
-    total = sigma.sum(axis=0, out=buf("total"))
-    lo, mid, dg, t, stop = (buf(name) for name in ("lo", "mid", "dg", "t", "stop"))
-    done, flag, other, clamped = (buf(name, dtype=bool) for name in ("done", "flag", "other", "clamped"))
-    inv, vanished = work_array(work, "inv", sigma.shape), work_array(work, "vanished", sigma.shape, bool)
+    smin = np.minimum.reduce(sigma, axis=0, out=hi)  # smin is needed only before the loop narrows hi
+    np.add.reduce(sigma, axis=0, out=total)
     lo.fill(0.0)
-    x = np.clip(x0, lo, smin, out=buf("x"))
-    rates = _rate_at(x, sigma, alpha, m, Q, n, total, work)
-    g0 = np.positive(rates[0], out=buf("g0")) if theta < 1.0 else 0.0  # g(x0), as x = x0, kept from the loop
-    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, work)
+    np.clip(x0, lo, smin, out=x)
+    rates = _rate_at(x, sigma, alpha, m, Q, n, total, ws)
+    g0 = np.positive(rates[0], out=ws.g0) if theta < 1.0 else 0.0  # g(x0), as x = x0, kept from the loop
+    args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, ws)
     r, prod, phi_x, S, net, reactants = _residual(x, *args, rates)
     clamped.fill(False)
-    if theta < 1.0 or alpha.min() == 0.0:
+    spectator = alpha.min() == 0.0
+    if theta < 1.0 or spectator:
         # with every exponent > 0, monotone rounding bounds r(min sigma) >= (min sigma - x0) - lag and r(0) <= (0 - x0) - lag,
         # lag = (1 - theta) g0 dt rounded as in `_residual` (README); the ends run where a bound fails or is NaN (spectators)
-        lag = np.multiply(np.multiply(g0, 1.0 - theta, out=t), dt if alpha.min() > 0.0 else math.nan, out=t)
+        lag = np.multiply(np.multiply(g0, 1.0 - theta, out=t), math.nan if spectator else dt, out=t)
         cand = np.greater_equal(np.subtract(np.subtract(smin, x0, out=dg), lag, out=dg), 0.0, out=other)
         cand &= np.less_equal(np.subtract(np.subtract(0.0, x0, out=dg), lag, out=dg), 0.0, out=flag)
         if np.logical_not(cand, out=cand).any():
             n_c, g0_c = (a if np.ndim(a) == 0 else np.broadcast_to(a, x0.shape)[cand] for a in (n, g0))
             ends = np.stack([smin[cand], np.zeros(np.count_nonzero(cand))])
             r_end = _residual(ends, x0[cand], sigma[:, cand][:, None], alpha, m, Q, n_c, dt, theta, g0_c, total[cand],
-                              work.setdefault("ends", {}))[0]
+                              _workspace(work, "ends", ends.shape, len(sigma)))[0]
             clamped[cand] = (r_end[0] < 0.0) | (r_end[1] > 0.0)
             x[cand] = np.where(r_end[1] > 0.0, 0.0, np.where(r_end[0] < 0.0, ends[0], x[cand]))
     np.copyto(done, clamped)  # a clamped cell is done at its bracket end
@@ -172,7 +201,7 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     stop += dt
     stop *= _NEWTON_TOL
     dphi_coeff = -(m - 2) * (Q + 2.0)
-    scaled = [(j, a) for j, a in enumerate(alpha) if a != 1.0]
+    scaled = [(j, a) for j, a in enumerate(alpha.tolist()) if a != 1.0]
     # vanished factors and overshooting Newton steps give infinities the
     # guards below reject; they are expected, so not warned about
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -191,12 +220,11 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
             done |= np.equal(mid, hi, out=flag)
             # analytic derivative of the residual; vanished factors get a huge
             # finite slope so the Newton guard falls back to bisection there
-            np.divide(1.0, reactants, out=inv)
-            np.putmask(inv, np.logical_not(np.greater(reactants, 0.0, out=vanished), out=vanished), 1e300)
+            inv.fill(1e300)
+            np.divide(1.0, reactants, out=inv, where=np.greater(reactants, 0.0, out=positive))
             for j, a in scaled:
                 inv[j] *= a
-            np.multiply(np.negative(prod, out=dg), inv.sum(axis=0, out=t), out=dg)
-            dg -= 1.0
+            np.subtract(-1.0, np.multiply(prod, np.add.reduce(inv, axis=0, out=t), out=dg), out=dg)  # = -prod sum - 1
             if phi_x is not None:  # dg = ((dprod - 1) phi - net dphi) / phi^2
                 np.copyto(t, S)
                 t **= Q + 1.0  # in place, numpy takes the power that S ** (Q + 1) takes
@@ -222,19 +250,18 @@ _REACTION_BLOCK = 4096
 
 def _reaction_substep(fields: FieldSet, n, dt: float, theta: float = 1.0, work: dict | None = None):
     """The reaction solve at level n (a scalar, or an array that broadcasts over the cells of every n-level) over
-    the flattened cells, in blocks of _REACTION_BLOCK, with each block size's temporaries in a dict of `work`
-    (fresh ones without it)."""
+    the flattened cells, in blocks of _REACTION_BLOCK, with each block size's workspace in `work` (fresh ones
+    without it)."""
     system = fields.system
     vals = fields.values.reshape(system.m, -1)
-    n = np.broadcast_to(n, fields.values.shape[1:]).reshape(-1)  # a view if n is per cell, as in `run`
+    shape = fields.values.shape[1:]  # `run` passes n per cell, so its flat view is a reshape
+    n = n.reshape(-1) if getattr(n, "shape", None) == shape else np.broadcast_to(n, shape).reshape(-1)
+    alpha, m, Q = system.reactant_alpha, system.m, system.Q
     new = np.empty_like(vals)
     sigma = np.add(vals[:-1], vals[-1], out=new[:-1])  # a block's sigma_j - x overwrites it once solved
     for start in range(0, vals.shape[1], _REACTION_BLOCK):
         cells = slice(start, start + _REACTION_BLOCK)
-        x0 = vals[-1, cells]
-        block = None if work is None else work.setdefault(x0.size, {})
-        x, _ = _solve_reaction_newton(x0, sigma[:, cells], system.reactant_alpha, system.m, system.Q, n[cells], dt,
-                                      theta, block)
+        x, _ = _solve_reaction_newton(vals[-1, cells], sigma[:, cells], alpha, m, Q, n[cells], dt, theta, work)
         np.subtract(sigma[:, cells], x, out=sigma[:, cells])
         new[-1, cells] = x
     return FieldSet(system, fields.grid, new.reshape(fields.values.shape))

@@ -10,6 +10,7 @@ import pytest
 
 from trdlab.cli import (
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_OK,
     build_parser,
     main,
@@ -275,7 +276,11 @@ class TestAnalysisCommands:
         [
             ["picard-demo", "--p-max", "-3"],
             ["picard-demo", "--p-max", "0"],
+            ["picard-demo", "--p-max", "171"],
+            ["picard-demo", "--p-max", "100000"],
             ["kernel-check", "--modes", "0"],
+            ["kernel-check", "--modes", "10001"],
+            ["kernel-check", "--modes", "1000000000"],
             ["kernel-check", "--d", "-1"],
             ["kernel-check", "--d", "nan"],
             ["kernel-check", "--length", "0"],
@@ -293,6 +298,18 @@ class TestAnalysisCommands:
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
         assert f"{argv[-2]}:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_p_max_at_its_ceiling_runs(self, tmp_path):
+        # the envelope's p! is a float up to 170!
+        assert main(["picard-demo", "--p-max", "170", "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_semigroup_verdict_is_relative_to_the_kernels_size(self, tmp_path, monkeypatch):
+        # at L = 1e154 the kernel is about 1e-154, so an absolute defect of 1e-157 is a 1e-3 relative one
+        import trdlab.kernel as kernel_mod
+
+        real = kernel_mod.heat_kernel_eval
+        monkeypatch.setattr(kernel_mod, "heat_kernel_eval", lambda *a: real(*a) * (1.0 + 1e-3))
+        assert main(["kernel-check", "--length", "1e154", "--out", str(tmp_path)]) == EXIT_INVARIANT
 
     def test_internal_errors_exit_3(self, tmp_path, monkeypatch):
         import trdlab.cli as cli_mod

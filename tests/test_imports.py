@@ -1,5 +1,5 @@
-"""Importing the CLI loads only the scipy subpackages a run needs, and
-every public name of the package has a caller in it."""
+"""Importing the CLI loads only the scipy subpackages a run needs, and no
+mpmath; every public name of the package has a caller in it."""
 
 import ast
 import os
@@ -10,8 +10,9 @@ from pathlib import Path
 import trdlab
 
 # only the Picard ODE oracle (scipy.integrate, which pulls in scipy.sparse,
-# scipy.optimize and scipy.linalg) and the tests' reference operators use these
-HEAVY = ("scipy.integrate", "scipy.sparse")
+# scipy.optimize and scipy.linalg), the tests' reference operators and the
+# 80-digit Picard certificate (mpmath) use these
+HEAVY = ("scipy.integrate", "scipy.sparse", "mpmath")
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():

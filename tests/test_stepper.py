@@ -12,11 +12,13 @@ from scipy.integrate import solve_ivp
 
 import oracles
 from oracles import constant_state, integrate, laplacian_matrix, reaction_cell_solve
+from trdlab.config import build_initial
 from trdlab.diagnostics import DiagnosticsTracker, entropy
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
 from trdlab.grid import Grid
 from trdlab.model import TriangularSystem
+from trdlab.presets import preset_config
 from trdlab.stepper import (
     ModalDiffusion,
     SimulationState,
@@ -233,6 +235,25 @@ class TestReactionSolveOracle:
             x, clamped = _solve_reaction_newton(*args, work)
             assert x.tobytes() == x_ref.tobytes()
             assert clamped.tobytes() == clamped_ref.tobytes()
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_one_workspace_serves_blocks_of_finite_mixed_and_infinite_n(self, theta):
+        # as a run's blocks of one size take them, with the m4 preset's exponents 1.5 and 2.0: the arrays are
+        # bound once, and each block's n and inputs overwrite what the one before left in them
+        alpha, cells, work, workspace = np.array([1.5, 2.0, 1.0]), 2 * ORACLE_CELLS, {}, None
+        rng = np.random.default_rng(22)
+        levels = (np.full(cells, 10.0), np.repeat([1.0, math.inf], ORACLE_CELLS), np.full(cells, math.inf))
+        for dt in (0.05, 5.0):
+            for n in levels:
+                vals = rng.uniform(0.0, 3.0, size=(4, cells))
+                vals[:, 0], vals[rng.integers(3), 1] = 0.0, 0.0  # vacuum, wholly and in one species
+                args = (vals[-1], vals[:-1] + vals[-1], alpha, 4, 1.0 + alpha.sum(), n, dt, theta)
+                x_ref, clamped_ref = oracles._solve_reaction_newton(*args)
+                x, clamped = _solve_reaction_newton(*args, work)
+                assert x.tobytes() == x_ref.tobytes()
+                assert clamped.tobytes() == clamped_ref.tobytes()
+                workspace = workspace or work[cells]
+                assert work[cells] is workspace and x is workspace.x
 
     def test_a_run_steps_as_the_unshortcut_solve_does(self, monkeypatch):
         # every shortcut at work in a run: Lie and Strang, finite and infinite n
@@ -779,12 +800,18 @@ class TestSteadyWorkArrays:
             diffusion_substep(fs, modal)
         assert traced_peak(lambda: diffusion_substep(fs, modal)) <= 1.5 * fs.values.nbytes
 
-    @pytest.mark.parametrize("case", ["strang-128x128", "lie-5x128"])
+    @pytest.mark.parametrize("case", ["strang-128x128", "lie-5x128", "m4-preset-5x128"])
     def test_reaction_substep_allocates_little_beyond_its_result(self, case):
         # n per cell, as `run` passes it; a warmed substep reuses the blocks'
         # temporaries in its work dict, so it allocates about the state it returns
         if case == "strang-128x128":
             fs, levels, theta, limit = frozen_state(2), [10.0, math.inf], 0.5, 2.0
+        elif case == "m4-preset-5x128":
+            # the preset's batch: the state it returns, numpy's buffer for the reactants' broadcast subtraction
+            # and a few small arrays; one more workspace array (5,120 bytes) would cross the limit
+            config = preset_config("m4-a1-noninteger")
+            initial, levels, theta, limit = build_initial(config), config.n_values, 1.0, 2.0
+            fs = FieldSet(initial.system, initial.grid, np.repeat(initial.values[:, None], len(levels), axis=1))
         else:
             system = TriangularSystem(m=3, alpha=(0.5, 2.0, 1.0), d=(1.0, 1.0, 0.0))
             vals = np.random.default_rng(4).uniform(0.0, 2.0, size=(3, 5, 128))
