@@ -33,10 +33,10 @@ def reactant_product(alpha: np.ndarray, reactants: np.ndarray, work: dict | None
     The product and the exponent arrays are arrays of `work`."""
     shape = (1,) + reactants.shape[1:]  # a slice: one cell's factor is an array too
     prod = work_array(work, "prod", shape)
-    prod.fill(1.0)
     for j, a in enumerate(alpha):
         r = reactants[j : j + 1]
-        prod *= r if a == 1.0 else np.power(r, _exponent(work, a, shape), out=work_array(work, "factor", shape))
+        factor = r if a == 1.0 else np.power(r, _exponent(work, a, shape), out=work_array(work, "factor", shape))
+        np.multiply(prod, factor, out=prod) if j else np.copyto(prod, factor)  # the first is 1 * factor, exactly
     return prod[0]
 
 
@@ -53,9 +53,7 @@ def _exponent(work: dict | None, a: float, shape: tuple[int, ...]) -> np.ndarray
 def phi(Q: float, n, total, work: dict | None = None):
     """The regularizer 1 + total^{Q+2}/n at the species sum `total`;
     exactly 1 for n = +inf, where total^{Q+2}/n is 0.  An array of `work`."""
-    out = work_array(work, "phi", np.shape(total))
-    np.copyto(out, total)
-    out **= Q + 2.0  # in place, numpy takes the power that total ** (Q + 2) takes
+    out = np.power(total, Q + 2.0, out=work_array(work, "phi", np.shape(total)))  # Q + 2 >= 3: as total ** (Q + 2)
     out /= n
     out += 1.0
     return out

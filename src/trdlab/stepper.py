@@ -110,23 +110,19 @@ class _ReactionWork:
         self.kinetics = {}
 
 
-def _workspace(work: dict | None, key, shape: tuple[int, ...], k: int) -> _ReactionWork:
-    """The workspace `key` of `work`, made anew when x's shape or k changes (or when `work` is None)."""
-    ws = None if work is None else work.get(key)
-    if ws is None or ws.key != (shape, k):
-        ws = _ReactionWork(shape, k)
-        if work is not None:
-            work[key] = ws
-    return ws
+def _workspace(work: dict, key, shape: tuple[int, ...], k: int) -> _ReactionWork:
+    """work[key], made anew unless it is the workspace for x of `shape` with k reactants."""
+    if getattr(work.get(key), "key", None) != (shape, k):
+        work[key] = _ReactionWork(shape, k)
+    return work[key]
 
 
 def _rate_at(x, sigma, alpha, m, Q, n, total=None, work=None):
     """The regularized rate along the reaction orbit a_j = sigma_j - x,
     a_m = x, whose species sum is S = sum sigma - (m-2) x (`total` is sum
     sigma, if known); then, for the Newton slope, prod, phi, S, prod - x
-    and the reactants max(sigma - x, 0), all arrays of the workspace `work`
-    (a fresh one for None).  For the scalar n = inf, phi is exactly 1 and
-    the rate prod - x: phi, S are None."""
+    and the reactants max(sigma - x, 0), arrays of the workspace `work` (a
+    fresh one for None).  For the scalar n = inf, phi is 1: phi, S are None."""
     ws = _ReactionWork(x.shape, len(sigma)) if work is None else work
     reactants = np.maximum(np.subtract(sigma, x, out=ws.reactants), 0.0, out=ws.reactants)
     prod = reactant_product(alpha, reactants, ws.kinetics)
@@ -145,8 +141,8 @@ def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None, w
     theta = 1 is backward Euler, theta = 1/2 the trapezoidal rule."""
     ws = _ReactionWork(x.shape, len(sigma)) if work is None else work
     rates = _rate_at(x, sigma, alpha, m, Q, n, total, ws) if rates is None else rates
-    r = np.multiply(rates[0], theta, out=ws.r)
-    r += (1.0 - theta) * g0 if getattr(g0, "ndim", 0) == 0 else np.multiply(g0, 1.0 - theta, out=ws.lagged)
+    lag = (1.0 - theta) * g0 if getattr(g0, "ndim", 0) == 0 else np.multiply(g0, 1.0 - theta, out=ws.lagged)
+    r = np.add(rates[0] if theta == 1.0 else np.multiply(rates[0], theta, out=ws.r), lag, out=ws.r)  # g 1 is g
     return (np.subtract(np.subtract(x, x0, out=ws.dx), np.multiply(r, dt, out=r), out=r),) + rates[1:]
 
 
@@ -164,10 +160,10 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     none under backward Euler); this, and skipping phi where every n is
     inf, changes no bit for x0 >= 0 and sigma_j >= x0 (see the README).  A
     done cell is frozen, so each cell's result is independent of the
-    others.  Every array it writes, the x and mask returned included, is
-    one of the workspace that the dict `work` keeps for x0's size, made on
-    first use (fresh for None) and overwritten by its next solve of that
-    size; the ends have a workspace of their own in `work`."""
+    others.  It writes only arrays of the workspace that the dict `work`
+    keeps for x0's size (made on first use, fresh for None), the x and
+    mask returned included; the ends have a workspace of their own."""
+    work = {} if work is None else work
     ws = _workspace(work, x0.size, x0.shape, len(sigma))
     lo, hi, mid, dg, t, stop, x, total = ws.lo, ws.hi, ws.mid, ws.dg, ws.t, ws.stop, ws.x, ws.total
     done, flag, other, clamped, inv, positive = ws.done, ws.flag, ws.other, ws.clamped, ws.inv, ws.positive
@@ -175,17 +171,17 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
     smin = np.minimum.reduce(sigma, axis=0, out=hi)  # smin is needed only before the loop narrows hi
     np.add.reduce(sigma, axis=0, out=total)
     lo.fill(0.0)
-    np.clip(x0, lo, smin, out=x)
+    x0.clip(lo, smin, out=x)  # np.clip, as the oracle takes it: np.maximum treats -0.0 otherwise
     rates = _rate_at(x, sigma, alpha, m, Q, n, total, ws)
     g0 = np.positive(rates[0], out=ws.g0) if theta < 1.0 else 0.0  # g(x0), as x = x0, kept from the loop
     args = (x0, sigma, alpha, m, Q, n, dt, theta, g0, total, ws)
     r, prod, phi_x, S, net, reactants = _residual(x, *args, rates)
     clamped.fill(False)
-    spectator = alpha.min() == 0.0
-    if theta < 1.0 or spectator:
+    exponents = alpha.tolist()
+    if theta < 1.0 or 0.0 in exponents:
         # with every exponent > 0, monotone rounding bounds r(min sigma) >= (min sigma - x0) - lag and r(0) <= (0 - x0) - lag,
         # lag = (1 - theta) g0 dt rounded as in `_residual` (README); the ends run where a bound fails or is NaN (spectators)
-        lag = np.multiply(np.multiply(g0, 1.0 - theta, out=t), math.nan if spectator else dt, out=t)
+        lag = np.multiply(np.multiply(g0, 1.0 - theta, out=t), math.nan if 0.0 in exponents else dt, out=t)
         cand = np.greater_equal(np.subtract(np.subtract(smin, x0, out=dg), lag, out=dg), 0.0, out=other)
         cand &= np.less_equal(np.subtract(np.subtract(0.0, x0, out=dg), lag, out=dg), 0.0, out=flag)
         if np.logical_not(cand, out=cand).any():
@@ -196,12 +192,9 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
             clamped[cand] = (r_end[0] < 0.0) | (r_end[1] > 0.0)
             x[cand] = np.where(r_end[1] > 0.0, 0.0, np.where(r_end[0] < 0.0, ends[0], x[cand]))
     np.copyto(done, clamped)  # a clamped cell is done at its bracket end
-    np.abs(x0, out=stop)
-    stop += 1.0
-    stop += dt
-    stop *= _NEWTON_TOL
+    np.multiply(np.add(np.add(np.abs(x0, out=stop), 1.0, out=stop), dt, out=stop), _NEWTON_TOL, out=stop)
     dphi_coeff = -(m - 2) * (Q + 2.0)
-    scaled = [(j, a) for j, a in enumerate(alpha.tolist()) if a != 1.0]
+    scaled = [(j, a) for j, a in enumerate(exponents) if a != 1.0]
     # vanished factors and overshooting Newton steps give infinities the
     # guards below reject; they are expected, so not warned about
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
