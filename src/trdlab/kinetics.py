@@ -36,7 +36,7 @@ def reactant_product(alpha: np.ndarray, reactants: np.ndarray, work: dict | None
     for j, a in enumerate(alpha):
         r = reactants[j : j + 1]
         factor = r if a == 1.0 else np.power(r, _exponent(work, a, shape), out=work_array(work, "factor", shape))
-        np.multiply(prod, factor, out=prod) if j else np.copyto(prod, factor)  # the first is 1 * factor, exactly
+        np.multiply(prod if j else 1.0, factor, out=prod)  # the product starts at 1
     return prod[0]
 
 
