@@ -142,7 +142,7 @@ def _residual(x, x0, sigma, alpha, m, Q, n, dt, theta=1.0, g0=0.0, total=None, w
     ws = _ReactionWork(x.shape, len(sigma)) if work is None else work
     rates = _rate_at(x, sigma, alpha, m, Q, n, total, ws) if rates is None else rates
     lag = (1.0 - theta) * g0 if getattr(g0, "ndim", 0) == 0 else np.multiply(g0, 1.0 - theta, out=ws.lagged)
-    r = np.add(rates[0] if theta == 1.0 else np.multiply(rates[0], theta, out=ws.r), lag, out=ws.r)  # g 1 is g
+    r = np.add(rates[0] if theta == 1.0 else np.multiply(rates[0], theta, out=ws.r), lag, out=ws.r)  # g * 1 is g
     return (np.subtract(np.subtract(x, x0, out=ws.dx), np.multiply(r, dt, out=r), out=r),) + rates[1:]
 
 
@@ -192,7 +192,10 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
             clamped[cand] = (r_end[0] < 0.0) | (r_end[1] > 0.0)
             x[cand] = np.where(r_end[1] > 0.0, 0.0, np.where(r_end[0] < 0.0, ends[0], x[cand]))
     np.copyto(done, clamped)  # a clamped cell is done at its bracket end
-    np.multiply(np.add(np.add(np.abs(x0, out=stop), 1.0, out=stop), dt, out=stop), _NEWTON_TOL, out=stop)
+    np.abs(x0, out=stop)
+    stop += 1.0
+    stop += dt
+    stop *= _NEWTON_TOL
     dphi_coeff = -(m - 2) * (Q + 2.0)
     scaled = [(j, a) for j, a in enumerate(exponents) if a != 1.0]
     # vanished factors and overshooting Newton steps give infinities the
@@ -217,7 +220,7 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, work=None):
             np.divide(1.0, reactants, out=inv, where=np.greater(reactants, 0.0, out=positive))
             for j, a in scaled:
                 inv[j] *= a
-            np.subtract(-1.0, np.multiply(prod, np.add.reduce(inv, axis=0, out=t), out=dg), out=dg)  # = -prod sum - 1
+            np.subtract(-1.0, np.multiply(prod, np.add.reduce(inv, axis=0, out=t), out=dg), out=dg)  # -prod sum - 1
             if phi_x is not None:  # dg = ((dprod - 1) phi - net dphi) / phi^2
                 np.copyto(t, S)
                 t **= Q + 1.0  # in place, numpy takes the power that S ** (Q + 1) takes
