@@ -8,7 +8,8 @@ A degenerate species a_j at a fixed spatial point obeys
 where delta1 = 1/phi^n, delta3 collects the diffusing reactants and
 delta2(r) = r^(alpha_j - 1) prod_i (offset_i + r)^(alpha_i) collects the
 other degenerate reactants (their values are pinned to a_j by the
-constant pointwise differences offset_i = a_{i,0} - a_{j,0}).
+constant pointwise differences offset_i = a_{i,0} - a_{j,0}).  The map takes
+one node arithmetic: lift, mul, power(x, e), exp_pair(W) = (e^W, s -> e^-W s).
 
 Beyond p ~ 20 the factorial envelope drops below float64 roundoff, so it is
 certified on iterates kept in binary fixed point on Python ints: x stands for
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +49,9 @@ __all__ = [
 ]
 
 _GUARD_BITS = 20  # fixed-point bits below the dps digits, for the roundings that add up along the iterates
+_FLOATS = SimpleNamespace(
+    lift=lambda v: v, mul=operator.mul, power=operator.pow, exp_pair=lambda W: (np.exp(W), lambda s: np.exp(-W) * s)
+)
 
 
 @dataclass(frozen=True)
@@ -93,15 +98,15 @@ class PointwiseInputs:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def delta2(self, r, lift=float, mul=operator.mul, power=operator.pow):
-        """delta2 at r in the arithmetic of lift, mul and power: floats, mp.mpf arrays or fixed point."""
+    def delta2(self, r, ar=_FLOATS):
+        """delta2 at r in the arithmetic `ar`: floats, mp.mpf arrays or fixed point."""
         r = np.asarray(r)
         pos = r > 0
-        base = np.where(pos, r, lift(1.0))
-        out = base if self.alpha_j == 2.0 else power(base, self.alpha_j - 1.0)  # unit powers are exact: skipped
-        out = np.where(pos | (self.alpha_j == 1.0), out, lift(0.0))
+        base = np.where(pos, r, ar.lift(1.0))
+        out = base if self.alpha_j == 2.0 else ar.power(base, self.alpha_j - 1.0)  # unit powers are exact: skipped
+        out = np.where(pos | (self.alpha_j == 1.0), out, ar.lift(0.0))
         for off, a in zip(self.offsets, self.offset_alphas):
-            out = mul(out, lift(off) + r if a == 1.0 else power(lift(off) + r, a))
+            out = ar.mul(out, ar.lift(off) + r if a == 1.0 else ar.power(ar.lift(off) + r, a))
         return out
 
 
@@ -119,27 +124,27 @@ class PicardBoundConstants:
         return safety * 2.0 * self.T * self.C4 * (self.C5 * self.T) ** p / math.factorial(p)
 
 
-def _cumtrapz(f: np.ndarray, half_dt, mul=operator.mul) -> np.ndarray:
+def _cumtrapz(f: np.ndarray, half_dt, ar) -> np.ndarray:
     out = np.empty_like(f)
     out[0] = 0
-    np.cumsum(mul(f[1:] + f[:-1], half_dt), out=out[1:])
+    np.cumsum(ar.mul(f[1:] + f[:-1], half_dt), out=out[1:])
     return out
 
 
-def _map(inputs: PointwiseInputs, a, drivers, exp_pair, lift=float, mul=operator.mul, power=operator.pow):
-    """The integrating-factor map, with drivers = `_drivers(inputs, lift, mul)`
-    and exp_pair(W) = (e^W, s -> e^-W s) in the same arithmetic as lift, mul and power:
-    floats, object arrays of mp.mpf under mp.workdps, or picard_iterate_mp's fixed point."""
+def _map(inputs: PointwiseInputs, a, drivers, ar):
+    """The integrating-factor map, with drivers = `_drivers(inputs, ar)`, in the
+    node arithmetic `ar` (see the module docstring): `_FLOATS`, object arrays of
+    mp.mpf under mp.workdps, or picard_iterate_mp's fixed point."""
     am_d1, d1, d3, a0, half_dt = drivers
-    W = _cumtrapz(mul(mul(d1, inputs.delta2(a, lift, mul, power)), d3), half_dt, mul)
-    grow, decay = exp_pair(W)
+    W = _cumtrapz(ar.mul(ar.mul(d1, inputs.delta2(a, ar)), d3), half_dt, ar)
+    grow, decay = ar.exp_pair(W)
     # array first: mpf + ndarray would make mpmath try to convert the array
-    return decay(_cumtrapz(mul(am_d1, grow), half_dt, mul) + a0)
+    return decay(_cumtrapz(ar.mul(am_d1, grow), half_dt, ar) + a0)
 
 
-def _drivers(inputs: PointwiseInputs, lift=lambda v: v, mul=operator.mul) -> tuple:
-    am, d1, d3, a0, half_dt = map(lift, (inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt / 2))
-    return mul(am, d1), d1, d3, a0, half_dt
+def _drivers(inputs: PointwiseInputs, ar) -> tuple:
+    am, d1, d3, a0, half_dt = map(ar.lift, (inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt / 2))
+    return ar.mul(am, d1), d1, d3, a0, half_dt
 
 
 def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarray:
@@ -148,7 +153,7 @@ def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarr
     a = np.asarray(a_j_trajectory, dtype=float)
     if a.shape != inputs.times.shape:
         raise ValueError("trajectory must share the time mesh")
-    return _map(inputs, a, _drivers(inputs), lambda W: (np.exp(W), lambda s: np.exp(-W) * s))
+    return _map(inputs, a, _drivers(inputs, _FLOATS), _FLOATS)
 
 
 def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = None):
@@ -205,21 +210,21 @@ def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     root = min([1.0] + [e for e in (inputs.alpha_j - 1.0, *inputs.offset_alphas) if e > 0])  # see the module docstring
     P = math.ceil(dps * math.log2(10) / root) + _GUARD_BITS
     lift = np.frompyfunc(lambda v: libmp.to_fixed(libmp.from_float(float(v)), P), 1, 1)
-    mul = lambda x, y: (x * y) >> P
     def power(x, e):  # integer powers in integers, rounded once; the others through mpmath at P bits
         if e == int(e) >= 0:
             return (x ** int(e) << P) >> (int(e) * P)
         e = libmp.from_float(e)
         return np.frompyfunc(lambda v: libmp.to_fixed(libmp.mpf_pow(libmp.from_man_exp(v, -P), e, P), P), 1, 1)(x)
     vexp = np.frompyfunc(lambda e, w: _times_exp(e, w, P), 2, 1)
-    W_prev, E_prev = 0, 1 << P  # the zeroth iterate's W and e^W
+    W_prev, E_prev = 0, 1 << P  # the zeroth iterate's W and e^W: one instance serves one sequence of iterates
     def exp_pair(W):  # e^W as the previous iterate's times e^(W - W_prev); e^-W s as s / e^W
         nonlocal W_prev, E_prev
         W_prev, E_prev = W, vexp(E_prev, W - W_prev)
         return E_prev, lambda s, E=E_prev: (s << P) // E
-    iterates, drivers = [np.full(len(inputs.times), lift(inputs.a_j0), dtype=object)], _drivers(inputs, lift, mul)
+    ar = SimpleNamespace(lift=lift, mul=lambda x, y: (x * y) >> P, power=power, exp_pair=exp_pair)
+    iterates, drivers = [np.full(len(inputs.times), lift(inputs.a_j0), dtype=object)], _drivers(inputs, ar)
     for _ in range(p_max):
-        iterates.append(_map(inputs, iterates[-1], drivers, exp_pair, lift, mul, power))
+        iterates.append(_map(inputs, iterates[-1], drivers, ar))
     return [FixedIterate(tuple(a), P) for a in iterates]
 
 

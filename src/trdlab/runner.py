@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_initial
 from .diagnostics import DiagnosticsRecord, csv_columns, entropy_balance_check
+from .errors import ConfigError
 from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
 
 __all__ = [
@@ -104,7 +105,7 @@ def study_n(config: ExperimentConfig, out_dir) -> dict:
     space-time differences between consecutive n runs and against the
     limit system, plus the final-time gap to the limit run."""
     if len(config.n_values) < 2:
-        raise ValueError("study-n needs at least two n values")
+        raise ConfigError("$.n_values", "study-n needs at least two n values")
     n_values = sorted(config.n_values)
     if not math.isinf(n_values[-1]):
         n_values = n_values + [math.inf]

@@ -5,7 +5,9 @@ itself does not need."""
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache, reduce
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -236,12 +238,18 @@ def picard_iterate_mpf(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     picard_iterate_mp's fixed point.  e^-W is the reciprocal of e^W at `dps`
     digits: one exp per node."""
     with mp.workdps(dps):
-        drivers = _drivers(inputs, np.frompyfunc(mp.mpf, 1, 1))
         vexp = np.frompyfunc(mp.exp, 1, 1)
+        ar = SimpleNamespace(
+            lift=np.frompyfunc(mp.mpf, 1, 1),
+            mul=operator.mul,
+            power=operator.pow,
+            exp_pair=lambda W: (E := vexp(W), lambda s: 1 / E * s),
+        )
+        drivers = _drivers(inputs, ar)
         a = np.full(len(inputs.times), mp.mpf(inputs.a_j0), dtype=object)
         iterates = [list(a)]
         for _ in range(p_max):
-            a = _map(inputs, a, drivers, lambda W: (E := vexp(W), lambda s: 1 / E * s))
+            a = _map(inputs, a, drivers, ar)
             iterates.append(list(a))
         return iterates
 

@@ -209,6 +209,12 @@ class TestStudyCommands:
         assert table["monotone_decreasing"] is True
         assert table["final_gap"] < 1e-3
 
+    @pytest.mark.parametrize("n_values", [[10], ["inf"]])
+    def test_study_n_on_one_level_exits_1_naming_the_n_list(self, tmp_path, capsys, n_values):
+        cfg = write_config(tmp_path, {**FAST_CONFIG, "n_values": n_values})
+        assert main(["study-n", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "$.n_values" in capsys.readouterr().err
+
     def test_study_mesh_writes_orders(self, tmp_path):
         cfg = write_config(tmp_path, {**FAST_CONFIG, "t_final": 0.5})
         out = tmp_path / "out"

@@ -299,16 +299,16 @@ def stiff_inputs(am, alpha_j, a_j0, delta3):
 
 def spy_on_exp_pairs(monkeypatch):
     """The list that collects (W, e^W), the integers of each iterate that
-    picard_iterate_mp makes, where its map takes them."""
+    picard_iterate_mp makes, where its map takes them from its arithmetic's exp_pair."""
     seen, real_map = [], picard._map
 
-    def spying_map(inputs, a, drivers, exp_pair, *arithmetic):
+    def spying_map(inputs, a, drivers, ar):
         def spy(W):
-            pair = exp_pair(W)
+            pair = ar.exp_pair(W)
             seen.append((W, pair[0]))
             return pair
 
-        return real_map(inputs, a, drivers, spy, *arithmetic)
+        return real_map(inputs, a, drivers, SimpleNamespace(**vars(ar) | {"exp_pair": spy}))
 
     monkeypatch.setattr(picard, "_map", spying_map)
     return seen
