@@ -29,9 +29,10 @@ EXIT_INVARIANT = 2
 EXIT_INTERNAL = 3
 
 # each numeric flag must lie above its floor and be finite (NaN fails too), and at most its ceiling: the
-# envelope divides by p! as a float, which 171! overflows, and a mode costs a few 512-entry table rows (README)
+# envelope divides by p! as a float, which 171! overflows, a mode costs a few 512-entry table rows, and
+# each study level doubles the cost of the one before (README)
 FLAG_FLOORS = {"--p-max": 0, "--levels": 2, "--modes": 0, "--d": 0.0, "--length": 0.0}
-FLAG_CEILINGS = {"--p-max": 170, "--modes": 10_000}
+FLAG_CEILINGS = {"--p-max": 170, "--modes": 10_000, "--levels": 6}
 
 
 def _add_common(sub):

@@ -129,10 +129,6 @@ class DiagnosticsRecord:
         """The cells, read by `columns`, a table of `csv_columns` (this record's own without it)."""
         return [float(read(self)) for _, read in columns or csv_columns(len(self.l1), self.lp)]
 
-    @staticmethod
-    def csv_header(m: int, p_values) -> list[str]:
-        return [name for name, _ in csv_columns(m, p_values)]
-
 
 def _item(attr: str, *keys):
     """A reader of record.attr[keys[0]][keys[1]]..."""

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, build_initial
-from .diagnostics import DiagnosticsRecord, csv_columns, entropy_balance_check
+from .diagnostics import csv_columns, entropy_balance_check
 from .errors import ConfigError
-from .stepper import ModalDiffusion, StepperConfig, diffusion_substep, run
+from .grid import Grid
+from .stepper import StepperConfig, run
 
 __all__ = [
     "run_levels",
@@ -36,13 +37,21 @@ def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
     return run(build_initial(config), config.stepper, n_values, config.t_final, observers, config.p_values)
 
 
-def _write_csv(path: Path, records: list[DiagnosticsRecord], m: int, p_values):
-    columns = csv_columns(m, p_values)  # one table per file
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
-        for rec in records:
-            writer.writerow([repr(v) for v in rec.csv_row(columns)])
+def _write_artifacts(out_dir, table: dict, config: ExperimentConfig, levels=()) -> dict:
+    """Write diagnostics_<n>.csv for each (n, RunResult) of `levels`, then
+    `table` as summary.json, into out_dir (made if missing); returns table."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    columns = csv_columns(config.system.m, config.p_values)  # one table per study
+    for n, result in levels:
+        with open(out / f"diagnostics_{n:g}.csv", "w", newline="") as fh:  # "inf" for the limit system
+            writer = csv.writer(fh)
+            writer.writerow([name for name, _ in columns])
+            for rec in result.records:
+                writer.writerow([repr(v) for v in rec.csv_row(columns)])
+    with open(out / "summary.json", "w") as fh:
+        json.dump(table, fh, indent=2)
+    return table
 
 
 def _per_run_summary(result) -> dict:
@@ -74,30 +83,17 @@ def run_scenario(config: ExperimentConfig, out_dir) -> dict:
     """Execute the scenario once per n value; writes diagnostics_<n>.csv
     per run and a summary.json.  Raises InvariantBreach (from the
     stepper) if any hard invariant fails."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    results = zip(config.n_values, run_levels(config, config.n_values))
-
+    results = list(zip(config.n_values, run_levels(config, config.n_values)))
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "label": config.label,
         "system": {"m": config.system.m, "alpha": list(config.system.alpha), "d": list(config.system.d)},
         "grid": {"lengths": list(config.grid.lengths), "cells": list(config.grid.cells)},
         "t_final": config.t_final,
-        "runs": {},
+        "runs": {f"{n:g}": _per_run_summary(result) for n, result in results},
     }
-    all_ok = True
-    for n, result in results:
-        label = f"{n:g}"  # "inf" for the limit system
-        _write_csv(out / f"diagnostics_{label}.csv", result.records, config.system.m, config.p_values)
-        per = _per_run_summary(result)
-        summary["runs"][label] = per
-        all_ok = all_ok and per["entropy_balance"]["ok"]
-    summary["ok"] = all_ok
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return summary
+    summary["ok"] = all(per["entropy_balance"]["ok"] for per in summary["runs"].values())
+    return _write_artifacts(out_dir, summary, config, results)
 
 
 def study_n(config: ExperimentConfig, out_dir) -> dict:
@@ -109,8 +105,6 @@ def study_n(config: ExperimentConfig, out_dir) -> dict:
     n_values = sorted(config.n_values)
     if not math.isinf(n_values[-1]):
         n_values = n_values + [math.inf]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     # running maxima over the records of sup |a(n_i) - a(n_{i+1})| (row 0)
     # and of sup |a(n_i) - a(inf)| (row 1), from the batched state
@@ -126,114 +120,93 @@ def study_n(config: ExperimentConfig, out_dir) -> dict:
         {"n_low": f"{na:g}", "n_high": f"{nb:g}", "sup_diff": float(gap)}
         for na, nb, gap in zip(n_values[:-1], n_values[1:], gaps[0])
     ]
-    gaps_to_limit = {f"{n:g}": float(gap) for n, gap in zip(n_values[:-1], gaps[1])}
     diffs = [c["sup_diff"] for c in consecutive]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(diffs[:-1], diffs[1:]))
-    final_gap = float(np.abs(results[-2].final_state.fields.values - results[-1].final_state.fields.values).max())
     table = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "label": config.label,
         "n_values": [f"{n:g}" for n in n_values],
         "consecutive_sup_diffs": consecutive,
-        "gaps_to_limit": gaps_to_limit,
-        "final_gap": final_gap,
+        "gaps_to_limit": {f"{n:g}": float(gap) for n, gap in zip(n_values[:-1], gaps[1])},
+        "final_gap": _gap(*(r.final_state.fields.values for r in results[-2:])),
         "monotone_decreasing": monotone,
         "ok": monotone,
     }
-    for n, result in zip(n_values, results):
-        _write_csv(out / f"diagnostics_{n:g}.csv", result.records, config.system.m, config.p_values)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(table, fh, indent=2)
-    return table
+    return _write_artifacts(out_dir, table, config, zip(n_values, results))
 
 
 def _restrict(values: np.ndarray) -> np.ndarray:
     """Cell-average restriction of a fine cell-centered array onto the
     coarse mesh of half as many cells per axis (second-order accurate for
-    smooth fields)."""
-    out = values
-    for axis in range(1, values.ndim):  # axis 0 is the species index
-        n = out.shape[axis]
-        new_shape = out.shape[:axis] + (n // 2, 2) + out.shape[axis + 1 :]
-        out = out.reshape(new_shape).mean(axis=axis + 1)
-    return out
+    smooth fields): each coarse cell is the mean of its 2^dim children."""
+    pairs = sum(((n // 2, 2) for n in values.shape[1:]), values.shape[:1])  # axis 0 is the species index
+    return values.reshape(pairs).mean(axis=tuple(range(2, len(pairs), 2)))
 
 
-def _final_fields(config: ExperimentConfig, pure_diffusion: bool) -> np.ndarray:
-    if not pure_diffusion:
-        return run_levels(config, [config.n_values[-1]])[0].final_state.fields.values
-    initial = build_initial(config)
-    n_steps = max(1, round(config.t_final / config.stepper.dt))
-    dt = config.t_final / n_steps
-    modal = ModalDiffusion(initial.system.d, initial.grid, dt)
-    state = initial
-    for _ in range(n_steps):
-        state = diffusion_substep(state, modal)
-    return state.values
+def _gap(coarse: np.ndarray, fine: np.ndarray) -> float:
+    """max |fine - coarse|, with `fine` first restricted onto the coarse
+    mesh where the two shapes differ."""
+    return float(np.abs((fine if fine.shape == coarse.shape else _restrict(fine)) - coarse).max())
 
 
-def _orders(errors, finals) -> list:
-    """log2 of each pair of successive errors, or None (JSON null) where
-    either error is at or below linear_solver_tol (1 + max|u|), the amount
-    by which the diffusion solve itself may miss: that is roundoff, not an
-    order."""
+def _level_configs(path: str, configs) -> list:
+    """The configs of a study's levels, built from the iterable `configs`;
+    a level that its constructor refuses is a ConfigError at `path`."""
+    try:
+        configs = list(configs)
+    except ValueError as exc:
+        raise ConfigError(path, f"a study level is invalid: {exc}") from exc
+    if len(configs) < 3:
+        raise ValueError("need at least 3 levels")
+    return configs
+
+
+def _mesh_levels(config: ExperimentConfig, levels: int) -> list:
+    grids = (Grid(config.grid.lengths, tuple(c * 2**k for c in config.grid.cells)) for k in range(levels))
+    return _level_configs("$.grid", (replace(config, grid=grid) for grid in grids))
+
+
+def _dt_levels(config: ExperimentConfig, splitting: str, levels: int) -> list:
+    steppers = (replace(config.stepper, dt=config.stepper.dt / 2**k, splitting=splitting) for k in range(levels))
+    return _level_configs("$.stepper.dt", (replace(config, stepper=stepper) for stepper in steppers))
+
+
+def _order_study(configs: list) -> dict:
+    """Run each config at its last n and compare the final fields of
+    successive configs: the errors, and as orders the log2 of each pair of
+    successive errors, or None (JSON null) where either error is at or
+    below linear_solver_tol (1 + max|u|), the amount by which the diffusion
+    solve itself may miss: that is roundoff, not an order."""
+    finals = [run_levels(cfg, cfg.n_values[-1:])[0].final_state.fields.values for cfg in configs]
+    errors = [_gap(coarse, fine) for coarse, fine in zip(finals[:-1], finals[1:])]
     floor = StepperConfig.linear_solver_tol * (1.0 + max(float(np.abs(u).max()) for u in finals))
-    return [math.log2(e0 / e1) if min(e0, e1) > floor else None for e0, e1 in zip(errors[:-1], errors[1:])]
+    orders = [math.log2(e0 / e1) if min(e0, e1) > floor else None for e0, e1 in zip(errors[:-1], errors[1:])]
+    return {"errors": errors, "orders": orders}
 
 
-def mesh_order_study(config: ExperimentConfig, levels: int = 3, pure_diffusion: bool = False) -> dict:
+def mesh_order_study(config: ExperimentConfig, levels: int = 3) -> dict:
     """Self-convergence order in h: run at cells, 2*cells, 4*cells, ...
     compare successive solutions at the final time after restriction."""
-    if levels < 3:
-        raise ValueError("need at least 3 mesh levels")
-    finals = []
-    for level in range(levels):
-        cells = tuple(c * 2**level for c in config.grid.cells)
-        cfg = replace(config, grid=type(config.grid)(lengths=config.grid.lengths, cells=cells))
-        finals.append(_final_fields(cfg, pure_diffusion))
-    errors = [
-        float(np.abs(_restrict(fine) - coarse).max())
-        for coarse, fine in zip(finals[:-1], finals[1:])
-    ]
-    return {"errors": errors, "orders": _orders(errors, finals), "levels": levels}
+    return {**_order_study(_mesh_levels(config, levels)), "levels": levels}
 
 
 def dt_order_study(config: ExperimentConfig, splitting: str, levels: int = 3) -> dict:
     """Self-convergence order in dt at a fixed mesh: run at dt, dt/2,
     dt/4, ... and compare final-time fields."""
-    if levels < 3:
-        raise ValueError("need at least 3 timestep levels")
-    finals = []
-    for level in range(levels):
-        stepper = replace(config.stepper, dt=config.stepper.dt / 2**level, splitting=splitting)
-        cfg = replace(config, stepper=stepper)
-        finals.append(run_levels(cfg, [cfg.n_values[-1]])[0].final_state.fields.values)
-    errors = [
-        float(np.abs(a - b).max()) for a, b in zip(finals[:-1], finals[1:])
-    ]
-    return {
-        "errors": errors,
-        "orders": _orders(errors, finals),
-        "splitting": splitting,
-        "dt_base": config.stepper.dt,
-    }
+    studied = _order_study(_dt_levels(config, splitting, levels))
+    return {**studied, "splitting": splitting, "dt_base": config.stepper.dt}
 
 
 def study_mesh(config: ExperimentConfig, out_dir, levels: int = 3) -> dict:
     """Mesh and timestep self-convergence report: spatial order on the
-    scenario itself, temporal orders for both splittings."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    spatial = mesh_order_study(config, levels=levels)
-    lie = dt_order_study(config, splitting="lie", levels=levels)
-    strang = dt_order_study(config, splitting="strang", levels=levels)
+    scenario itself, temporal orders for both splittings.  Every level of
+    the three studies is built before the first one runs."""
+    _mesh_levels(config, levels), _dt_levels(config, "lie", levels)  # the splittings share their dt levels
     table = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "label": config.label,
-        "spatial": spatial,
-        "dt_lie": lie,
-        "dt_strang": strang,
+        "spatial": mesh_order_study(config, levels=levels),
+        "dt_lie": dt_order_study(config, splitting="lie", levels=levels),
+        "dt_strang": dt_order_study(config, splitting="strang", levels=levels),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(table, fh, indent=2)
-    return table
+    return _write_artifacts(out_dir, table, config)

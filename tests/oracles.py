@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from trdlab import kinetics, stepper
 from trdlab.bootstrap import Exponent
+from trdlab.config import parse_config
 from trdlab.fields import FieldSet
 from trdlab.errors import InvariantBreach
 from trdlab.grid import Grid, work_array
@@ -64,6 +65,29 @@ def constant_state(system: TriangularSystem, grid: Grid, state) -> FieldSet:
     state = np.asarray(state, dtype=float)
     vals = np.broadcast_to(state.reshape((system.m,) + (1,) * grid.dimension), (system.m,) + grid.shape).copy()
     return FieldSet(system, grid, vals)
+
+
+def at_rest_config(splitting: str = "lie"):
+    """Criterion 8's spatial scenario, whose reaction is exactly inert: m = 4,
+    alpha = (1, 1, 1, 1), d = (1, 1, 0.5, 1) and a_1 = a_4 = 0, so sigma_1 = 0
+    pins the reaction extent x at 0 and a_2, a_3 only diffuse."""
+    zero = {"kind": "constant", "value": 0.0}
+    return parse_config(
+        {
+            "label": "at-rest",
+            "system": {"m": 4, "alpha": [1, 1, 1, 1], "d": [1.0, 1.0, 0.5, 1.0]},
+            "grid": {"lengths": [1.0], "cells": [32]},
+            "initial": [
+                zero,
+                {"kind": "cosine", "base": 1.0, "amplitude": 0.3, "modes": [1]},
+                {"kind": "cosine", "base": 0.5, "amplitude": 0.2, "modes": [1]},
+                zero,
+            ],
+            "stepper": {"dt": 0.01, "splitting": splitting, "record_every": 10},
+            "n_values": ["inf"],
+            "t_final": 0.5,
+        }
+    )
 
 
 def broadcast_pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) -> np.ndarray:

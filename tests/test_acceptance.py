@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import at_rest_config
 from trdlab.bootstrap import CHAIN_SCENARIOS, gn_identity_check, Exponent, replay_chain
 from trdlab.config import parse_config
 from trdlab.diagnostics import entropy_balance_check
@@ -264,7 +265,7 @@ class TestCriterion8DiscretizationOrders:
         )
 
     def test_orders_match_the_schemes(self):
-        spatial = mesh_order_study(self._smooth_config(), levels=3, pure_diffusion=True)
+        spatial = mesh_order_study(at_rest_config(), levels=3)
         lie = dt_order_study(self._smooth_config(dt=0.02, t_final=2.0, cells=64), "lie")
         strang = dt_order_study(
             self._smooth_config(dt=0.02, t_final=2.0, cells=64), "strang"

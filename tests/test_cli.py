@@ -16,7 +16,7 @@ from trdlab.cli import (
     main,
 )
 from trdlab.config import load_config, parse_config
-from trdlab.diagnostics import DiagnosticsRecord
+from trdlab.diagnostics import csv_columns
 from trdlab.presets import preset_config, preset_names
 from trdlab.runner import run_scenario
 
@@ -189,7 +189,7 @@ class TestRunCommand:
                 for cell in row:
                     float(cell)
         with open(tmp_path / "short" / "diagnostics_1.csv", newline="") as fh:
-            assert next(csv.reader(fh)) == DiagnosticsRecord.csv_header(3, (2.0, 3.5))
+            assert next(csv.reader(fh)) == [name for name, _ in csv_columns(3, (2.0, 3.5))]
 
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -242,6 +242,16 @@ class TestStudyCommands:
         for study in ("spatial", "dt_lie", "dt_strang"):
             assert table[study]["errors"] == [0.0, 0.0]
             assert table[study]["orders"] == [None]
+
+    def test_study_mesh_checks_every_level_before_its_first_run(self, tmp_path, capsys):
+        # run takes no step at t_final = 0, but the second dt level, 5e-324 / 2, rounds to 0
+        tiny_dt = {**FAST_CONFIG["stepper"], "dt": 5e-324}
+        cfg = write_config(tmp_path, {**FAST_CONFIG, "stepper": tiny_dt, "t_final": 0.0})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert main(["study-mesh", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "$.stepper.dt:" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 class TestAnalysisCommands:
@@ -296,6 +306,8 @@ class TestAnalysisCommands:
             ["study-mesh", "--preset", "df15-a1", "--levels", "0"],
             ["study-mesh", "--preset", "df15-a1", "--levels", "-1"],
             ["study-mesh", "--preset", "df15-a1", "--levels", "1"],
+            ["study-mesh", "--preset", "df15-a1", "--levels", "7"],
+            ["study-mesh", "--preset", "df15-a1", "--levels", "30"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -338,7 +350,7 @@ def test_readme_config_example_parses():
 def test_readme_csv_header_is_the_preset_header():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```csv\n(.*?)\n```", readme, flags=re.S)
-    assert blocks == [",".join(DiagnosticsRecord.csv_header(3, (4.0,)))]
+    assert blocks == [",".join(name for name, _ in csv_columns(3, (4.0,)))]
 
 
 def test_readme_cli_usage_flags_parse():

@@ -616,6 +616,21 @@ class TestStepAndRun:
         assert result.final_state.time == 0.0
         np.testing.assert_array_equal(result.final_state.fields.values, fs.values)
 
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    def test_a_vanished_reactant_and_product_leave_only_diffusion(self, splitting):
+        # criterion 8's spatial scenario: sigma_1 = a_1 + a_4 = 0 brackets the reaction extent in [0, 0]
+        config = oracles.at_rest_config(splitting)
+        initial = build_initial(config)
+        result = run(initial, config.stepper, [math.inf], config.t_final)[0]
+        n_steps = round(config.t_final / config.stepper.dt)
+        theta, substeps = (0.5, 2) if splitting == "strang" else (1.0, 1)
+        modal = ModalDiffusion(initial.system.d, initial.grid, theta * (config.t_final / n_steps), theta)
+        fields = initial
+        for _ in range(substeps * n_steps):
+            fields = diffusion_substep(fields, modal)
+        assert result.final_state.step_count == n_steps
+        assert result.final_state.fields.values.tobytes() == fields.values.tobytes()
+
     def test_constant_run_matches_ode_oracle(self):
         # spatially constant data: the full scheme reduces to the cell ODE
         fs = self._constant_setup((1.0, 2.0, 0.5))
