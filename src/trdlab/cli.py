@@ -76,10 +76,9 @@ def _cmd_study_n(args) -> int:
 def _cmd_study_mesh(args) -> int:
     config = _resolve_config(args)
     table = study_mesh(config, args.out, levels=args.levels)
-    print(
-        f"study-mesh '{table['label']}': spatial orders {table['spatial']['orders']}, "
-        f"lie dt orders {table['dt_lie']['orders']}, strang dt orders {table['dt_strang']['orders']}"
-    )
+    orders = (f"{name} orders {table[key]['orders']} (sup {table[key]['sup_orders']})"
+              for key, name in (("spatial", "spatial"), ("dt_lie", "lie dt"), ("dt_strang", "strang dt")))
+    print(f"study-mesh '{table['label']}': " + ", ".join(orders))
     return EXIT_OK
 
 
@@ -147,7 +146,7 @@ def _cmd_picard_demo(args) -> int:
 
 def _cmd_kernel_check(args) -> int:
     spec = kernel.KernelSpec(d=args.d, lengths=(args.length,), truncation=args.modes)
-    try:  # the probe's cells, from --length alone, must have a finite positive h^2 and 1/h^2
+    try:  # the probe's cells, from --length alone, must have a finite positive h^2 and (2/h)^2
         kernel.probe_grids(spec)
     except ValueError as exc:
         raise ConfigError("--length", str(exc)) from exc

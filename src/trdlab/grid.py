@@ -38,9 +38,10 @@ class Grid:
             raise ValueError("lengths must be positive")
         if any(n < 2 for n in self.cells):
             raise ValueError("need at least 2 cells per axis")
-        if not (all(0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf for h in self.h)  # the stencil divides by h^2
+        # sum (2/h)^2 bounds the largest Laplacian eigenvalue; finite, it keeps 1/h^2, the stencil's divisor, finite
+        if not (all(0.0 < h * h < np.inf for h in self.h) and sum((2.0 / h) * (2.0 / h) for h in self.h) < np.inf
                 and 0.0 < reduce(float.__mul__, self.h) and reduce(float.__mul__, self.lengths) < np.inf):
-            raise ValueError(f"lengths give cells {self.h} whose h^2, 1/h^2 or measure is not a positive finite float")
+            raise ValueError(f"lengths give cells {self.h} whose h^2, sum (2/h)^2 or measure is not positive and finite")
 
     @cached_property
     def dimension(self) -> int:

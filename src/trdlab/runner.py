@@ -38,8 +38,9 @@ def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
 
 
 def _write_artifacts(out_dir, table: dict, config: ExperimentConfig, levels=()) -> dict:
-    """Write diagnostics_<n>.csv for each (n, RunResult) of `levels`, then
-    `table` as summary.json, into out_dir (made if missing); returns table."""
+    """Write diagnostics_<n>.csv for each (n, RunResult) of `levels`, then `table`, headed by the
+    schema version and the label, as summary.json, into out_dir (made if missing); returns what it wrote."""
+    table = {"schema_version": SUMMARY_SCHEMA_VERSION, "label": config.label, **table}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = csv_columns(config.system.m, config.p_values)  # one table per study
@@ -47,8 +48,7 @@ def _write_artifacts(out_dir, table: dict, config: ExperimentConfig, levels=()) 
         with open(out / f"diagnostics_{n:g}.csv", "w", newline="") as fh:  # "inf" for the limit system
             writer = csv.writer(fh)
             writer.writerow([name for name, _ in columns])
-            for rec in result.records:
-                writer.writerow([repr(v) for v in rec.csv_row(columns)])
+            writer.writerows([repr(v) for v in rec.csv_row(columns)] for rec in result.records)
     with open(out / "summary.json", "w") as fh:
         json.dump(table, fh, indent=2)
     return table
@@ -85,8 +85,6 @@ def run_scenario(config: ExperimentConfig, out_dir) -> dict:
     stepper) if any hard invariant fails."""
     results = list(zip(config.n_values, run_levels(config, config.n_values)))
     summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "label": config.label,
         "system": {"m": config.system.m, "alpha": list(config.system.alpha), "d": list(config.system.d)},
         "grid": {"lengths": list(config.grid.lengths), "cells": list(config.grid.cells)},
         "t_final": config.t_final,
@@ -97,38 +95,22 @@ def run_scenario(config: ExperimentConfig, out_dir) -> dict:
 
 
 def study_n(config: ExperimentConfig, out_dir) -> dict:
-    """Convergence-in-n study: identical scenarios per n, sup-over-
-    space-time differences between consecutive n runs and against the
-    limit system, plus the final-time gap to the limit run."""
+    """Convergence-in-n study: identical scenarios per n, sup-over-space-time differences between
+    consecutive n runs and against the limit system, plus the final-time gap to the limit run."""
     if len(config.n_values) < 2:
         raise ConfigError("$.n_values", "study-n needs at least two n values")
-    n_values = sorted(config.n_values)
-    if not math.isinf(n_values[-1]):
-        n_values = n_values + [math.inf]
-
-    # running maxima over the records of sup |a(n_i) - a(n_{i+1})| (row 0)
-    # and of sup |a(n_i) - a(inf)| (row 1), from the batched state
-    gaps = np.zeros((2, len(n_values) - 1))
-
-    def track_gaps(state):
-        v = state.fields.values  # (m, B, *grid)
-        axes = (0,) + tuple(range(2, v.ndim))
-        np.maximum(gaps, [np.abs(v[:, :-1] - w).max(axis=axes) for w in (v[:, 1:], v[:, -1:])], out=gaps)
-
-    results = run_levels(config, n_values, observers=(track_gaps,))
-    consecutive = [
-        {"n_low": f"{na:g}", "n_high": f"{nb:g}", "sup_diff": float(gap)}
-        for na, nb, gap in zip(n_values[:-1], n_values[1:], gaps[0])
-    ]
-    diffs = [c["sup_diff"] for c in consecutive]
-    monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(diffs[:-1], diffs[1:]))
+    n_values = sorted({*config.n_values, math.inf})
+    last = len(n_values) - 1
+    pairs = [(i, i + 1) for i in range(last)] + [(i, last) for i in range(last)]
+    results, sup, final = _compare_levels([(config, n_values)], pairs)
+    consecutive = [{"n_low": f"{na:g}", "n_high": f"{nb:g}", "sup_diff": gap}
+                   for na, nb, gap in zip(n_values, n_values[1:], sup)]
+    monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(sup[: last - 1], sup[1:last]))
     table = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "label": config.label,
         "n_values": [f"{n:g}" for n in n_values],
         "consecutive_sup_diffs": consecutive,
-        "gaps_to_limit": {f"{n:g}": float(gap) for n, gap in zip(n_values[:-1], gaps[1])},
-        "final_gap": _gap(*(r.final_state.fields.values for r in results[-2:])),
+        "gaps_to_limit": {f"{n:g}": gap for n, gap in zip(n_values[:-1], sup[last:])},
+        "final_gap": final[-1],
         "monotone_decreasing": monotone,
         "ok": monotone,
     }
@@ -144,9 +126,29 @@ def _restrict(values: np.ndarray) -> np.ndarray:
 
 
 def _gap(coarse: np.ndarray, fine: np.ndarray) -> float:
-    """max |fine - coarse|, with `fine` first restricted onto the coarse
-    mesh where the two shapes differ."""
+    """max |fine - coarse|, `fine` first restricted onto the coarse mesh where the two shapes differ."""
     return float(np.abs((fine if fine.shape == coarse.shape else _restrict(fine)) - coarse).max())
+
+
+def _compare_levels(runs: list, pairs: list) -> tuple[list, list, list]:
+    """Run a study's levels, one (config, n_values) per stepper run and numbered on across runs, and
+    compare each (coarse, fine) pair of them by _gap at every record, the coarse level in the fine one's
+    run or last in the run before.  Returns the RunResults, each pair's sup gap over the records (0.0
+    with none) and its final gap.  The only record states held are those of the run before's last level."""
+    results, sup, held = [], np.zeros(len(pairs)), []
+    for r, (config, n_values) in enumerate(runs):
+        first, kept = len(results), []
+
+        def compare(state):
+            fields = {first - 1: held[len(kept)]} if held else {}  # the same record of the run before
+            fields.update(enumerate(state.fields.values.swapaxes(0, 1), first))  # level -> (m, *grid)
+            kept.append(fields[max(fields)].copy() if r < len(runs) - 1 else None)
+            compared = [k for k, pair in enumerate(pairs) if fields.keys() >= set(pair)]
+            sup[compared] = np.maximum(sup[compared], [_gap(*map(fields.get, pairs[k])) for k in compared])
+
+        results += run_levels(config, n_values, observers=(compare,))
+        held = kept
+    return results, sup.tolist(), [_gap(*(results[i].final_state.fields.values for i in pair)) for pair in pairs]
 
 
 def _level_configs(path: str, configs) -> list:
@@ -167,46 +169,44 @@ def _mesh_levels(config: ExperimentConfig, levels: int) -> list:
 
 
 def _dt_levels(config: ExperimentConfig, splitting: str, levels: int) -> list:
-    steppers = (replace(config.stepper, dt=config.stepper.dt / 2**k, splitting=splitting) for k in range(levels))
+    """Level k steps dt0 / 2^k, dt0 the step `run` takes at dt (t_final over round(t_final / dt) steps,
+    or dt at t_final = 0), and records every record_every * 2^k steps, so the levels record at the same times."""
+    base = config.stepper
+    dt0 = (config.t_final or base.dt) / max(1, round(config.t_final / base.dt))
+    steppers = (replace(base, dt=dt0 / 2**k, splitting=splitting, record_every=base.record_every * 2**k)
+                for k in range(levels))
     return _level_configs("$.stepper.dt", (replace(config, stepper=stepper) for stepper in steppers))
 
 
 def _order_study(configs: list) -> dict:
-    """Run each config at its last n and compare the final fields of
-    successive configs: the errors, and as orders the log2 of each pair of
-    successive errors, or None (JSON null) where either error is at or
-    below linear_solver_tol (1 + max|u|), the amount by which the diffusion
-    solve itself may miss: that is roundoff, not an order."""
-    finals = [run_levels(cfg, cfg.n_values[-1:])[0].final_state.fields.values for cfg in configs]
-    errors = [_gap(coarse, fine) for coarse, fine in zip(finals[:-1], finals[1:])]
-    floor = StepperConfig.linear_solver_tol * (1.0 + max(float(np.abs(u).max()) for u in finals))
-    orders = [math.log2(e0 / e1) if min(e0, e1) > floor else None for e0, e1 in zip(errors[:-1], errors[1:])]
-    return {"errors": errors, "orders": orders}
+    """Run each config at its last n and compare successive ones: `errors` at the final time,
+    `sup_errors` over the records.  Their orders are the log2 of each pair of successive errors, or None
+    (JSON null) where either error is at or below linear_solver_tol (1 + max|u|), the amount by which the
+    diffusion solve itself may miss: that is roundoff, not an order."""
+    pairs = [(k, k + 1) for k in range(len(configs) - 1)]
+    results, sup, errors = _compare_levels([(cfg, cfg.n_values[-1:]) for cfg in configs], pairs)
+    floor = StepperConfig.linear_solver_tol * (1.0 + max(np.abs(r.final_state.fields.values).max() for r in results))
+    orders = [[math.log2(a / b) if min(a, b) > floor else None for a, b in zip(e, e[1:])] for e in (errors, sup)]
+    return {"errors": errors, "orders": orders[0], "sup_errors": sup, "sup_orders": orders[1]}
 
 
-def mesh_order_study(config: ExperimentConfig, levels: int = 3) -> dict:
-    """Self-convergence order in h: run at cells, 2*cells, 4*cells, ...
-    compare successive solutions at the final time after restriction."""
-    return {**_order_study(_mesh_levels(config, levels)), "levels": levels}
+def mesh_order_study(config: ExperimentConfig, levels: int = 3, built: list | None = None) -> dict:
+    """Self-convergence order in h: run at cells, 2*cells, 4*cells, ... and compare successive
+    solutions, the finer restricted.  `built` is _mesh_levels(config, levels), if the caller has it."""
+    return {**_order_study(built or _mesh_levels(config, levels)), "levels": levels}
 
 
-def dt_order_study(config: ExperimentConfig, splitting: str, levels: int = 3) -> dict:
-    """Self-convergence order in dt at a fixed mesh: run at dt, dt/2,
-    dt/4, ... and compare final-time fields."""
-    studied = _order_study(_dt_levels(config, splitting, levels))
-    return {**studied, "splitting": splitting, "dt_base": config.stepper.dt}
+def dt_order_study(config: ExperimentConfig, splitting: str, levels: int = 3, built: list | None = None) -> dict:
+    """Self-convergence order in dt at a fixed mesh: run at dt, dt/2, dt/4, ... and compare successive
+    solutions.  `built` is _dt_levels(config, splitting, levels), if the caller has it."""
+    configs = built or _dt_levels(config, splitting, levels)
+    return {**_order_study(configs), "splitting": splitting, "dt_base": configs[0].stepper.dt}
 
 
 def study_mesh(config: ExperimentConfig, out_dir, levels: int = 3) -> dict:
-    """Mesh and timestep self-convergence report: spatial order on the
-    scenario itself, temporal orders for both splittings.  Every level of
-    the three studies is built before the first one runs."""
-    _mesh_levels(config, levels), _dt_levels(config, "lie", levels)  # the splittings share their dt levels
-    table = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "label": config.label,
-        "spatial": mesh_order_study(config, levels=levels),
-        "dt_lie": dt_order_study(config, splitting="lie", levels=levels),
-        "dt_strang": dt_order_study(config, splitting="strang", levels=levels),
-    }
+    """Mesh and timestep self-convergence report: spatial order on the scenario itself, temporal
+    orders for both splittings.  Every level of the three studies is built, once, before the first runs."""
+    mesh, lie, strang = _mesh_levels(config, levels), *(_dt_levels(config, s, levels) for s in ("lie", "strang"))
+    table = {"spatial": mesh_order_study(config, levels, mesh), "dt_lie": dt_order_study(config, "lie", levels, lie),
+             "dt_strang": dt_order_study(config, "strang", levels, strang)}
     return _write_artifacts(out_dir, table, config)

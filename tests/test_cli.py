@@ -163,6 +163,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(write_config(tmp_path, box)), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "$.grid.lengths" in capsys.readouterr().err
 
+    def test_cells_whose_largest_laplacian_eigenvalue_overflows_exit_1(self, tmp_path, capsys):
+        # at h = 1e-154, h^2 and 1 / h^2 are normal floats, but (2 / h)^2 overflows
+        grid = dict(FAST_CONFIG, grid={"lengths": [2e-154], "cells": [2]})
+        assert main(["run", "--config", str(write_config(tmp_path, grid)), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "$.grid.lengths" in capsys.readouterr().err
+
     def test_zero_horizon_run_succeeds(self, tmp_path):
         short = dict(FAST_CONFIG)
         short["t_final"] = 0.0
@@ -201,8 +207,9 @@ class TestRunCommand:
 
 
 class TestStudyCommands:
-    def test_study_n_reports_monotone_gap(self, tmp_path):
-        cfg = write_config(tmp_path, {**FAST_CONFIG, "n_values": [1, 10, 100], "t_final": 5.0})
+    @pytest.mark.parametrize("t_final", [5.0, 0.0])
+    def test_study_n_reports_monotone_gap(self, tmp_path, t_final):
+        cfg = write_config(tmp_path, {**FAST_CONFIG, "n_values": [1, 10, 100], "t_final": t_final})
         out = tmp_path / "out"
         assert main(["study-n", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         table = json.loads((out / "summary.json").read_text())
@@ -215,12 +222,16 @@ class TestStudyCommands:
         assert main(["study-n", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "$.n_values" in capsys.readouterr().err
 
-    def test_study_mesh_writes_orders(self, tmp_path):
-        cfg = write_config(tmp_path, {**FAST_CONFIG, "t_final": 0.5})
+    @pytest.mark.parametrize("t_final", [0.5, 0.0])
+    def test_study_mesh_writes_orders(self, tmp_path, t_final):
+        cfg = write_config(tmp_path, {**FAST_CONFIG, "t_final": t_final})
         out = tmp_path / "out"
         assert main(["study-mesh", "--config", str(cfg), "--out", str(out), "--levels", "3"]) == EXIT_OK
         table = json.loads((out / "summary.json").read_text())
         assert "spatial" in table and "dt_lie" in table and "dt_strang" in table
+        if t_final == 0.0:  # no record to take a sup over
+            for study in ("spatial", "dt_lie", "dt_strang"):
+                assert table[study]["sup_errors"] == [0.0, 0.0] and table[study]["sup_orders"] == [None]
 
     def test_study_mesh_reports_null_orders_at_an_exact_equilibrium(self, tmp_path):
         # constant data (1, 1, 1) with alpha = (1, 1, 1) never moves: every
