@@ -8,8 +8,6 @@ breach / failed verdict, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 import traceback
@@ -21,7 +19,7 @@ from . import bootstrap, kernel, picard
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InvariantBreach
 from .presets import preset_config, preset_names
-from .runner import run_scenario, study_mesh, study_n
+from .runner import run_scenario, study_mesh, study_n, write_artifacts
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,12 +81,8 @@ def _cmd_study_mesh(args) -> int:
 
 
 def _cmd_verify_chains(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     chains = {name: bootstrap.replay_chain(name) for name in bootstrap.CHAIN_SCENARIOS}
-    payload = {name: chain.as_dict() for name, chain in chains.items()}
-    with open(out / "chains.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_artifacts(args.out, {"chains.json": {name: chain.as_dict() for name, chain in chains.items()}})
     all_ok = True
     for name, chain in chains.items():
         print(f"chain {name}: {'pass' if chain.passed else 'FAIL'} ({len(chain.steps)} steps)")
@@ -97,8 +91,6 @@ def _cmd_verify_chains(args) -> int:
 
 
 def _cmd_picard_demo(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     inputs, constants, fns = picard.canonical_scenario()
     # iterate well past p_max so the last trajectory serves as the
     # converged limit of the discrete map (the envelope's reference)
@@ -119,24 +111,12 @@ def _cmd_picard_demo(args) -> int:
         checked = env > 1e-13
         ok = ok and (err <= env or not checked)
         rows.append({"p": p, "sup_error": err, "envelope": env, "checked": checked})
-    with open(out / "picard_errors.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "sup_error", "envelope", "checked"])
-        for row in rows:
-            writer.writerow([row["p"], repr(row["sup_error"]), repr(row["envelope"]), int(row["checked"])])
-    with open(out / "picard.json", "w") as fh:
-        json.dump(
-            {
-                "C4": constants.C4,
-                "C5": constants.C5,
-                "T": constants.T,
-                "iterates": rows,
-                "oracle_gap": oracle_gap,
-                "ok": ok,
-            },
-            fh,
-            indent=2,
-        )
+    errors = [[row["p"], repr(row["sup_error"]), repr(row["envelope"]), int(row["checked"])] for row in rows]
+    write_artifacts(args.out, {
+        "picard_errors.csv": (["p", "sup_error", "envelope", "checked"], errors),
+        "picard.json": {"C4": constants.C4, "C5": constants.C5, "T": constants.T, "iterates": rows,
+                        "oracle_gap": oracle_gap, "ok": ok},
+    })
     print(
         f"picard-demo: C4={constants.C4:g} C5={constants.C5:g} T={constants.T:g}; "
         f"{len(rows) - 1} iterations, oracle gap {oracle_gap:.2e}, envelope ok={ok}"
@@ -150,8 +130,6 @@ def _cmd_kernel_check(args) -> int:
         kernel.probe_grids(spec)
     except ValueError as exc:
         raise ConfigError("--length", str(exc)) from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tau = spec.diffusive_time
     mass = kernel.mass_conservation_check(
         spec, t_values=np.geomspace(1e-4, 1e-1, 5) * tau, x_values=np.linspace(0, args.length, 5)
@@ -159,16 +137,10 @@ def _cmd_kernel_check(args) -> int:
     semigroup = kernel.semigroup_check(spec, t=0.01 * tau, s=0.02 * tau)
     fit = kernel.gaussian_bound_fit(spec)
     probe = kernel.smoothing_probe(spec, p=2.0, s=4.0, dimension=1, seed=0)
-    with open(out / "kernel_fit.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "value"])
-        writer.writerow(["mass_max_defect", repr(mass["max_defect"])])
-        writer.writerow(["semigroup_max_defect", repr(semigroup["max_defect"])])
-        writer.writerow(["kappa", repr(fit["kappa"])])
-        writer.writerow(["C_H", repr(fit["C_H"])])
-        writer.writerow(["C_H_rel_change", repr(fit["rel_change"])])
-        writer.writerow(["min_kernel_value", repr(fit["min_kernel_value"])])
-        writer.writerow(["smoothing_max_rel_change", repr(probe["max_rel_change"])])
+    quantities = {"mass_max_defect": mass["max_defect"], "semigroup_max_defect": semigroup["max_defect"],
+                  "kappa": fit["kappa"], "C_H": fit["C_H"], "C_H_rel_change": fit["rel_change"],
+                  "min_kernel_value": fit["min_kernel_value"], "smoothing_max_rel_change": probe["max_rel_change"]}
+    write_artifacts(args.out, {"kernel_fit.csv": (["quantity", "value"], [[k, repr(v)] for k, v in quantities.items()])})
     ok = (
         mass["max_defect"] <= 1e-8
         and args.length * semigroup["max_defect"] <= 1e-6  # the kernel scales as 1/L: a defect relative to it

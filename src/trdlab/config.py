@@ -21,15 +21,17 @@ Schema (all keys at the top level):
 
 The grid takes one length and one cell count per axis, in any dimension.
 A cosine profile takes at most one mode per axis; axes without one are
-constant.  Expression initial data is evaluated with the coordinate
-arrays of the first three axes (x, y, z) plus a small math namespace;
-smoothness of the profile is the author's responsibility.
+constant.  Expression initial data is a formula in a small grammar over
+the coordinate arrays of the first three axes (x, y, z) and a math
+namespace; smoothness of the profile is the author's responsibility.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields as dc_fields
 
@@ -39,7 +41,7 @@ from .errors import ConfigError
 from .fields import FieldSet
 from .grid import Grid
 from .model import TriangularSystem
-from .stepper import StepperConfig
+from .stepper import StepperConfig, time_steps
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "build_initial"]
 
@@ -54,6 +56,9 @@ _EXPR_NAMESPACE = {
     "minimum": np.minimum,
     "maximum": np.maximum,
 }
+_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+             ast.Pow: operator.pow, ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Lt: operator.lt,
+             ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,28 @@ def _parse_grid(data, path: str) -> Grid:
         raise ConfigError(f"{path}.lengths" if str(exc).startswith("lengths") else path, str(exc)) from exc
 
 
+def _formula(formula: str, path: str, names: dict | None = None):
+    """The value of `formula` over `names`, or with names None only its check; any failure is a ConfigError at path."""
+    try:
+        return _term(ast.parse(formula, mode="eval").body, names)
+    except Exception as exc:  # a syntax error, a node outside the grammar, a nesting too deep, a failed evaluation
+        raise ConfigError(path, f"invalid expression: {exc}") from exc
+
+
+def _term(node: ast.AST, names: dict | None):
+    """The value over `names` (None, while only checked) of a formula node of the grammar: numbers, the names
+    x, y, z and those of _EXPR_NAMESPACE, calls, the operators of _EXPR_OPS and single comparisons."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)  # so no power of integers is computed exactly
+    if isinstance(node, ast.Name) and node.id in (*"xyz", *_EXPR_NAMESPACE):
+        return names and names[node.id]
+    if not (isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)) or isinstance(node, ast.Compare) and len(node.ops) == 1):
+        raise ValueError(f"{ast.unparse(node) or type(node).__name__!r} is not in the expression grammar")
+    children = sorted(ast.iter_child_nodes(node), key=lambda child: isinstance(child, ast.expr))  # the operator first
+    fn, *args = [_EXPR_OPS.get(type(child)) or _term(child, names) for child in children]
+    return names and fn(*args)
+
+
 def _validate_initial_spec(spec, path: str, dimension: int) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
@@ -151,6 +178,7 @@ def _validate_initial_spec(spec, path: str, dimension: int) -> dict:
         formula = _require(spec, "formula", path)
         if not isinstance(formula, str):
             raise ConfigError(f"{path}.formula", "expected a string")
+        _formula(formula, f"{path}.formula")
         return {"kind": kind, "formula": formula}
     raise ConfigError(f"{path}.kind", f"unknown initial-data kind {kind!r}")
 
@@ -191,6 +219,10 @@ def parse_config(data: dict, label: str = "run") -> ExperimentConfig:
         raise ConfigError("$.n_values", "expected a nonempty list")
     n_values = _distinct_labels(tuple(_parse_n(v, f"$.n_values[{i}]") for i, v in enumerate(raw_n)), "$.n_values")
     t_final = _number(_require(data, "t_final", "$"), "$.t_final", low=0.0)
+    try:
+        time_steps(t_final, stepper.dt)
+    except ValueError as exc:
+        raise ConfigError("$.t_final", str(exc)) from exc
     p_values = _distinct_labels(_numbers(data.get("p_values", [4.0]), "$.p_values", low=1.0), "$.p_values")
 
     return ExperimentConfig(
@@ -229,12 +261,8 @@ def _evaluate_species(spec: dict, grid: Grid, path: str) -> np.ndarray:
     # expression table, evaluated on cell centers
     names = dict(_EXPR_NAMESPACE)
     names.update(zip("xyz", grid.centers()))
-    try:
-        with np.errstate(all="ignore"):  # non-finite values are reported by build_initial
-            values = eval(spec["formula"], {"__builtins__": {}}, names)  # noqa: S307 - sandboxed namespace
-    except Exception as exc:
-        raise ConfigError(path, f"expression failed to evaluate: {exc}") from exc
-    values = np.asarray(values)
+    with np.errstate(all="ignore"):  # non-finite values are reported by build_initial
+        values = np.asarray(_formula(spec["formula"], f"{path}.formula", names))
     if values.dtype.kind not in "biuf":
         raise ConfigError(path, f"expression must give real numbers, got {values.dtype} values")
     try:

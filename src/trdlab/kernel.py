@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, work_array
-from .stepper import ModalDiffusion
+from .stepper import ModalDiffusion, time_steps
 
 __all__ = [
     "KernelSpec",
@@ -257,8 +257,7 @@ def smoothing_probe(
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
-    n_steps = max(1, round(t_final / dt))
-    step = t_final / n_steps
+    n_steps, step = time_steps(t_final, dt)
 
     def random_source(grid: Grid, coeffs) -> np.ndarray:
         field = np.full(grid.shape, coeffs[0])

@@ -17,9 +17,10 @@ from .config import ExperimentConfig, build_initial
 from .diagnostics import csv_columns, entropy_balance_check
 from .errors import ConfigError
 from .grid import Grid
-from .stepper import StepperConfig, run
+from .stepper import StepperConfig, run, time_steps
 
 __all__ = [
+    "write_artifacts",
     "run_levels",
     "run_scenario",
     "study_n",
@@ -37,20 +38,29 @@ def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
     return run(build_initial(config), config.stepper, n_values, config.t_final, observers, config.p_values)
 
 
-def _write_artifacts(out_dir, table: dict, config: ExperimentConfig, levels=()) -> dict:
-    """Write diagnostics_<n>.csv for each (n, RunResult) of `levels`, then `table`, headed by the
-    schema version and the label, as summary.json, into out_dir (made if missing); returns what it wrote."""
-    table = {"schema_version": SUMMARY_SCHEMA_VERSION, "label": config.label, **table}
+def write_artifacts(out_dir, files: dict) -> None:
+    """Make out_dir if missing and write each of `files`, name -> content, in order: a .csv name's
+    (header, rows) through csv.writer, any other name's content as JSON at indent 2."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        with open(out / name, "w", newline="") as fh:
+            if name.endswith(".csv"):
+                writer = csv.writer(fh)
+                writer.writerow(content[0])
+                writer.writerows(content[1])
+            else:
+                json.dump(content, fh, indent=2)
+
+
+def _write_artifacts(out_dir, table: dict, config: ExperimentConfig, levels=()) -> dict:
+    """Write diagnostics_<n>.csv for each (n, RunResult) of `levels` ("inf" for the limit system), then
+    `table`, headed by the schema version and the label, as summary.json; returns what it wrote."""
+    table = {"schema_version": SUMMARY_SCHEMA_VERSION, "label": config.label, **table}
     columns = csv_columns(config.system.m, config.p_values)  # one table per study
-    for n, result in levels:
-        with open(out / f"diagnostics_{n:g}.csv", "w", newline="") as fh:  # "inf" for the limit system
-            writer = csv.writer(fh)
-            writer.writerow([name for name, _ in columns])
-            writer.writerows([repr(v) for v in rec.csv_row(columns)] for rec in result.records)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(table, fh, indent=2)
+    header = [name for name, _ in columns]  # csv.writer writes each float cell as its repr
+    files = {f"diagnostics_{n:g}.csv": (header, (rec.csv_row(columns) for rec in result.records)) for n, result in levels}
+    write_artifacts(out_dir, {**files, "summary.json": table})
     return table
 
 
@@ -169,10 +179,10 @@ def _mesh_levels(config: ExperimentConfig, levels: int) -> list:
 
 
 def _dt_levels(config: ExperimentConfig, splitting: str, levels: int) -> list:
-    """Level k steps dt0 / 2^k, dt0 the step `run` takes at dt (t_final over round(t_final / dt) steps,
-    or dt at t_final = 0), and records every record_every * 2^k steps, so the levels record at the same times."""
+    """Level k steps dt0 / 2^k, dt0 the step `run` takes at dt (time_steps), and records every
+    record_every * 2^k steps, so the levels record at the same times."""
     base = config.stepper
-    dt0 = (config.t_final or base.dt) / max(1, round(config.t_final / base.dt))
+    dt0 = time_steps(config.t_final, base.dt)[1]
     steppers = (replace(base, dt=dt0 / 2**k, splitting=splitting, record_every=base.record_every * 2**k)
                 for k in range(levels))
     return _level_configs("$.stepper.dt", (replace(config, stepper=stepper) for stepper in steppers))

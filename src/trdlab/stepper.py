@@ -40,6 +40,7 @@ __all__ = [
     "SimulationState",
     "RunResult",
     "ModalDiffusion",
+    "time_steps",
     "diffusion_substep",
     "step",
     "run",
@@ -69,6 +70,15 @@ class StepperConfig:
             raise ValueError("splitting must be 'lie' or 'strang'")
         if type(self.record_every) is not int or self.record_every < 1:
             raise ValueError(f"record_every must be an int >= 1, got {self.record_every!r}")
+
+
+def time_steps(t_final: float, dt: float) -> tuple[int, float]:
+    """round(t_final / dt) steps, at least one, of t_final / steps each, or none, of dt, at t_final = 0;
+    a ratio past every float is a ValueError."""
+    if not t_final / dt < math.inf:
+        raise ValueError(f"t_final / dt = {t_final / dt:g} is past every float")
+    steps = max(1, round(t_final / dt)) if t_final else 0
+    return steps, t_final / steps if steps else dt
 
 
 @dataclass
@@ -418,9 +428,8 @@ def run(
     values = np.repeat(initial.values[:, None], len(levels), axis=1)
     state = SimulationState(0.0, FieldSet(initial.system, initial.grid, values))
     records: list[list[DiagnosticsRecord]] = [[] for _ in levels]
-    n_steps = max(1, round(t_final / config.dt)) if t_final > 0.0 else 0
-    cfg = replace(config, dt=t_final / n_steps) if n_steps else config
-    dt = cfg.dt
+    n_steps, dt = time_steps(t_final, config.dt)
+    cfg = replace(config, dt=dt)
     # relative to E(0): the entropy gate's tolerance, also the summary's balance tolerance
     entropy_tol = cfg.entropy_tolerance_factor * (dt * dt + sum(h * h for h in initial.grid.h))
     e_tol = entropy_tol * abs(tracker.e0) + ENTROPY_FLOOR

@@ -15,8 +15,9 @@ from trdlab.cli import (
     build_parser,
     main,
 )
-from trdlab.config import load_config, parse_config
+from trdlab.config import build_initial, load_config, parse_config
 from trdlab.diagnostics import csv_columns
+from trdlab.errors import ConfigError
 from trdlab.presets import preset_config, preset_names
 from trdlab.runner import run_scenario
 
@@ -132,6 +133,9 @@ class TestRunCommand:
             ("initial[2]", {"kind": "expression", "formula": "[1,2,3]"}),
             ("initial[2]", {"kind": "expression", "formula": "'abc'"}),
             ("initial[2]", {"kind": "expression", "formula": "1j+x"}),
+            ("initial[2]", {"kind": "expression", "formula": "9**9**9 + 0*x"}),  # as integers, it never ends
+            ("initial[2]", {"kind": "expression", "formula": "[c for c in ().__class__.__base__.__subclasses__() if "
+                            "c.__name__ == 'catch_warnings'][0]()._module.__builtins__['len']([1]) * 0 + x"}),  # reaches builtins
             ("system.d[0]", float("nan")),
             ("system.d[0]", float("inf")),
             ("system.alpha[0]", float("nan")),
@@ -155,6 +159,14 @@ class TestRunCommand:
         cfg = write_config(tmp_path, bad)  # json writes NaN / Infinity literals
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"$.{path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "study-mesh"])
+    def test_a_step_count_past_every_float_exits_1_naming_the_horizon(self, tmp_path, capsys, command):
+        huge = {**FAST_CONFIG, "stepper": {**FAST_CONFIG["stepper"], "dt": 1e-10}, "t_final": 1e300}
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, huge)), "--out", str(out)]) == EXIT_CONFIG
+        assert "$.t_final:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lengths", [1e-109, 2e110])
     def test_a_cell_measure_that_leaves_the_floats_exits_1(self, tmp_path, capsys, lengths):
@@ -347,7 +359,29 @@ class TestAnalysisCommands:
             raise RuntimeError("synthetic")
 
         monkeypatch.setattr(cli_mod.bootstrap, "replay_chain", boom)
-        assert cli_mod.main(["verify-chains", "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert cli_mod.main(["verify-chains", "--out", str(out)]) == 3
+        assert not out.exists()  # the directory is made only when a file is written
+
+
+def expression_config(formula: str) -> dict:
+    return {**FAST_CONFIG, "initial": [*FAST_CONFIG["initial"][:2], {"kind": "expression", "formula": formula}]}
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["().__class__", "x[0]", "lambda: x", "[x for x in y]", "'1'", "1j", "True + x", "x % 2", "x // 2", "x == 1",
+     "0 < x < 1", "not x", "x if x else x", "maximum(x, 0, out=x)", "__import__('os')", "undefined_name(x)"],
+)
+def test_a_node_outside_the_expression_grammar_is_rejected_when_parsed(formula):
+    with pytest.raises(ConfigError, match=r"^\$\.initial\[2\]\.formula: invalid expression: .* is not in the expression grammar$"):
+        parse_config(expression_config(formula))
+
+
+def test_expression_comparisons_give_step_data():
+    config = parse_config(expression_config("2*(x < 0.5) + 0.5*(x >= 0.75) + (x > 2) + (x <= -1)"))
+    expected = [2.0 * (c < 0.5) + 0.5 * (c >= 0.75) for c in config.grid.axis_centers(0)]
+    assert build_initial(config).values[2].tolist() == expected
 
 
 def test_readme_config_example_parses():
@@ -356,6 +390,7 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     config = parse_config(json.loads(blocks[0]))
     assert config.label == "demo"
+    assert build_initial(config).values.shape == (3, 128)  # the expression is evaluated, not only parsed
 
 
 def test_readme_csv_header_is_the_preset_header():

@@ -1,5 +1,6 @@
 """Importing the CLI loads only the scipy subpackages a run needs, and no
-mpmath; every public name of the package has a caller in it."""
+mpmath; every public name of the package has a caller in it, and one
+function writes every file."""
 
 import ast
 import os
@@ -118,3 +119,28 @@ def test_every_parameter_default_is_set_by_a_caller():
                 ):
                     unset.add(f"{name}.{param}")
     assert unset == set()
+
+
+def _opens_for_writing(call: ast.AST) -> bool:
+    """call is open(file, mode) or path.open(mode) with a mode that is not a
+    constant read mode, or a path.write_text / path.write_bytes."""
+    if not isinstance(call, ast.Call):
+        return False
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    args = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    mode = args[0] if args else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_only_write_artifacts_opens_a_file_for_writing():
+    src = Path(trdlab.__file__).resolve().parent
+    writers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_opens_for_writing, ast.walk(node))):
+                writers.add(f"{path.stem}.{node.name}")
+    assert writers == {"runner.write_artifacts"}

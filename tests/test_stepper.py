@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 import oracles
 from oracles import constant_state, integrate, laplacian_matrix, reaction_cell_solve
-from trdlab.config import build_initial
+from trdlab.config import build_initial, parse_config
 from trdlab.diagnostics import DiagnosticsTracker, entropy
 from trdlab.errors import InvariantBreach
 from trdlab.fields import FieldSet
@@ -30,6 +31,7 @@ from trdlab.stepper import (
     diffusion_substep,
     run,
     step,
+    time_steps,
 )
 
 SYS3 = TriangularSystem(m=3, alpha=(1.0, 1.0, 1.0), d=(1.0, 1.0, 0.0))
@@ -610,6 +612,13 @@ class TestStepAndRun:
         result = run(fs, StepperConfig(dt=0.05), [math.inf], t_final=1.0)[0]
         np.testing.assert_array_equal(result.final_state.fields.values, 0.0)
 
+    def test_time_steps_round_the_ratio_and_refuse_one_past_every_float(self):
+        assert time_steps(0.0, 0.05) == (0, 0.05)
+        assert time_steps(1.0, 0.3) == (3, 1.0 / 3)
+        assert time_steps(0.01, 1.0) == (1, 0.01)  # at least one step
+        with pytest.raises(ValueError, match="past every float"):
+            time_steps(1e300, 1e-10)
+
     def test_t_final_zero_returns_initial(self):
         fs = self._constant_setup()
         result = run(fs, StepperConfig(dt=0.05), [math.inf], t_final=0.0)[0]
@@ -772,6 +781,56 @@ class TestStepAndRun:
             now = entropy(state.fields)
             assert now <= prev + 1e-10
             prev = now
+
+
+def mol_config(cells: tuple, dt: float = 0.05, splitting: str = "lie"):
+    """A frozen reactant and a squared one (m = 3, alpha = (1, 2, 1), d = (0, 1, 1)) on the unit box of
+    `cells`, with cosine data that vary along every axis, run to T = 0.5 at n = 10 and the limit."""
+    modes = [[1], [2], [1]] if len(cells) == 1 else [[1, 1], [2, 0, 1], [1]]
+    shapes = [(1.0, 0.3), (1.0, 0.2), (0.5, 0.1)]
+    return parse_config({
+        "system": {"m": 3, "alpha": [1, 2, 1], "d": [0.0, 1.0, 1.0]},
+        "grid": {"lengths": [1.0] * len(cells), "cells": list(cells)},
+        "initial": [{"kind": "cosine", "base": b, "amplitude": a, "modes": k} for (b, a), k in zip(shapes, modes)],
+        "stepper": {"dt": dt, "splitting": splitting, "record_every": 1000},
+        "n_values": [10, "inf"],
+        "t_final": 0.5,
+    })
+
+
+@cache
+def mol_reference(cells: tuple, n: float) -> np.ndarray:
+    return oracles.method_of_lines(mol_config(cells), n)
+
+
+class TestAgainstTheMethodOfLines:
+    """The whole stepper against a Radau solve of the same system discretized in space alone, which shares
+    no code with it, so a step that converges to other equations fails.  The orders take criterion 8's
+    bands on the finest of dt = 0.05 halved three times; each finest error stays under twice its measured
+    value (lie 1.27e-4, 1.68e-3 on 16 cells and 1.30e-4, 1.81e-3 on 4^3 at n = 10, inf; strang 1.29e-6,
+    3.45e-5 and 1.45e-6, 2.95e-5)."""
+
+    @pytest.mark.parametrize(
+        "cells, splitting, bounds",
+        [
+            ((16,), "lie", (2.6e-4, 3.4e-3)),
+            ((4, 4, 4), "lie", (2.6e-4, 3.6e-3)),
+            ((16,), "strang", (2.6e-6, 6.9e-5)),
+            ((4, 4, 4), "strang", (2.9e-6, 5.9e-5)),
+        ],
+        ids=["lie-1d", "lie-3d", "strang-1d", "strang-3d"],
+    )
+    def test_errors_against_the_oracle_fall_at_the_schemes_order(self, cells, splitting, bounds):
+        errors = []
+        for k in range(4):
+            config = mol_config(cells, 0.05 / 2**k, splitting)
+            results = run(build_initial(config), config.stepper, config.n_values, config.t_final)
+            errors.append([np.abs(r.final_state.fields.values - mol_reference(cells, n)).max()
+                           for r, n in zip(results, config.n_values)])
+        for n, coarse, finest, bound in zip((10, math.inf), errors[-2], errors[-1], bounds):
+            ratio = coarse / finest
+            assert (math.log2(ratio) >= 0.8 if splitting == "lie" else 3.2 <= ratio <= 4.8), (n, ratio)
+            assert finest < bound, (n, finest)
 
 
 # the grid-2d benchmark's shape: a frozen reactant, two n-levels, 128 x 128
