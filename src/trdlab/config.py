@@ -179,6 +179,11 @@ def _validate_initial_spec(spec, path: str, dimension: int) -> dict:
         if not isinstance(formula, str):
             raise ConfigError(f"{path}.formula", "expected a string")
         _formula(formula, f"{path}.formula")
+        names = {node.id for node in ast.walk(ast.parse(formula, mode="eval")) if isinstance(node, ast.Name)}
+        lacking = sorted(names & set("xyz"[dimension:]))
+        if lacking:
+            axes = "1 axis" if dimension == 1 else f"{dimension} axes"
+            raise ConfigError(f"{path}.formula", f"{lacking[0]!r} names an axis the grid lacks: it has {axes}")
         return {"kind": kind, "formula": formula}
     raise ConfigError(f"{path}.kind", f"unknown initial-data kind {kind!r}")
 

@@ -7,13 +7,14 @@ The series for an interval of length L with diffusivity d is
     G(t, x, y) = 1/L + (2/L) sum_{k=1..K} exp(-d (k pi / L)^2 t)
                  cos(k pi x / L) cos(k pi y / L)
 
-which is the exact Green function truncated at mode K.  The smoothing
-probe marches the discrete sourced heat equation in the grid's DCT-II
-modes, the discrete counterpart of the same cosine eigenpairs, with the
-stepper's diffusion solve: a `stepper.ModalDiffusion` per mesh supplies the
-multipliers, the work arrays and the stencil residual gate.  The trials of
-a mesh march together in one steps-first trajectory buffer, of about
-3.1 MB at the 1D probe's fine mesh, and the gate checks each on its own.
+which is the exact Green function truncated at mode K, evaluated by the
+mass and semigroup checks as matrix products of cosine tables.  The
+smoothing probe solves the discrete sourced heat equation in the grid's
+DCT-II modes, the discrete counterpart of the same cosine eigenpairs, with
+the stepper's diffusion solve: a `stepper.ModalDiffusion` per mesh supplies
+the multipliers, the work arrays and the stencil residual gate.  Its trials
+share one steps-first trajectory buffer, of about 3.1 MB at the 1D probe's
+fine mesh, and the gate checks each on its own.
 """
 
 from __future__ import annotations
@@ -67,27 +68,26 @@ def _cosines(spec: KernelSpec, L: float, x) -> np.ndarray:
 
 def _decay(spec: KernelSpec, L: float, t) -> np.ndarray:
     """exp(-d (k pi / L)^2 t) for k = 1..spec.truncation, along a new last axis."""
+    if np.any(np.asarray(t) <= 0.0):
+        raise ValueError("kernel requires t > 0")
     k = np.arange(1, spec.truncation + 1)
     return np.exp(-spec.d * (k * math.pi / L) ** 2 * np.asarray(t, dtype=float)[..., None])
 
 
-def _kernel_1d(spec: KernelSpec, L: float, t, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """The series on (0, L) at time(s) t from the cosine tables of both points."""
-    if np.any(np.asarray(t) <= 0.0):
-        raise ValueError("kernel requires t > 0")
-    # shape bookkeeping: broadcast the mode axis last, sum it out
-    return 1.0 / L + (2.0 / L) * np.sum(_decay(spec, L, t) * cx * cy, axis=-1)
+def _series(L: float, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The series for every row of decay-weighted cosines against every point of table c, as one GEMM."""
+    return 1.0 / L + (2.0 / L) * (rows @ c.T)
 
 
 def _pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) -> np.ndarray:
-    """The series at time t over every pair of points with cosine table c, as one GEMM."""
-    return 1.0 / L + (2.0 / L) * ((c * _decay(spec, L, t)) @ c.T)
+    """The series at time t over every pair of points with cosine table c."""
+    return _series(L, c * _decay(spec, L, t), c)
 
 
 def heat_kernel_eval(spec: KernelSpec, t, x, y):
-    """Kernel value(s); broadcasts over array-valued t, x and y."""
+    """Kernel value(s); broadcasts over array-valued t, x and y, with the mode axis last, summed out."""
     L = spec.lengths[0]
-    return _kernel_1d(spec, L, t, _cosines(spec, L, x), _cosines(spec, L, y))
+    return 1.0 / L + (2.0 / L) * np.sum(_decay(spec, L, t) * _cosines(spec, L, x) * _cosines(spec, L, y), axis=-1)
 
 
 def kernel_tail_bound(spec: KernelSpec, t: float) -> float:
@@ -114,23 +114,21 @@ def mass_conservation_check(spec: KernelSpec, t_values, x_values) -> dict:
     midpoint rule annihilates every cosine mode below the Nyquist count,
     so with K << _N_QUAD the defect is pure roundoff plus truncation."""
     L = spec.lengths[0]
-    cz = _cosines(spec, L, _midpoints(L))
-    cxs = _cosines(spec, L, np.atleast_1d(x_values))
-    ts = np.atleast_1d(t_values)
-    defects = [abs(float(np.sum(_kernel_1d(spec, L, t, cx, cz)) * (L / _N_QUAD)) - 1.0) for t in ts for cx in cxs]
-    return {"max_defect": float(np.max(defects, initial=0.0)), "n_quad": _N_QUAD}  # np.max keeps a NaN; max() drops it
+    # one row (decay_t * cos_x) per sampled (t, x), all against the quadrature table at once
+    rows = _decay(spec, L, np.atleast_1d(t_values))[:, None] * _cosines(spec, L, np.atleast_1d(x_values))
+    masses = _series(L, rows.reshape(-1, spec.truncation), _cosines(spec, L, _midpoints(L))).sum(axis=1) * (L / _N_QUAD)
+    return {"max_defect": float(np.max(np.abs(masses - 1.0), initial=0.0)), "n_quad": _N_QUAD}  # np.max keeps a NaN
 
 
 def semigroup_check(spec: KernelSpec, t: float, s: float) -> dict:
     """Compare G(t+s, x, y) with int G(t, x, z) G(s, z, y) dz on a coarse
-    (x, y) grid of 9 x 9 points, every pair in one broadcast."""
+    (x, y) grid of 9 x 9 points: G(t, x, z) and G(s, y, z) = G(s, z, y) as
+    two matrix products over the quadrature table, composed in a third."""
     L = spec.lengths[0]
-    cz = _cosines(spec, L, _midpoints(L))
     pts = np.linspace(0.0, L, 9)
-    # heat_kernel_eval's own products, per point on the quadrature table built once
-    lefts = np.array([_kernel_1d(spec, L, t, _cosines(spec, L, float(x)), cz) for x in pts])
-    rights = np.array([_kernel_1d(spec, L, s, cz, _cosines(spec, L, float(y))) for y in pts])
-    composed = np.sum(lefts[:, None] * rights[None], axis=-1) * (L / _N_QUAD)
+    cz, cp = _cosines(spec, L, _midpoints(L)), _cosines(spec, L, pts)
+    lefts, rights = _series(L, cp * _decay(spec, L, t), cz), _series(L, cp * _decay(spec, L, s), cz)
+    composed = (lefts @ rights.T) * (L / _N_QUAD)
     direct = heat_kernel_eval(spec, t + s, pts[:, None], pts[None])
     return {"max_defect": float(np.abs(composed - direct).max()), "t": t, "s": s}
 
@@ -140,7 +138,8 @@ def gaussian_bound_fit(spec: KernelSpec) -> dict:
     kappa = 1/(8d) (half the free-space 1/(4d)), over 24 log-spaced times
     t in [1e-4, 1e-1] L^2/d and 33 points in [0, L], and the verdict of the
     doubled-resolution refit (stability within 20%).  Also reports the
-    kernel minimum over the samples (positivity)."""
+    kernel minimum over the samples (positivity).  `checks` holds the
+    verdict of each of the three, by the name of its number."""
     kappa = 1.0 / (8.0 * spec.d)
 
     def fit(nt: int, nx: int):
@@ -166,15 +165,17 @@ def gaussian_bound_fit(spec: KernelSpec) -> dict:
     coarse, min_coarse = fit(24, 33)
     fine, min_fine = fit(48, 65)
     rel_change = abs(fine - coarse) / coarse if coarse > 0 else math.inf
-    free_space_floor = 1.0 / math.sqrt(4.0 * math.pi * spec.d)
+    k_min = min(min_coarse, min_fine)
+    checks = {"C_H": math.isfinite(fine), "rel_change": rel_change <= 0.2, "min_kernel_value": k_min >= -1e-10}
     return {
         "kappa": kappa,
         "C_H": fine,
         "C_H_coarse": coarse,
         "rel_change": rel_change,
-        "min_kernel_value": min(min_coarse, min_fine),
-        "free_space_floor": free_space_floor,
-        "passed": math.isfinite(fine) and rel_change <= 0.2 and min(min_coarse, min_fine) >= -1e-10,
+        "min_kernel_value": k_min,
+        "free_space_floor": 1.0 / math.sqrt(4.0 * math.pi * spec.d),
+        "checks": checks,
+        "passed": all(checks.values()),
     }
 
 
@@ -190,21 +191,24 @@ def smoothing_threshold(p: float, dimension: int) -> float:
 
 
 def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, dt: float, n_steps: int):
-    """Backward-Euler march of d/dt psi - d Lap psi = source from zero
-    data, exact per DCT-II mode with the multipliers of `modal`, a
-    ModalDiffusion of step dt for the one diffusivity d.  `source` has
-    shape (*batch, *grid), and every trajectory marches at once: the
-    result, of shape (n_steps + 1, *batch, *grid), holds each step's
-    states contiguously, the initial state first.  The modal's stencil
-    residual gate checks each trajectory on its own, against its own
-    max|u|.  The trajectories and the gate's temporaries are arrays of the
-    modal's `work`."""
+    """Backward-Euler steps of d/dt psi - d Lap psi = source from zero
+    data, exact per DCT-II mode with the multipliers M of `modal`, a
+    ModalDiffusion of step dt for the one diffusivity d.  From zero data
+    step k is psi_k = forcing (M + M^2 + ... + M^k) in each mode.
+    `source` has shape (*batch, *grid), and every trajectory is formed at
+    once: the result, of shape (n_steps + 1, *batch, *grid), holds each
+    step's states contiguously, the initial state first.  The modal's
+    stencil residual gate checks each trajectory on its own, against its
+    own max|u|.  The trajectories, the power sums and the gate's
+    temporaries are arrays of the modal's `work`."""
     batch = source.shape[: source.ndim - grid.dimension]
     forcing = dt * grid.to_modes(source)
+    sums = work_array(modal.work, "power_sums", (n_steps,) + grid.shape)
+    sums[...] = modal.multipliers[0]
+    np.add.accumulate(np.multiply.accumulate(sums, axis=0, out=sums), axis=0, out=sums)
     traj = work_array(modal.work, "traj", (n_steps + 1,) + source.shape)
     traj[0] = 0.0
-    for k in range(n_steps):
-        np.multiply(np.add(traj[k], forcing, out=traj[k + 1]), modal.multipliers[0], out=traj[k + 1])
+    np.multiply(sums.reshape((n_steps,) + (1,) * len(batch) + grid.shape), forcing, out=traj[1:])
     traj = grid.from_modes(traj, overwrite_x=True)
     for b in np.ndindex(batch):
         one = traj[(slice(None),) + b]
@@ -213,11 +217,11 @@ def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, d
     return traj
 
 
-def _spacetime_norm(traj: np.ndarray, exponent: float, dt: float, cell_measure: float, work: dict | None = None) -> float:
+def _spacetime_norm(states: np.ndarray, exponent: float, dt: float, cell_measure: float, work: dict | None = None) -> float:
+    """The L^exponent norm over space-time of `states`, one per step of length dt: the right-endpoint rule in time."""
+    powers = np.abs(states, out=work_array(work, "powers", states.shape))
     if math.isinf(exponent):
-        return float(np.abs(traj, out=work_array(work, "abs", traj.shape)).max())
-    # right-endpoint rule in time over the marched states
-    powers = np.abs(traj[1:], out=work_array(work, "powers", traj[1:].shape))
+        return float(powers.max())
     powers **= exponent
     body = np.sum(powers) * dt * cell_measure
     return float(body ** (1.0 / exponent))
@@ -232,17 +236,8 @@ def probe_grids(spec: KernelSpec, dimension: int = 1, cells: int = 64) -> list[G
     return [Grid(spec.lengths * dimension, (c,) * dimension) for c in (cells, 2 * cells)]
 
 
-def smoothing_probe(
-    spec: KernelSpec,
-    p: float,
-    s: float,
-    dimension: int = 1,
-    trials: int = 6,
-    cells: int = 64,
-    t_final: float = 0.5,
-    dt: float = 1e-3,
-    seed: int = 0,
-) -> dict:
+def smoothing_probe(spec: KernelSpec, p: float, s: float, dimension: int = 1, trials: int = 6, cells: int = 64,
+                    t_final: float = 0.5, dt: float = 1e-3, seed: int = 0) -> dict:
     """Monte-Carlo probe of ||psi||_{L^s} <= C ||theta||_{L^p} for the
     sourced Neumann heat equation with zero data: random bounded
     low-mode cosine sources, ratio reported at the working mesh and one
@@ -280,9 +275,9 @@ def smoothing_probe(
             batch = thetas[first : first + per_march]
             trajs = _solve_sourced_heat(modal, grid, batch, step, n_steps)
             for b, theta in enumerate(batch):
-                traj = trajs[:, b]
-                num = _spacetime_norm(traj, s, step, grid.cell_measure, modal.work)
-                den = _spacetime_norm(np.broadcast_to(theta, traj.shape), p, step, grid.cell_measure, modal.work)
+                num = _spacetime_norm(trajs[1:, b], s, step, grid.cell_measure, modal.work)
+                # the source is the same at every step: one state held for the whole horizon
+                den = _spacetime_norm(theta[None], p, n_steps * step, grid.cell_measure)
                 if den == 0.0:
                     continue  # zero source: nothing to certify
                 out.append(num / den)

@@ -300,6 +300,15 @@ class TestAnalysisCommands:
         text = (out / "kernel_fit.csv").read_text()
         assert "C_H" in text and "mass_max_defect" in text
 
+    def test_kernel_check_names_the_check_that_failed(self, tmp_path, capsys):
+        # 100 modes dip below zero at the Gaussian fit's earliest time; every other figure is at roundoff
+        out = tmp_path / "out"
+        assert main(["kernel-check", "--modes", "100", "--out", str(out)]) == EXIT_INVARIANT
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.endswith("-> ok=False, failed: min_kernel_value -2.60e-04"), line
+        rows = dict(list(csv.reader((out / "kernel_fit.csv").open()))[1:])
+        assert float(rows["min_kernel_value"]) < -1e-10
+
     @pytest.mark.parametrize("argv", [["picard-demo", "--p-max", "8"], ["kernel-check"]])
     def test_reruns_are_byte_identical(self, tmp_path, argv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -376,6 +385,20 @@ def expression_config(formula: str) -> dict:
 def test_a_node_outside_the_expression_grammar_is_rejected_when_parsed(formula):
     with pytest.raises(ConfigError, match=r"^\$\.initial\[2\]\.formula: invalid expression: .* is not in the expression grammar$"):
         parse_config(expression_config(formula))
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_an_expression_naming_an_axis_the_grid_lacks_is_rejected_when_parsed(tmp_path, capsys, axis):
+    message = rf"^\$\.initial\[2\]\.formula: '{axis}' names an axis the grid lacks: it has 1 axis$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(expression_config(f"{axis} + x"))
+    cfg = write_config(tmp_path, expression_config(f"{axis} + x"))
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "names an axis the grid lacks" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_expression_comparisons_give_step_data():

@@ -23,6 +23,12 @@ from trdlab.stepper import ModalDiffusion
 SPEC = KernelSpec(d=1.0, lengths=(1.0,), truncation=200)
 
 
+def assert_is_the_oracle_march(traj, march):
+    # the power sums round otherwise than the step-by-step march: measured at most 1.2e-16 (1 + max|traj|) apart
+    assert traj.shape == march.shape
+    assert np.abs(traj - march).max() <= 1e-13 * (1.0 + np.abs(traj).max())
+
+
 class TestKernelSeries:
     def test_long_time_limit_is_uniform(self):
         val = heat_kernel_eval(SPEC, 50.0, 0.3, 0.8)
@@ -73,14 +79,15 @@ class TestConservationAndSemigroup:
         )
         assert out["max_defect"] <= 1e-8
 
-    def test_mass_defect_equals_a_running_max_over_every_pair(self):
+    def test_mass_defect_is_a_running_max_over_every_pair(self):
+        # one matrix product sums the modes in another order than the per-pair broadcast: measured 1.1e-16 apart
         ts, xs, n_quad = [1e-3, 1e-2, 0.5], [0.0, 0.3, 1.0], 512
         z = (np.arange(n_quad) + 0.5) / n_quad
         worst = 0.0
         for t in ts:
             for x in xs:
                 worst = max(worst, abs(float(np.sum(heat_kernel_eval(SPEC, t, x, z)) * (1.0 / n_quad)) - 1.0))
-        assert mass_conservation_check(SPEC, ts, xs)["max_defect"] == worst
+        assert abs(mass_conservation_check(SPEC, ts, xs)["max_defect"] - worst) <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("t_values", [[math.nan], [1e-3, math.nan, 1e-2]])
     def test_a_nan_time_gives_a_nan_mass_defect(self, t_values):
@@ -237,14 +244,27 @@ class TestSmoothing:
         "lengths, cells, d, dt, n_steps",
         [((1.0,), (40,), 0.7, 0.004, 60), ((1.0, 2.0), (12, 10), 1.0, 0.004, 60), ((1.0,), (128,), 1.0, 1e-3, 500)],
     )
-    def test_sourced_heat_is_the_oracle_march_bit_for_bit(self, lengths, cells, d, dt, n_steps):
+    def test_sourced_heat_is_the_oracle_march_to_roundoff(self, lengths, cells, d, dt, n_steps):
         from trdlab.grid import Grid
         from trdlab.kernel import _solve_sourced_heat
 
         grid = Grid(lengths, cells)
         source = np.random.default_rng(3).uniform(-1.0, 1.0, size=grid.shape)
         traj = _solve_sourced_heat(ModalDiffusion((d,), grid, dt), grid, source, dt, n_steps)
-        assert np.array_equal(traj, oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
+        assert_is_the_oracle_march(traj, oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
+    @pytest.mark.parametrize("shape", [(64,), (128,), (16, 12)])
+    def test_a_held_source_has_the_norm_of_its_broadcast_in_one_pass(self, p, shape):
+        # the probe's denominator: the source is the same at each of the n_steps states
+        theta = np.random.default_rng(11).uniform(-1.0, 1.0, size=shape)
+        n_steps, dt, h = 500, 1e-3, 1.0 / math.prod(shape)
+        one_pass = kernel._spacetime_norm(theta[None], p, n_steps * dt, h)
+        broadcast = kernel._spacetime_norm(np.broadcast_to(theta, (n_steps,) + shape), p, dt, h)
+        if math.isinf(p):
+            assert one_pass == broadcast == np.abs(theta).max()
+        else:
+            assert abs(one_pass - broadcast) <= 1e-14 * broadcast
 
     def test_sourced_heat_reuses_its_work_arrays(self):
         # the probe's trials share one modal per mesh: a warmed march makes no
@@ -270,7 +290,7 @@ class TestSmoothing:
         assert peak <= 0.5 * traj.nbytes
 
     @pytest.mark.parametrize("lengths, cells", [((1.0,), (40,)), ((1.0, 2.0), (12, 10))])
-    def test_a_batched_march_is_the_oracle_march_of_each_trial_bit_for_bit(self, lengths, cells):
+    def test_a_batched_march_is_the_oracle_march_of_each_trial_to_roundoff(self, lengths, cells):
         from trdlab.grid import Grid
         from trdlab.kernel import _solve_sourced_heat
 
@@ -280,7 +300,7 @@ class TestSmoothing:
         trajs = _solve_sourced_heat(ModalDiffusion((d,), grid, dt), grid, sources, dt, n_steps)
         assert trajs.shape == (n_steps + 1, 3) + grid.shape
         for b, source in enumerate(sources):
-            assert np.array_equal(trajs[:, b], oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
+            assert_is_the_oracle_march(trajs[:, b], oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
 
     def test_each_trial_of_a_batch_has_its_own_gate_limit(self):
         # the perturbed trial's residual lies above its own limit, 1e-10 (1 + max|u|), but below
