@@ -199,11 +199,11 @@ def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, d
     once: the result, of shape (n_steps + 1, *batch, *grid), holds each
     step's states contiguously, the initial state first.  The modal's
     stencil residual gate checks each trajectory on its own, against its
-    own max|u|.  The trajectories, the power sums and the gate's
-    temporaries are arrays of the modal's `work`."""
+    own max|u|.  The trajectories and the gate's temporaries are arrays
+    of the modal's `work`; the power sums borrow the gate's right-hand side."""
     batch = source.shape[: source.ndim - grid.dimension]
     forcing = dt * grid.to_modes(source)
-    sums = work_array(modal.work, "power_sums", (n_steps,) + grid.shape)
+    sums = work_array(modal.work, "rhs", (n_steps,) + grid.shape)
     sums[...] = modal.multipliers[0]
     np.add.accumulate(np.multiply.accumulate(sums, axis=0, out=sums), axis=0, out=sums)
     traj = work_array(modal.work, "traj", (n_steps + 1,) + source.shape)
