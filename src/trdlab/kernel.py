@@ -228,11 +228,11 @@ def _spacetime_norm(states: np.ndarray, exponent: float, dt: float, cell_measure
 
 
 _SOURCE_MODES = 6  # a probe source sums cosine modes 0.._SOURCE_MODES along each axis
-_MARCH_VALUES = 2**19  # a probe march takes as many trials as keep its trajectories within this many values
+_SOLVE_VALUES = 2**19  # a probe solve takes as many trials as keep its trajectories within this many values
 
 
 def probe_grids(spec: KernelSpec, dimension: int = 1, cells: int = 64) -> list[Grid]:
-    """The smoothing probe's working mesh and its refinement, both made (and checked) before any march."""
+    """The smoothing probe's working mesh and its refinement, both made (and checked) before any solve."""
     return [Grid(spec.lengths * dimension, (c,) * dimension) for c in (cells, 2 * cells)]
 
 
@@ -267,12 +267,12 @@ def smoothing_probe(spec: KernelSpec, p: float, s: float, dimension: int = 1, tr
     coeff_sets = [rng.uniform(-1.0, 1.0, size=1 + _SOURCE_MODES * dimension) for _ in range(trials)]
 
     def ratios(grid: Grid):
-        modal = ModalDiffusion((spec.d,), grid, step)  # its work holds the marches' arrays
+        modal = ModalDiffusion((spec.d,), grid, step)  # its work holds the solves' arrays
         thetas = np.array([random_source(grid, coeffs) for coeffs in coeff_sets])
-        per_march = max(1, _MARCH_VALUES // ((n_steps + 1) * math.prod(grid.shape)))
+        per_solve = max(1, _SOLVE_VALUES // ((n_steps + 1) * math.prod(grid.shape)))
         out = []
-        for first in range(0, trials, per_march):
-            batch = thetas[first : first + per_march]
+        for first in range(0, trials, per_solve):
+            batch = thetas[first : first + per_solve]
             trajs = _solve_sourced_heat(modal, grid, batch, step, n_steps)
             for b, theta in enumerate(batch):
                 num = _spacetime_norm(trajs[1:, b], s, step, grid.cell_measure, modal.work)
