@@ -130,13 +130,14 @@ def _cmd_kernel_check(args) -> int:
         kernel.probe_grids(spec)
     except ValueError as exc:
         raise ConfigError("--length", str(exc)) from exc
+    # the probe first: its trajectories, the command's largest arrays, are gone before spec builds and keeps the checks' table
+    probe = kernel.smoothing_probe(spec, p=2.0, s=4.0, dimension=1, seed=0)
     tau = spec.diffusive_time
     mass = kernel.mass_conservation_check(
         spec, t_values=np.geomspace(1e-4, 1e-1, 5) * tau, x_values=np.linspace(0, args.length, 5)
     )
     semigroup = kernel.semigroup_check(spec, t=0.01 * tau, s=0.02 * tau)
     fit = kernel.gaussian_bound_fit(spec)
-    probe = kernel.smoothing_probe(spec, p=2.0, s=4.0, dimension=1, seed=0)
     rows = [("mass_max_defect", mass["max_defect"], mass["max_defect"] <= 1e-8),  # (quantity, value, its verdict)
             # the kernel scales as 1/L: a semigroup defect relative to it
             ("semigroup_max_defect", semigroup["max_defect"], args.length * semigroup["max_defect"] <= 1e-6),

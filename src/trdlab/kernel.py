@@ -13,14 +13,15 @@ smoothing probe solves the discrete sourced heat equation in the grid's
 DCT-II modes, the discrete counterpart of the same cosine eigenpairs, with
 the stepper's diffusion solve: a `stepper.ModalDiffusion` per mesh supplies
 the multipliers, the work arrays and the stencil residual gate.  Its trials
-share one steps-first trajectory buffer, of about 3.1 MB at the 1D probe's
-fine mesh, and the gate checks each on its own.
+share one trial-major trajectory buffer, of about 3.1 MB at the 1D probe's
+fine mesh, and the gate checks each trial's contiguous block on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,11 @@ class KernelSpec:
         L = self.lengths[0]
         return L * L / self.d
 
+    @cached_property
+    def midpoint_cosines(self) -> np.ndarray:
+        """The cosine table at the _N_QUAD midpoints, the mass and semigroup checks' quadrature nodes."""
+        return _cosines(self, self.lengths[0], _midpoints(self.lengths[0]))
+
 
 def _cosines(spec: KernelSpec, L: float, x) -> np.ndarray:
     """cos(k pi x / L) for k = 1..spec.truncation, along a new last axis."""
@@ -80,8 +86,13 @@ def _series(L: float, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _pair_table(spec: KernelSpec, L: float, t: float, c: np.ndarray) -> np.ndarray:
-    """The series at time t over every pair of points with cosine table c."""
-    return _series(L, c * _decay(spec, L, t), c)
+    """The series at time t over every pair of points with cosine table c,
+    over the leading modes whose decay is a normal double (a NaN counts):
+    the decay falls with k, and the modes after them add less than
+    2 K tiny / L, which no double in the table can hold."""
+    decay = _decay(spec, L, t)
+    K = np.count_nonzero(~(decay < np.finfo(float).tiny))
+    return _series(L, c[:, :K] * decay[:K], c[:, :K])
 
 
 def heat_kernel_eval(spec: KernelSpec, t, x, y):
@@ -116,7 +127,7 @@ def mass_conservation_check(spec: KernelSpec, t_values, x_values) -> dict:
     L = spec.lengths[0]
     # one row (decay_t * cos_x) per sampled (t, x), all against the quadrature table at once
     rows = _decay(spec, L, np.atleast_1d(t_values))[:, None] * _cosines(spec, L, np.atleast_1d(x_values))
-    masses = _series(L, rows.reshape(-1, spec.truncation), _cosines(spec, L, _midpoints(L))).sum(axis=1) * (L / _N_QUAD)
+    masses = _series(L, rows.reshape(-1, spec.truncation), spec.midpoint_cosines).sum(axis=1) * (L / _N_QUAD)
     return {"max_defect": float(np.max(np.abs(masses - 1.0), initial=0.0)), "n_quad": _N_QUAD}  # np.max keeps a NaN
 
 
@@ -126,7 +137,7 @@ def semigroup_check(spec: KernelSpec, t: float, s: float) -> dict:
     two matrix products over the quadrature table, composed in a third."""
     L = spec.lengths[0]
     pts = np.linspace(0.0, L, 9)
-    cz, cp = _cosines(spec, L, _midpoints(L)), _cosines(spec, L, pts)
+    cz, cp = spec.midpoint_cosines, _cosines(spec, L, pts)
     lefts, rights = _series(L, cp * _decay(spec, L, t), cz), _series(L, cp * _decay(spec, L, s), cz)
     composed = (lefts @ rights.T) * (L / _N_QUAD)
     direct = heat_kernel_eval(spec, t + s, pts[:, None], pts[None])
@@ -196,8 +207,8 @@ def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, d
     ModalDiffusion of step dt for the one diffusivity d.  From zero data
     step k is psi_k = forcing (M + M^2 + ... + M^k) in each mode.
     `source` has shape (*batch, *grid), and every trajectory is formed at
-    once: the result, of shape (n_steps + 1, *batch, *grid), holds each
-    step's states contiguously, the initial state first.  The modal's
+    once: the result, of shape (*batch, n_steps + 1, *grid), holds each
+    trial's trajectory contiguously, the initial state first.  The modal's
     stencil residual gate checks each trajectory on its own, against its
     own max|u|.  The trajectories and the gate's temporaries are arrays
     of the modal's `work`; the power sums borrow the gate's right-hand side."""
@@ -206,15 +217,15 @@ def _solve_sourced_heat(modal: ModalDiffusion, grid: Grid, source: np.ndarray, d
     sums = work_array(modal.work, "rhs", (n_steps,) + grid.shape)
     sums[...] = modal.multipliers[0]
     np.add.accumulate(np.multiply.accumulate(sums, axis=0, out=sums), axis=0, out=sums)
-    traj = work_array(modal.work, "traj", (n_steps + 1,) + source.shape)
-    traj[0] = 0.0
-    np.multiply(sums.reshape((n_steps,) + (1,) * len(batch) + grid.shape), forcing, out=traj[1:])
-    traj = grid.from_modes(traj, overwrite_x=True)
-    for b in np.ndindex(batch):
-        one = traj[(slice(None),) + b]
-        rhs = np.add(one[:-1], dt * source[b], out=work_array(modal.work, "rhs", one[1:].shape))
+    traj = work_array(modal.work, "traj", batch + (n_steps + 1,) + grid.shape)
+    trials = traj.reshape((-1, n_steps + 1) + grid.shape)  # a view: the batch axes flattened
+    trials[:, 0] = 0.0
+    np.multiply(sums, forcing.reshape((-1, 1) + grid.shape), out=trials[:, 1:])
+    trials = grid.from_modes(trials, overwrite_x=True)
+    for one, theta in zip(trials, source.reshape((-1,) + grid.shape)):
+        rhs = np.add(one[:-1], dt * theta, out=work_array(modal.work, "rhs", one[1:].shape))
         modal.gate(grid, one[None, 1:], rhs[None])
-    return traj
+    return trials.reshape(traj.shape)
 
 
 def _spacetime_norm(states: np.ndarray, exponent: float, dt: float, cell_measure: float, work: dict | None = None) -> float:
@@ -222,7 +233,8 @@ def _spacetime_norm(states: np.ndarray, exponent: float, dt: float, cell_measure
     powers = np.abs(states, out=work_array(work, "powers", states.shape))
     if math.isinf(exponent):
         return float(powers.max())
-    powers **= exponent
+    powers **= exponent / 2  # then squared: numpy squares for exponent 4, and |psi|^s overflows only where it would
+    powers *= powers
     body = np.sum(powers) * dt * cell_measure
     return float(body ** (1.0 / exponent))
 
@@ -275,7 +287,7 @@ def smoothing_probe(spec: KernelSpec, p: float, s: float, dimension: int = 1, tr
             batch = thetas[first : first + per_solve]
             trajs = _solve_sourced_heat(modal, grid, batch, step, n_steps)
             for b, theta in enumerate(batch):
-                num = _spacetime_norm(trajs[1:, b], s, step, grid.cell_measure, modal.work)
+                num = _spacetime_norm(trajs[b, 1:], s, step, grid.cell_measure, modal.work)
                 # the source is the same at every step: one state held for the whole horizon
                 den = _spacetime_norm(theta[None], p, n_steps * step, grid.cell_measure)
                 if den == 0.0:

@@ -174,22 +174,28 @@ def picard_iterate(inputs: PointwiseInputs, p_max: int, bound: float | None = No
     return iterates
 
 
-def _times_exp(scale: int, x: int, P: int) -> int:
-    """scale e^(x 2^-P) in P-bit fixed point, rounded down.  The series runs
-    on |x| halved r times below 2^-R, R = isqrt(P), at P + r bits, until a
-    term is 0, and is squared back r times.  For x < 0 scale is divided by
-    it: the error stays relative, and floor division never meets a negative
-    term (which would stay at -1 for ever)."""
-    y = abs(x)
-    r = max(0, y.bit_length() - P + math.isqrt(P))
-    wp = P + r  # y 2^-P halved r times is y at wp bits
-    s, term, k = 1 << wp, 1 << wp, 1
-    while term:
+def _times_exp(scale, x: np.ndarray, P: int) -> np.ndarray:
+    """scale e^(x 2^-P) in P-bit fixed point, rounded down, over an object
+    array x of ints, all nodes at once.  A node's series runs on its |x|
+    halved r times below 2^-R, R = isqrt(P), at P + r bits, until its term
+    is 0 (the first term, (2^(P+r) |x| >> P+r) // 1, is |x| itself), and
+    is squared back r times.  Where x < 0 scale is divided by it: the error
+    stays relative, and floor division never meets a negative term (which
+    would stay at -1 for ever)."""
+    y = np.abs(x)
+    r = np.maximum(np.array([v.bit_length() for v in y.tolist()]) - (P - math.isqrt(P)), 0)
+    wp = P + r.astype(object)  # y 2^-P halved r times is y at wp bits
+    s, term, k = (1 << wp) + y, y, 2
+    while np.count_nonzero(term):  # a node whose term is 0 adds 0 from then on
         term = (term * y >> wp) // k
         s, k = s + term, k + 1
-    for _ in range(r):
-        s = s * s >> wp
-    return (scale << wp) // s if x < 0 else (scale * s) >> wp
+    for i in range(r.max()):
+        sq = r > i
+        s[sq] = s[sq] * s[sq] >> wp[sq]
+    scale, neg, out = np.broadcast_to(scale, s.shape), x < 0, np.empty_like(s)
+    out[neg] = (scale[neg] << wp[neg]) // s[neg]
+    out[~neg] = (scale[~neg] * s[~neg]) >> wp[~neg]
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,8 @@ class FixedIterate:
 def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     """picard_iterate's map to `dps` digits in the module docstring's fixed
     point (same mesh and trapezoidal rule), one FixedIterate per iterate, for
-    the envelope certification.  One exp per node, of W's increment."""
+    the envelope certification.  One _times_exp per iterate, of every node's
+    increment of W."""
     from mpmath import libmp  # here and in _exact, the certificate's only uses: no other command loads mpmath
     if bad := [name for name, v in (("p_max", p_max), ("dps", dps)) if type(v) is not int or v < 1]:
         raise ValueError(f"{' and '.join(bad)} must be positive ints; got p_max={p_max!r}, dps={dps!r}")
@@ -215,11 +222,10 @@ def picard_iterate_mp(inputs: PointwiseInputs, p_max: int, dps: int = 40):
             return (x ** int(e) << P) >> (int(e) * P)
         e = libmp.from_float(e)
         return np.frompyfunc(lambda v: libmp.to_fixed(libmp.mpf_pow(libmp.from_man_exp(v, -P), e, P), P), 1, 1)(x)
-    vexp = np.frompyfunc(lambda e, w: _times_exp(e, w, P), 2, 1)
     W_prev, E_prev = 0, 1 << P  # the zeroth iterate's W and e^W: one instance serves one sequence of iterates
     def exp_pair(W):  # e^W as the previous iterate's times e^(W - W_prev); e^-W s as s / e^W
         nonlocal W_prev, E_prev
-        W_prev, E_prev = W, vexp(E_prev, W - W_prev)
+        W_prev, E_prev = W, _times_exp(E_prev, W - W_prev, P)
         return E_prev, lambda s, E=E_prev: (s << P) // E
     ar = SimpleNamespace(lift=lift, mul=lambda x, y: (x * y) >> P, power=power, exp_pair=exp_pair)
     iterates, drivers = [np.full(len(inputs.times), lift(inputs.a_j0), dtype=object)], _drivers(inputs, ar)

@@ -279,6 +279,24 @@ def _solve_reaction_newton(x0, sigma, alpha, m, Q, n, dt, theta=1.0, max_iter=20
     return x, clamped_hi | clamped_lo
 
 
+def times_exp(scale: int, x: int, P: int) -> int:
+    """scale e^(x 2^-P) in P-bit fixed point, rounded down, one node at a
+    time: `trdlab.picard._times_exp`'s series as a scalar loop, kept as the
+    bit-for-bit oracle of its array form.  The series runs on |x| halved r
+    times below 2^-R, R = isqrt(P), at P + r bits, until a term is 0, and is
+    squared back r times; for x < 0 scale is divided by it."""
+    y = abs(x)
+    r = max(0, y.bit_length() - P + math.isqrt(P))
+    wp = P + r  # y 2^-P halved r times is y at wp bits
+    s, term, k = 1 << wp, 1 << wp, 1
+    while term:
+        term = (term * y >> wp) // k
+        s, k = s + term, k + 1
+    for _ in range(r):
+        s = s * s >> wp
+    return (scale << wp) // s if x < 0 else (scale * s) >> wp
+
+
 def picard_iterate_mpf(inputs: PointwiseInputs, p_max: int, dps: int = 40):
     """picard_iterate's map at `dps` digits in mp.mpf arithmetic (same mesh,
     same trapezoidal rule), one list of mp.mpf per iterate: the reference for

@@ -70,6 +70,18 @@ class TestKernelSeries:
             KernelSpec(d=1.0, lengths=(1.0, 2.0))  # one interval only
 
 
+def record_cosine_tables(monkeypatch):
+    """The list that collects the point count of every cosine table `kernel` builds."""
+    cosines, sizes = kernel._cosines, []
+
+    def recording(spec, L, x):
+        sizes.append(np.size(x))
+        return cosines(spec, L, x)
+
+    monkeypatch.setattr(kernel, "_cosines", recording)
+    return sizes
+
+
 class TestConservationAndSemigroup:
     def test_mass_conserved_at_sampled_times(self):
         out = mass_conservation_check(
@@ -117,15 +129,16 @@ class TestConservationAndSemigroup:
         assert math.isnan(semigroup_check(SPEC, t=math.nan, s=0.02)["max_defect"])
 
     def test_semigroup_builds_its_quadrature_table_once(self, monkeypatch):
-        cosines, sizes = kernel._cosines, []
-
-        def recording(spec, L, x):
-            sizes.append(np.size(x))
-            return cosines(spec, L, x)
-
-        monkeypatch.setattr(kernel, "_cosines", recording)
-        semigroup_check(SPEC, t=0.01, s=0.02)
+        sizes = record_cosine_tables(monkeypatch)
+        semigroup_check(KernelSpec(d=1.0), t=0.01, s=0.02)  # a fresh spec: SPEC holds the table it built before
         assert sizes.count(512) == 1
+
+    def test_one_kernel_check_builds_the_quadrature_table_once(self, monkeypatch, tmp_path):
+        from trdlab.cli import main
+
+        sizes = record_cosine_tables(monkeypatch)
+        assert main(["kernel-check", "--out", str(tmp_path)]) == 0
+        assert sizes.count(512) == 1  # the mass and the semigroup check share it
 
 
 class TestGaussianBound:
@@ -164,6 +177,22 @@ class TestGaussianBound:
         reference = gaussian_bound_fit(spec)
         for key in ("C_H", "C_H_coarse", "rel_change", "passed"):
             assert fit[key] == reference[key], key
+
+    def test_the_series_drops_only_modes_whose_decay_is_not_a_normal_double(self, monkeypatch):
+        # at the fits' latest time, 0.1 L^2/d, the decay leaves the normal doubles after mode 26 of 200: mode 27 is subnormal
+        L, t, c = 1.0, 0.1, kernel._cosines(SPEC, 1.0, np.linspace(0.0, 1.0, 65))
+        decay = kernel._decay(SPEC, L, t)
+        K = int(np.count_nonzero(decay >= np.finfo(float).tiny))
+        assert K == 26 and 0.0 < decay[K] < np.finfo(float).tiny and (decay[K:] < np.finfo(float).tiny).all()
+        series, seen = kernel._series, []
+        monkeypatch.setattr(kernel, "_series", lambda L, rows, c: seen.append(rows.shape) or series(L, rows, c))
+        vals, full = kernel._pair_table(SPEC, L, t, c), series(L, c * decay, c)
+        assert seen == [(65, K)]
+        assert np.abs(vals - full).max() <= 4 * np.finfo(float).eps * np.abs(full).max()  # the GEMM's blocking, not the dropped modes
+
+    def test_the_series_at_a_nan_time_is_all_nan(self):
+        c = kernel._cosines(SPEC, 1.0, np.linspace(0.0, 1.0, 9))
+        assert np.isnan(kernel._pair_table(SPEC, 1.0, math.nan, c)).all()
 
 
 class TestSmoothing:
@@ -266,6 +295,21 @@ class TestSmoothing:
         else:
             assert abs(one_pass - broadcast) <= 1e-14 * broadcast
 
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_the_norm_is_the_sum_of_powers_over_a_wide_range(self, s):
+        # |psi| from 1e-100 to 1e100: at s = 4 the largest powers overflow, as they do in sum |psi|^s
+        rng = np.random.default_rng(7)
+        psi = rng.choice([-1.0, 1.0], size=(50, 40)) * 10.0 ** rng.uniform(-100.0, 100.0, size=(50, 40))
+        psi[0, :2] = 1e-100, -1e100
+        dt, h = 1e-3, 1.0 / 40
+        with np.errstate(over="ignore"):
+            got, want = kernel._spacetime_norm(psi, s, dt, h), (np.sum(np.abs(psi) ** s) * dt * h) ** (1.0 / s)
+        if math.isinf(s):
+            assert got == np.abs(psi).max()
+        else:
+            assert got == pytest.approx(float(want), rel=1e-14)
+            assert math.isinf(got) == (s == 4.0)
+
     def test_sourced_heat_reuses_its_work_arrays(self):
         # the probe's trials share one modal per mesh: a warmed march makes no
         # trajectory-sized array, and its trajectory is the fresh one's; what
@@ -298,9 +342,10 @@ class TestSmoothing:
         sources = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3,) + grid.shape)
         d, dt, n_steps = 0.7, 0.004, 60
         trajs = _solve_sourced_heat(ModalDiffusion((d,), grid, dt), grid, sources, dt, n_steps)
-        assert trajs.shape == (n_steps + 1, 3) + grid.shape
+        assert trajs.shape == (3, n_steps + 1) + grid.shape  # trial-major: each trajectory is one contiguous block
         for b, source in enumerate(sources):
-            assert_is_the_oracle_march(trajs[:, b], oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
+            assert trajs[b].flags.c_contiguous
+            assert_is_the_oracle_march(trajs[b], oracles._solve_sourced_heat(grid, d, source, dt, n_steps))
 
     def test_each_trial_of_a_batch_has_its_own_gate_limit(self):
         # the perturbed trial's residual lies above its own limit, 1e-10 (1 + max|u|), but below
@@ -336,7 +381,7 @@ class TestSmoothing:
         finally:
             tracemalloc.stop()
         assert trajs.tobytes() == fresh.tobytes()
-        assert peak <= 0.5 * trajs[:, 0].nbytes
+        assert peak <= 0.5 * trajs[0].nbytes
 
     @pytest.mark.parametrize(
         "field, value",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
-from oracles import picard_iterate_mpf
+from oracles import picard_iterate_mpf, times_exp
 
 from trdlab import picard
 from trdlab.errors import InvariantBreach
@@ -124,7 +124,7 @@ def fixed_point(inputs, dps=80):
 
     def exp_pairs(W):
         """e^w as the previous iterate's e^w times e^(w - w_prev); e^-w s as s / e^w."""
-        carried[:] = [(w, picard._times_exp(e, w - v, P)) for w, (v, e) in zip(W, carried or [(0, 1 << P)] * len(W))]
+        carried[:] = [(w, times_exp(e, w - v, P)) for w, (v, e) in zip(W, carried or [(0, 1 << P)] * len(W))]
         return [(e, lambda s, e=e: (s << P) // e) for _, e in carried]
 
     return P, SimpleNamespace(
@@ -247,13 +247,13 @@ class TestMapArithmetic:
 
         def counting(owner, name):
             real = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+            monkeypatch.setattr(owner, name, lambda *args: calls.append((name, np.shape(args[1]))) or real(*args))
 
         for owner, name in ((picard, "_times_exp"), (libmp.libelefun, "exp_fixed"), (mp, "exp")):
             counting(owner, name)
         inp = offset_inputs()
         picard_iterate_mp(inp, p_max=3)
-        assert calls == ["_times_exp"] * (3 * len(inp.times))  # neither mpmath exp is called
+        assert calls == [("_times_exp", inp.times.shape)] * 3  # one call an iterate, over every node; no mpmath exp
 
     @pytest.mark.parametrize("p_max, dps", [(0, 40), (-1, 40), (2.5, 40), (True, 40), (3, 0), (3, -5), (3, 2.5), (3, None)])
     def test_rejects_a_p_max_or_dps_that_is_not_a_positive_int(self, p_max, dps):
@@ -368,14 +368,30 @@ class TestTimesExp:
     exp.  P = 286 is the map's at 80 digits, P = 552 with a power 1/2 in
     delta2; scale 2^P is the plain exp, and e^40 a carried e^W."""
 
-    @pytest.mark.parametrize("P, k", [(286, 16), (552, 20)])
-    def test_within_k_units_of_mpf_exp(self, P, k):
+    @staticmethod
+    def arguments(P):
+        """zero, +-1, the reduction edge +-1 and 400 seeded x, as an object array; scales 2^P and e^40."""
         edge = 1 << (P - math.isqrt(P))  # x 2^-P = 2^-isqrt(P): the largest argument the series takes unhalved
         xs = [0, 1, -1] + [sign * (edge + d) for sign in (1, -1) for d in (-1, 0, 1)]
         rng = random.Random(P)
         xs += [rng.randrange(-80 << P, (80 << P) + 1) for _ in range(400)]
-        for scale in (1 << P, libmp.to_fixed(libmp.mpf_exp(libmp.from_int(40), P), P)):
-            assert max(units_off(picard._times_exp(scale, x, P), scale, x, P) for x in xs) <= k
+        return np.array(xs, dtype=object), (1 << P, libmp.to_fixed(libmp.mpf_exp(libmp.from_int(40), P), P))
+
+    @pytest.mark.parametrize("P, k", [(286, 16), (552, 20)])
+    def test_within_k_units_of_mpf_exp(self, P, k):
+        xs, scales = self.arguments(P)
+        for scale in scales:
+            got = picard._times_exp(scale, xs, P)
+            assert max(units_off(e, scale, x, P) for e, x in zip(got, xs, strict=True)) <= k
+
+    @pytest.mark.parametrize("P", [286, 552])
+    def test_every_node_is_the_scalar_loop_s_bit_for_bit(self, P):
+        xs, scales = self.arguments(P)
+        for scale in scales:
+            got = picard._times_exp(np.full(len(xs), scale, dtype=object), xs, P)
+            want = [times_exp(scale, x, P) for x in xs]
+            assert got.dtype == object and got.shape == xs.shape and list(got) == want
+            assert [picard._times_exp(scale, xs[i : i + 1], P)[0] for i in range(len(xs))] == want  # each node alone
 
     def test_e_w_after_40_iterates_is_within_40_k_units_of_mpf_exp(self, monkeypatch):
         """Each iterate's e^W is the previous one's times _times_exp: k units
