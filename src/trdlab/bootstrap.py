@@ -131,6 +131,9 @@ class ChainStep:
 
 @dataclass
 class ExponentChain:
+    """One bootstrap argument: each rule method checks its step, records it and
+    returns the exponent it yields; `conclude` sets the verdict."""
+
     scenario: str
     dimension: int
     growth: Fraction
@@ -152,163 +155,109 @@ class ExponentChain:
             "notes": self.notes,
         }
 
-
-class _ChainBuilder:
-    def __init__(self, scenario: str, N: int, G: Fraction):
-        self.chain = ExponentChain(scenario, N, Fraction(G))
-        self.N = N
-        self.G = Fraction(G)
+    def _record(self, rule, species, inputs, output, passed, witness):
+        self.steps.append(ChainStep(rule, species, inputs, output, passed, witness))
+        return output
 
     def kernel_smoothing(self, q: Exponent, p: Exponent) -> Exponent:
         """Convolution with the heat kernel: Young pairing plus exact
         time-integrability of the kernel norm."""
-        ok, e = kernel_time_integrable(self.N, q, p)
+        N = self.dimension
+        ok, e = kernel_time_integrable(N, q, p)
         # the kernel itself must live in some L^r with 1 + 1/p = 1/r + 1/q
         recip_r = 1 + p.reciprocal - q.reciprocal
         witness = f"e = (N/2)(1/q - 1/p) = {e} {'<' if ok else '>='} 1; 1/r = {recip_r}"
-        self.chain.steps.append(
-            ChainStep(
-                "kernel-smoothing",
-                "a_i",
-                {"q": q, "p": p, "N": self.N},
-                p,
-                ok and recip_r >= 0,
-                witness,
-            )
-        )
-        return p
+        return self._record("kernel-smoothing", "a_i", {"q": q, "p": p, "N": N}, p, ok and recip_r >= 0, witness)
 
     def gn_interpolation(self, q: Exponent, p: Exponent, theta: Fraction) -> Exponent:
-        ok = gn_identity_check(self.N, p, q, theta)
-        witness = (
-            f"1/p = {p.reciprocal} vs theta(1/2 - 1/N) + (1-theta)/q = "
-            f"{Fraction(theta) * (Fraction(1, 2) - Fraction(1, self.N)) + (1 - Fraction(theta)) * q.reciprocal}"
-        )
-        self.chain.steps.append(
-            ChainStep(
-                "gn-interpolation",
-                "a_i",
-                {"q": q, "p": p, "theta": Fraction(theta), "N": self.N},
-                p,
-                ok,
-                witness,
-            )
-        )
-        return p
+        N, theta = self.dimension, Fraction(theta)
+        rhs = theta * (Fraction(1, 2) - Fraction(1, N)) + (1 - theta) * q.reciprocal
+        witness = f"1/p = {p.reciprocal} vs theta(1/2 - 1/N) + (1-theta)/q = {rhs}"
+        return self._record("gn-interpolation", "a_i", {"q": q, "p": p, "theta": theta, "N": N}, p,
+                            gn_identity_check(N, p, q, theta), witness)
 
     def power_map(self, p: Exponent, G: Fraction | None = None) -> Exponent:
-        G = self.G if G is None else Fraction(G)
+        G = self.growth if G is None else Fraction(G)
         out = ode_power_map(p, G)
-        self.chain.steps.append(
-            ChainStep(
-                "ode-power-map",
-                "a_m",
-                {"p_reactant": p, "G": G},
-                out,
-                True,
-                f"a_m gains L^{out} = L^({p}/{G})",
-            )
-        )
-        return out
+        return self._record("ode-power-map", "a_m", {"p_reactant": p, "G": G}, out, True, f"a_m gains L^{out} = L^({p}/{G})")
 
-    def threshold(self, p: Exponent, kind: str) -> bool:
-        thr = linf_threshold(self.N, kind)
+    def threshold(self, p: Exponent, kind: str, N: int | None = None) -> bool:
+        """Whether p clears the L^infinity threshold of `kind` in dimension N, the chain's own by default."""
+        dim = self.dimension if N is None else N
+        thr = linf_threshold(dim, kind)  # the module global, looked up per call
         ok = thr < p
-        self.chain.steps.append(
-            ChainStep(
-                f"linf-threshold-{kind}",
-                "a_m",
-                {"p": p, "threshold": thr, "N": self.N},
-                None,
-                ok,
-                f"{p} {'>' if ok else '<='} {thr}",
-            )
-        )
+        witness = f"{p} {'>' if ok else '<='} {thr}" + ("" if N is None else f" (dimension {N})")
+        self._record(f"linf-threshold-{kind}", "a_m", {"p": p, "threshold": thr, "N": dim}, None, ok, witness)
         return ok
 
-    def conclude(self, reached: bool, stuck_at: Exponent):
-        self.chain.conclusion = (
-            "reached-Linf" if reached else f"stuck-at {stuck_at}"
-        )
-        return self.chain
+    def conclude(self, reached: bool, stuck_at: Exponent) -> "ExponentChain":
+        self.conclusion = "reached-Linf" if reached else f"stuck-at {stuck_at}"
+        return self
 
 
 def _chain_a3_lowdim() -> ExponentChain:
     # quadratic-type df15 system (G = 2, Q = 3): mass bound gives
     # a_m in L^1 slices; kernel smoothing with p = 4Q works in N <= 2,
     # the ODE map (conservative exponent Q) returns L^4 > (N+2)/2.
-    G = Fraction(2)
     Qv = Fraction(3)  # Q = 1 + G
-    b = _ChainBuilder("A3-lowdim", 2, G)
-    p = Exponent(4 * Qv)
-    b.kernel_smoothing(Exponent.of(1), p)
-    pm = b.power_map(p, G=Qv)
-    ok = b.threshold(pm, "spacetime")
+    c = ExponentChain("A3-lowdim", 2, Fraction(2))
+    p = c.kernel_smoothing(Exponent.of(1), Exponent(4 * Qv))
+    pm = c.power_map(p, G=Qv)
+    ok = c.threshold(pm, "spacetime")
     # the same source exponent also clears the N = 1 threshold 3/2
-    n1 = linf_threshold(1, "spacetime")
-    b.chain.steps.append(
-        ChainStep(
-            "linf-threshold-spacetime",
-            "a_m",
-            {"p": pm, "threshold": n1, "N": 1},
-            None,
-            n1 < pm,
-            f"{pm} > {n1} (dimension 1)",
-        )
-    )
-    return b.conclude(ok and n1 < pm, pm)
+    ok_n1 = c.threshold(pm, "spacetime", N=1)
+    return c.conclude(ok and ok_n1, pm)
 
 
 def _chain_quad_n3() -> ExponentChain:
-    b = _ChainBuilder("quad-N3", 3, Fraction(2))
+    c = ExponentChain("quad-N3", 3, Fraction(2))
     # Sobolev + gradient bound give a_m in L^{N/(N-2)} = L^3 slices
-    p = b.kernel_smoothing(Exponent.of(3), Exponent.infinity())
-    return b.conclude(p.is_infinite and all(s.passed for s in b.chain.steps), p)
+    p = c.kernel_smoothing(Exponent.of(3), Exponent.infinity())
+    return c.conclude(p.is_infinite and all(s.passed for s in c.steps), p)
 
 
 def _chain_quad_n4() -> ExponentChain:
-    b = _ChainBuilder("quad-N4", 4, Fraction(2))
-    p = b.kernel_smoothing(Exponent.of(2), Exponent.of(6))
-    pm = b.power_map(p)  # L^3
-    ok = b.threshold(pm, "space")
+    c = ExponentChain("quad-N4", 4, Fraction(2))
+    p = c.kernel_smoothing(Exponent.of(2), Exponent.of(6))
+    pm = c.power_map(p)  # L^3
+    ok = c.threshold(pm, "space")
     if ok:
-        b.kernel_smoothing(pm, Exponent.infinity())
-    return b.conclude(ok, pm)
+        c.kernel_smoothing(pm, Exponent.infinity())
+    return c.conclude(ok, pm)
 
 
 def _chain_quad_n5() -> ExponentChain:
-    b = _ChainBuilder("quad-N5", 5, Fraction(2))
-    p = b.kernel_smoothing(Exponent.of(5, 3), Exponent.of(50, 11))
-    pm = b.power_map(p)  # 25/11
-    p = b.kernel_smoothing(pm, Exponent.of(50, 3))
-    pm = b.power_map(p)  # 25/3
-    ok = b.threshold(pm, "space")
+    c = ExponentChain("quad-N5", 5, Fraction(2))
+    p = c.kernel_smoothing(Exponent.of(5, 3), Exponent.of(50, 11))
+    pm = c.power_map(p)  # 25/11
+    p = c.kernel_smoothing(pm, Exponent.of(50, 3))
+    pm = c.power_map(p)  # 25/3
+    ok = c.threshold(pm, "space")
     if ok:
-        b.kernel_smoothing(pm, Exponent.infinity())
-    return b.conclude(ok, pm)
+        c.kernel_smoothing(pm, Exponent.infinity())
+    return c.conclude(ok, pm)
 
 
 def _chain_g103_n3() -> ExponentChain:
-    G = Fraction(10, 3)
-    b = _ChainBuilder("G103-N3", 3, G)
+    c = ExponentChain("G103-N3", 3, Fraction(10, 3))
     p1 = Exponent.of(234, 81)  # = 26/9, the exponent used downstream
-    b.kernel_smoothing(Exponent.of(1), p1)
+    c.kernel_smoothing(Exponent.of(1), p1)
     # the stated gap delta = 9/243 gives 3 - 9/243 = 80/27 != 234/81;
     # both exponents are admissible, the mismatch is flagged, not fixed
     alt = Exponent.of(80, 27)
     ok_alt, e_alt = kernel_time_integrable(3, Exponent.of(1), alt)
-    b.chain.notes.append(
+    c.notes.append(
         f"stated gap 9/243 gives 80/27, not 234/81; alternate exponent "
         f"admissible too (e = {e_alt} < 1: {ok_alt})"
     )
-    p2 = b.gn_interpolation(p1, Exponent.of(39, 10), Fraction(1, 2))
-    pm = b.power_map(p2)  # 117/100
-    p3 = b.kernel_smoothing(pm, Exponent.of(116, 22))  # = 58/11
-    pm = b.power_map(p3)  # 87/55
-    ok = b.threshold(pm, "space")
+    p2 = c.gn_interpolation(p1, Exponent.of(39, 10), Fraction(1, 2))
+    pm = c.power_map(p2)  # 117/100
+    p3 = c.kernel_smoothing(pm, Exponent.of(116, 22))  # = 58/11
+    pm = c.power_map(p3)  # 87/55
+    ok = c.threshold(pm, "space")
     if ok:
-        b.kernel_smoothing(pm, Exponent.infinity())
-    return b.conclude(ok and ok_alt, pm)
+        c.kernel_smoothing(pm, Exponent.infinity())
+    return c.conclude(ok and ok_alt, pm)
 
 
 CHAIN_SCENARIOS = {

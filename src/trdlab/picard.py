@@ -135,8 +135,8 @@ def _map(inputs: PointwiseInputs, a, drivers, ar):
     """The integrating-factor map, with drivers = `_drivers(inputs, ar)`, in the
     node arithmetic `ar` (see the module docstring): `_FLOATS`, object arrays of
     mp.mpf under mp.workdps, or picard_iterate_mp's fixed point."""
-    am_d1, d1, d3, a0, half_dt = drivers
-    W = _cumtrapz(ar.mul(ar.mul(d1, inputs.delta2(a, ar)), d3), half_dt, ar)
+    am_d1, d1_d3, a0, half_dt = drivers
+    W = _cumtrapz(ar.mul(inputs.delta2(a, ar), d1_d3), half_dt, ar)
     grow, decay = ar.exp_pair(W)
     # array first: mpf + ndarray would make mpmath try to convert the array
     return decay(_cumtrapz(ar.mul(am_d1, grow), half_dt, ar) + a0)
@@ -144,7 +144,7 @@ def _map(inputs: PointwiseInputs, a, drivers, ar):
 
 def _drivers(inputs: PointwiseInputs, ar) -> tuple:
     am, d1, d3, a0, half_dt = map(ar.lift, (inputs.driver_am, inputs.delta1, inputs.delta3, inputs.a_j0, inputs.dt / 2))
-    return ar.mul(am, d1), d1, d3, a0, half_dt
+    return ar.mul(am, d1), ar.mul(d1, d3), a0, half_dt
 
 
 def integrating_factor_eval(inputs: PointwiseInputs, a_j_trajectory) -> np.ndarray:

@@ -40,11 +40,16 @@ def run_levels(config: ExperimentConfig, n_values, observers=()) -> list:
 
 def write_artifacts(out_dir, files: dict) -> None:
     """Make out_dir if missing and write each of `files`, name -> content, in order: a .csv name's
-    (header, rows) through csv.writer, any other name's content as JSON at indent 2."""
+    (header, rows) through csv.writer, any other name's content as JSON at indent 2.  A directory or
+    file that cannot be made, say where --out names a file, is a ConfigError of --out."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        with open(out / name, "w", newline="") as fh:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            fh = open(out / name, "w", newline="")
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {out / name}: {exc}") from exc
+        with fh:
             if name.endswith(".csv"):
                 writer = csv.writer(fh)
                 writer.writerow(content[0])

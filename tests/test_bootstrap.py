@@ -151,6 +151,11 @@ class TestChains:
         chain = replay_chain("quad-N4")
         assert not chain.passed
         assert chain.conclusion == "stuck-at 3"
+        assert chain.steps[-1].witness == "3 <= 100"
+        # a chain that checks another dimension's threshold names it in a failing witness too
+        a3 = replay_chain("A3-lowdim")
+        assert [s.witness for s in a3.steps[-2:]] == ["4 <= 100", "4 <= 100 (dimension 1)"]
+        assert a3.conclusion == "stuck-at 4"
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +166,15 @@ class TestChains:
         thresholds = [s for s in chain.steps if s.rule.startswith("linf-threshold")]
         assert len(thresholds) == 2
         assert all(s.passed for s in thresholds)
+        assert [(s.witness, s.as_dict()["inputs"]["N"]) for s in thresholds] == [
+            ("4 > 2", "2"), ("4 > 3/2 (dimension 1)", "1")]
         # the product species ends in L^4 after the exponent division
         assert str([s for s in chain.steps if s.rule == "ode-power-map"][0].output) == "4"
+
+    def test_g103_gn_interpolation_witness(self):
+        (step,) = [s for s in replay_chain("G103-N3").steps if s.rule == "gn-interpolation"]
+        assert step.passed
+        assert step.witness == "1/p = 10/39 vs theta(1/2 - 1/N) + (1-theta)/q = 10/39"
 
     def test_g103_final_exponent_clears_three_halves(self):
         chain = replay_chain("G103-N3")

@@ -309,6 +309,20 @@ class TestAnalysisCommands:
         rows = dict(list(csv.reader((out / "kernel_fit.csv").open()))[1:])
         assert float(rows["min_kernel_value"]) < -1e-10
 
+    @pytest.mark.parametrize("under", [False, True], ids=["at-a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "study-n", "study-mesh", "verify-chains", "picard-demo", "kernel-check"])
+    def test_out_at_or_under_a_file_exits_1_naming_out(self, tmp_path, capsys, command, under):
+        cfg = write_config(tmp_path, {**FAST_CONFIG, "t_final": 0.0})
+        argv = {"run": ["--config", str(cfg)], "study-n": ["--config", str(cfg)],
+                "study-mesh": ["--config", str(cfg)], "picard-demo": ["--p-max", "2"]}.get(command, [])
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "out" if under else blocker
+        assert main([command, *argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: --out: cannot write" in err and "Traceback" not in err
+        assert blocker.read_text() == "not a directory"
+
     @pytest.mark.parametrize("argv", [["picard-demo", "--p-max", "8"], ["kernel-check"]])
     def test_reruns_are_byte_identical(self, tmp_path, argv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

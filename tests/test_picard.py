@@ -137,9 +137,9 @@ def fixed_point(inputs, dps=80):
 
 
 def reference_map(inputs, a, ar):
-    """The integrating-factor map node by node, in the operation order it
-    had before its loop invariants were hoisted: trapezoid sums (f_i + f_{i-1}) * dt / 2 accumulated
-    from the left, am * d1 * e^W per node.  `ar` is the node arithmetic:
+    """The integrating-factor map node by node, with only the driver products
+    am * d1 and d1 * d3 formed first, as `_map` has them: trapezoid sums (f_i + f_{i-1}) * dt / 2
+    accumulated from the left, (am * d1) * e^W and delta2 * (d1 * d3) per node.  `ar` is the node arithmetic:
     lift (float, mp.mpf under mp.workdps, or `fixed_point`'s integers), mul,
     halve, power(v, e) and exp_pairs(W), a (e^w, s -> e^-w s) per node; in
     fixed point a shift follows every product."""
@@ -158,7 +158,7 @@ def reference_map(inputs, a, ar):
     def cumtrapz(f):
         return [ar.lift(0.0)] + list(accumulate(ar.halve(ar.mul(f[i] + f[i - 1], dt)) for i in range(1, n)))
 
-    W = cumtrapz([ar.mul(ar.mul(d1[i], delta2(a[i])), d3[i]) for i in range(n)])
+    W = cumtrapz([ar.mul(delta2(a[i]), ar.mul(d1[i], d3[i])) for i in range(n)])
     pairs = ar.exp_pairs(W)
     J = cumtrapz([ar.mul(ar.mul(am[i], d1[i]), pairs[i][0]) for i in range(n)])
     return [pairs[i][1](J[i] + a0) for i in range(n)]
